@@ -171,7 +171,12 @@ def _lm_gaussian_batch(u, profiles, max_iter=_MAX_ITER, ftol=_FTOL, gtol=_GTOL):
         converged[done] = True
         active[done] = False
 
+        # a rejected step that leaves the cost unchanged within ftol has
+        # stalled at the minimum: the fit is done, not failed
         rejected = idx[~better]
+        stalled = rejected[np.abs(cost_new[~better] - cost[rejected]) <= ftol * cost[rejected]]
+        converged[stalled] = True
+        active[stalled] = False
         lam[rejected] = np.minimum(lam[rejected] * 2.0, 1e12)
         n_iter[idx] += 1
 

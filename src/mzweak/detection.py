@@ -122,16 +122,23 @@ class ScanRecord:
             raise ValueError(f"{path}: empty scan file")
         theta = float(rows[0]["theta_deg"])
         axis = rows[0]["axis"]
-        positions = []
-        for row in rows:
-            u = float(row["position_um"])
-            if u not in positions:
-                positions.append(u)
-        n_rep = 1 + max(int(row["repeat_idx"]) for row in rows)
-        counts = np.zeros((len(positions), n_rep), dtype=np.int64)
+        if any(float(row["theta_deg"]) != theta or row["axis"] != axis for row in rows):
+            raise ValueError(f"{path}: mixed theta/axis values")
+        cells = [(float(row["position_um"]), int(row["repeat_idx"])) for row in rows]
+        if min(r for _, r in cells) < 0:
+            raise ValueError(f"{path}: negative repeat_idx")
+        positions = list(dict.fromkeys(u for u, _ in cells))
         index = {u: i for i, u in enumerate(positions)}
-        for row in rows:
-            counts[index[float(row["position_um"])], int(row["repeat_idx"])] = int(row["counts"])
+        n_rep = 1 + max(r for _, r in cells)
+        counts = np.zeros((len(positions), n_rep), dtype=np.int64)
+        seen = np.zeros(counts.shape, dtype=bool)
+        for (u, r), row in zip(cells, rows):
+            if seen[index[u], r]:
+                raise ValueError(f"{path}: duplicate cell (position {u!r}, repeat {r})")
+            seen[index[u], r] = True
+            counts[index[u], r] = int(row["counts"])
+        if not seen.all():
+            raise ValueError(f"{path}: {int(np.count_nonzero(~seen))} missing (position, repeat) cells")
         return cls(theta, axis, np.array(positions), counts, seed)
 
 

@@ -23,10 +23,10 @@ width); the alternative collimation reading 1.5 mm gives the 375 um preset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import EmptyState, VanishingPostSelection
 from .quantum import ARM_INDICES, SystemState, hwp_jones
@@ -38,6 +38,13 @@ COEFF_PRUNE_TOL = 1e-15
 
 _KIND_AXIS = {"spatial": "y", "diagonal": "x"}
 
+# 2x2 polarization matrices on an arm's (H, V) labels
+_IDENTITY = np.eye(2)
+_P_H = np.diag([1.0, 0.0])
+_P_V = np.diag([0.0, 1.0])
+_P_DIAG = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
+_P_ANTI = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+
 
 def gaussian_amplitude(u, center: float, sigma: float):
     """Pointer mode amplitude xi_center(u)."""
@@ -45,9 +52,13 @@ def gaussian_amplitude(u, center: float, sigma: float):
     return (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(-((u - center) ** 2) / (4.0 * sigma**2))
 
 
+def _overlap(a, b, sigma):
+    return np.exp(-((a - b) ** 2) / (8.0 * sigma**2))
+
+
 def mode_overlap(a: float, b: float, sigma: float) -> float:
     """<xi_a|xi_b> = exp(-(a-b)^2 / (8 sigma^2))."""
-    return float(np.exp(-((a - b) ** 2) / (8.0 * sigma**2)))
+    return float(_overlap(a, b, sigma))
 
 
 def first_moment(a: float, b: float, sigma: float) -> float:
@@ -84,7 +95,7 @@ class Branch:
     dy: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.dx) and np.isfinite(self.dy) and np.isfinite(abs(self.coeff))):
+        if not (math.isfinite(self.dx) and math.isfinite(self.dy) and math.isfinite(abs(self.coeff))):
             raise ValueError("branch fields must be finite")
 
 
@@ -109,17 +120,8 @@ class BranchState:
 
     def total_norm(self) -> float:
         """Squared norm including Gaussian overlaps between branches."""
-        acc = 0.0
-        for k in self.branches:
-            for l in self.branches:
-                if k.label != l.label:
-                    continue
-                acc += np.real(
-                    k.coeff * np.conj(l.coeff)
-                    * mode_overlap(k.dx, l.dx, self.sigma)
-                    * mode_overlap(k.dy, l.dy, self.sigma)
-                )
-        return float(acc)
+        weight, dk, dl = _pair_table(self, "x")
+        return float(np.sum(weight * _overlap(dk, dl, self.sigma)))
 
 
 def _merged(branches, sigma, arm_phase, postselected) -> BranchState:
@@ -171,39 +173,35 @@ def initial_branch_state(state: SystemState, sigma: float = DEFAULT_SIGMA_UM) ->
     return _merged(branches, sigma, 0.0, False)
 
 
-def _shifted(branch: Branch, axis: str, shift: float) -> Branch:
-    if axis == "x":
-        return Branch(branch.coeff, branch.label, branch.dx + shift, branch.dy)
-    return Branch(branch.coeff, branch.label, branch.dx, branch.dy + shift)
+def _apply_on_arm(state: BranchState, arm: str, axis: str, terms) -> BranchState:
+    """Apply sum_j M_j (x) T(shift_j) to the branches on one arm.
+
+    Each M_j is a 2x2 polarization matrix on the arm's (H, V) labels and
+    T(shift_j) translates the pointer by shift_j along ``axis``; branches on
+    the other arm, and label-free branches, pass through unchanged.
+    """
+    idx = ARM_INDICES[arm]
+    out = []
+    for b in state.branches:
+        if b.label not in idx:
+            out.append(b)
+            continue
+        col = idx.index(b.label)
+        for m, shift in terms:
+            dx, dy = (b.dx + shift, b.dy) if axis == "x" else (b.dx, b.dy + shift)
+            out.extend(Branch(b.coeff * m[row, col], lab, dx, dy) for row, lab in enumerate(idx))
+    return _merged(out, state.sigma, state.arm_phase, state.postselected)
 
 
 def apply_spatial_coupler(state: BranchState, arm: str, g: float) -> BranchState:
     """exp(-i g Y_arm P_y): shifts the target arm's branches by g along y."""
-    idx = ARM_INDICES[arm]
-    out = [
-        _shifted(b, "y", g) if b.label in idx else b
-        for b in state.branches
-    ]
-    return _merged(out, state.sigma, state.arm_phase, state.postselected)
+    return _apply_on_arm(state, arm, "y", [(_IDENTITY, g)])
 
 
 def apply_diagonal_coupler(state: BranchState, arm: str, g: float) -> BranchState:
     """exp(-i g X_arm P_x): splits the target arm into +g diagonal and -g
-    anti-diagonal components along x."""
-    h_idx, v_idx = ARM_INDICES[arm]
-    r = 1.0 / np.sqrt(2.0)
-    out = []
-    for b in state.branches:
-        if b.label == h_idx or b.label == v_idx:
-            # decompose into diagonal (+g) and anti-diagonal (-g) eigenmodes
-            sign = 1.0 if b.label == h_idx else -1.0
-            out.append(Branch(b.coeff * r * r, h_idx, b.dx + g, b.dy))
-            out.append(Branch(b.coeff * r * r, v_idx, b.dx + g, b.dy))
-            out.append(Branch(sign * b.coeff * r * r, h_idx, b.dx - g, b.dy))
-            out.append(Branch(-sign * b.coeff * r * r, v_idx, b.dx - g, b.dy))
-        else:
-            out.append(b)
-    return _merged(out, state.sigma, state.arm_phase, state.postselected)
+    anti-diagonal components along x (the spectral form of the exponential)."""
+    return _apply_on_arm(state, arm, "x", [(_P_DIAG, g), (_P_ANTI, -g)])
 
 
 def build_coupler(spec: CouplerSpec):
@@ -215,27 +213,13 @@ def build_coupler(spec: CouplerSpec):
 
 def apply_jones(state: BranchState, arm: str, jones: np.ndarray) -> BranchState:
     """Apply a 2x2 polarization Jones matrix to branches on one arm."""
-    h_idx, v_idx = ARM_INDICES[arm]
-    out = []
-    for b in state.branches:
-        if b.label == h_idx or b.label == v_idx:
-            col = 0 if b.label == h_idx else 1
-            out.append(Branch(b.coeff * jones[0, col], h_idx, b.dx, b.dy))
-            out.append(Branch(b.coeff * jones[1, col], v_idx, b.dx, b.dy))
-        else:
-            out.append(b)
-    return _merged(out, state.sigma, state.arm_phase, state.postselected)
+    return _apply_on_arm(state, arm, "x", [(jones, 0.0)])
 
 
 def apply_displacer(state: BranchState, arm: str, shift: float) -> BranchState:
     """Polarizing beam displacer on one arm: shifts the vertical (e-ray)
     component by ``shift`` along x, leaves the horizontal (o-ray) in place."""
-    _, v_idx = ARM_INDICES[arm]
-    out = [
-        _shifted(b, "x", shift) if b.label == v_idx else b
-        for b in state.branches
-    ]
-    return _merged(out, state.sigma, state.arm_phase, state.postselected)
+    return _apply_on_arm(state, arm, "x", [(_P_H, 0.0), (_P_V, shift)])
 
 
 def diagonal_coupler_composite(arm: str, g: float):
@@ -335,15 +319,27 @@ def evolve_and_postselect(
     return postselect(state, post)
 
 
-def _pair_iter(state: BranchState):
-    for k in state.branches:
-        for l in state.branches:
-            if k.label == l.label:
-                yield k, l
+def _pair_table(state: BranchState, axis: str):
+    """Label-matched branch pairs (k, l), k-major, as arrays (weight, d_k, d_l).
 
-
-def _axis_shifts(branch: Branch, axis: str):
-    return (branch.dx, branch.dy) if axis == "x" else (branch.dy, branch.dx)
+    ``weight`` is Re(c_k conj(c_l)) times the exact overlap of the two modes
+    along the other axis; d_k, d_l are the shifts along ``axis``. Distinct
+    system labels do not interfere, so only equal-label pairs appear.
+    """
+    if axis not in ("x", "y"):
+        raise ValueError("axis must be 'x' or 'y'")
+    branches = state.branches
+    labels = np.array([b.label for b in branches], dtype=object)
+    k, l = np.nonzero(labels[:, None] == labels[None, :])
+    coeff = np.array([b.coeff for b in branches], dtype=complex)
+    dx = np.array([b.dx for b in branches], dtype=float)
+    dy = np.array([b.dy for b in branches], dtype=float)
+    along, across = (dx, dy) if axis == "x" else (dy, dx)
+    # Re(c_k conj(c_l)) spelled out: numpy's array complex product may fuse
+    # multiply-adds and round differently from the scalar product
+    re, im = coeff.real, coeff.imag
+    weight = (re[k] * re[l] + im[k] * im[l]) * _overlap(across[k], across[l], state.sigma)
+    return weight, along[k], along[l]
 
 
 def marginal_intensity(state: BranchState, axis: str, grid) -> np.ndarray:
@@ -353,21 +349,12 @@ def marginal_intensity(state: BranchState, axis: str, grid) -> np.ndarray:
     O_perp the exact overlap along the other axis; distinct system labels do
     not interfere. The result is clipped at 0 against rounding dust.
     """
-    if axis not in ("x", "y"):
-        raise ValueError("axis must be 'x' or 'y'")
+    weight, dk, dl = _pair_table(state, axis)
     if not state.branches:
         raise EmptyState("no branches")
-    u = np.asarray(grid, dtype=float)
-    total = np.zeros_like(u)
-    for k, l in _pair_iter(state):
-        dk, pk = _axis_shifts(k, axis)
-        dl, pl = _axis_shifts(l, axis)
-        w = k.coeff * np.conj(l.coeff) * mode_overlap(pk, pl, state.sigma)
-        total += np.real(
-            w
-            * gaussian_amplitude(u, dk, state.sigma)
-            * gaussian_amplitude(u, dl, state.sigma)
-        )
+    u = np.asarray(grid, dtype=float)[..., None]
+    s = state.sigma
+    total = np.sum(weight * gaussian_amplitude(u, dk, s) * gaussian_amplitude(u, dl, s), axis=-1)
     return np.clip(total, 0.0, None)
 
 
@@ -377,18 +364,15 @@ def centroid_exact(state: BranchState, axis: str) -> float:
     Uses the Gaussian first-moment overlaps M(k, l) = midpoint * overlap;
     raises VanishingPostSelection when the total weight is at most 1e-12.
     """
-    if axis not in ("x", "y"):
-        raise ValueError("axis must be 'x' or 'y'")
+    weight, dk, dl = _pair_table(state, axis)
     if not state.branches:
         raise VanishingPostSelection("no branches survive post-selection")
-    num = 0.0
-    den = 0.0
-    for k, l in _pair_iter(state):
-        dk, pk = _axis_shifts(k, axis)
-        dl, pl = _axis_shifts(l, axis)
-        w = np.real(k.coeff * np.conj(l.coeff) * mode_overlap(pk, pl, state.sigma))
-        num += w * first_moment(dk, dl, state.sigma)
-        den += w * mode_overlap(dk, dl, state.sigma)
+    overlap = _overlap(dk, dl, state.sigma)
+    # cumsum adds in pair order, as the pair loop did: the centroid of a
+    # near-symmetric state is a small difference of large terms, and its
+    # rounding depends on that order
+    num = np.cumsum(weight * (0.5 * (dk + dl) * overlap))[-1]
+    den = np.cumsum(weight * overlap)[-1]
     if den <= 1e-12:
         raise VanishingPostSelection(f"post-selected weight {den:.3e} <= 1e-12")
     return float(num / den)
@@ -403,27 +387,25 @@ def windowed_intensity(state: BranchState, axis: str, centers, width: float) -> 
     """Integral of the marginal intensity over [c - width/2, c + width/2].
 
     Closed form via the normal CDF of the pairwise product Gaussians; used
-    for fiber-core integration.
+    for fiber-core integration. Pairs sharing a midpoint share their erf
+    values, so erf runs once per distinct midpoint and window edge.
     """
     if not state.branches:
         raise EmptyState("no branches")
-    c = np.atleast_1d(np.asarray(centers, dtype=float))
-    lo = c - 0.5 * width
-    hi = c + 0.5 * width
-    total = np.zeros_like(c)
-    s = state.sigma
-    for k, l in _pair_iter(state):
-        dk, pk = _axis_shifts(k, axis)
-        dl, pl = _axis_shifts(l, axis)
-        w = np.real(
-            k.coeff * np.conj(l.coeff)
-            * mode_overlap(pk, pl, s)
-            * mode_overlap(dk, dl, s)
-        )
-        m = 0.5 * (dk + dl)
-        z = 1.0 / (s * np.sqrt(2.0))
-        total += w * 0.5 * (erf((hi - m) * z) - erf((lo - m) * z))
+    weight, dk, dl = _pair_table(state, axis)
+    mid = 0.5 * (dk + dl)
+    mids = np.array(sorted(set(mid.tolist())))
+    c = np.atleast_1d(np.asarray(centers, dtype=float))[..., None]
+    z = 1.0 / (state.sigma * np.sqrt(2.0))
+    mass = 0.5 * (_erf((c + 0.5 * width - mids) * z) - _erf((c - 0.5 * width - mids) * z))
+    pair_mass = mass[..., np.searchsorted(mids, mid)]
+    total = np.sum(weight * _overlap(dk, dl, state.sigma) * pair_mass, axis=-1)
     return np.clip(total, 0.0, None)
+
+
+def _erf(x):
+    """math.erf elementwise; np.vectorize is several times slower."""
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def write_profile_csv(path, grid, intensity) -> None:

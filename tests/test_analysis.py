@@ -81,6 +81,26 @@ def test_fit_nonconvergence_budget():
     assert full.converged
 
 
+# One drift-run profile (default config, --seed 248, x axis, profile 27) on
+# which every damped step is rejected at the minimum while the gradient stays
+# at ~3e-3, above the absolute gtol.
+STALLED_PROFILE = [
+    125, 194, 255, 373, 480, 633, 804, 1094, 1389, 1770, 2212, 2724, 3337, 4076, 4834,
+    5798, 6789, 7995, 9008, 10446, 11620, 12748, 13998, 15245, 16407, 17487, 18360,
+    18834, 19559, 19556, 19771, 19804, 19419, 19147, 18353, 17418, 16436, 15088, 13992,
+    12665, 11499, 10121, 9072, 7855, 6816, 5753, 4761, 4108, 3290, 2683, 2245, 1710,
+    1382, 1060, 799, 645, 458, 377, 246, 185, 119,
+]
+
+
+def test_fit_stalled_at_minimum_is_converged():
+    fit = ana.fit_gaussian(GRID, STALLED_PROFILE)
+    assert fit.converged
+    assert fit.n_iterations < 20
+    assert abs(fit.center - (-1.2399)) < 1e-3
+    assert abs(fit.width - 477.7036) < 1e-3
+
+
 def test_fit_center_error_scale_poisson_profile():
     # repeated-simulation oracle: micron-scale center errors at kHz peaks
     cfg = det.ScanConfig(mean_rate=1000.0, repeats=1)

@@ -1,10 +1,15 @@
 """Strict config parsing and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mzweak
 from mzweak.cli import main, scan_filename
 from mzweak.config import DEFAULTS, ExperimentConfig
 from mzweak.errors import ConfigError
@@ -238,3 +243,13 @@ def test_cli_seed_override_changes_counts(tmp_path):
     a = (out_a / scan_filename(0.0, "x")).read_text()
     b = (out_b / scan_filename(0.0, "x")).read_text()
     assert a != b
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; a fresh interpreter must not load it
+    code = "import sys, mzweak, mzweak.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(mzweak.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "[]"

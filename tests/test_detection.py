@@ -106,6 +106,48 @@ def test_scan_csv_roundtrip(tmp_path):
     assert np.array_equal(back.counts, rec.counts)
 
 
+def _saved_scan_lines(tmp_path):
+    cfg = det.ScanConfig(mean_rate=900.0, repeats=3)
+    rec = det.simulate_scan(paper_state(), cfg, "x", det.DriftModel(), seed=5)
+    path = tmp_path / "scan.csv"
+    rec.save_csv(path)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def test_scan_csv_truncated_file_rejected(tmp_path):
+    path, lines = _saved_scan_lines(tmp_path)
+    path.write_text("".join(lines[:100]))
+    with pytest.raises(ValueError, match="missing"):
+        det.ScanRecord.load_csv(path)
+
+
+def test_scan_csv_duplicate_cell_rejected(tmp_path):
+    path, lines = _saved_scan_lines(tmp_path)
+    path.write_text("".join(lines + [lines[-1]]))
+    with pytest.raises(ValueError, match="duplicate"):
+        det.ScanRecord.load_csv(path)
+
+
+def test_scan_csv_negative_repeat_rejected(tmp_path):
+    # "-1" would otherwise index the last repeat and fill a missing cell
+    path, lines = _saved_scan_lines(tmp_path)
+    head, last = lines[:-1], lines[-1].split(",")
+    last[3] = "-1"
+    path.write_text("".join(head + [",".join(last)]))
+    with pytest.raises(ValueError, match="repeat_idx"):
+        det.ScanRecord.load_csv(path)
+
+
+@pytest.mark.parametrize("column,value", [(0, "45.0"), (1, "y")])
+def test_scan_csv_mixed_theta_or_axis_rejected(tmp_path, column, value):
+    path, lines = _saved_scan_lines(tmp_path)
+    last = lines[-1].split(",")
+    last[column] = value
+    path.write_text("".join(lines[:-1] + [",".join(last)]))
+    with pytest.raises(ValueError, match="mixed"):
+        det.ScanRecord.load_csv(path)
+
+
 def test_scan_record_validation():
     with pytest.raises(ValueError):
         det.ScanRecord(0.0, "x", np.arange(3.0), np.array([[1], [2]]))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+from scipy.special import erf
 from hypothesis import given, strategies as st
 
 from mzweak import pointer as ptr
@@ -326,6 +327,139 @@ def test_norm_conserved_before_postselection(theta, gx, gy, phase):
     assert abs(state.total_norm() - 1.0) < 1e-12
     post = ptr.postselect(state, qm.post_state(theta))
     assert post.total_norm() <= 1.0 + 1e-12
+
+
+# ------------------------------------------------- pair-loop reference oracle
+# The moments as explicit double loops over label-matched branch pairs, with
+# scipy's erf for the fiber window; the library must agree on any state.
+
+
+def ref_pairs(state):
+    for k in state.branches:
+        for l in state.branches:
+            if k.label == l.label:
+                yield k, l
+
+
+def ref_shifts(branch, axis):
+    return (branch.dx, branch.dy) if axis == "x" else (branch.dy, branch.dx)
+
+
+def ref_total_norm(state):
+    acc = 0.0
+    for k, l in ref_pairs(state):
+        acc += np.real(
+            k.coeff * np.conj(l.coeff)
+            * ptr.mode_overlap(k.dx, l.dx, state.sigma)
+            * ptr.mode_overlap(k.dy, l.dy, state.sigma)
+        )
+    return float(acc)
+
+
+def ref_marginal_intensity(state, axis, grid):
+    if not state.branches:
+        raise EmptyState("no branches")
+    u = np.asarray(grid, dtype=float)
+    total = np.zeros_like(u)
+    for k, l in ref_pairs(state):
+        dk, pk = ref_shifts(k, axis)
+        dl, pl = ref_shifts(l, axis)
+        w = k.coeff * np.conj(l.coeff) * ptr.mode_overlap(pk, pl, state.sigma)
+        total += np.real(
+            w * ptr.gaussian_amplitude(u, dk, state.sigma) * ptr.gaussian_amplitude(u, dl, state.sigma)
+        )
+    return np.clip(total, 0.0, None)
+
+
+def ref_centroid_exact(state, axis):
+    if not state.branches:
+        raise VanishingPostSelection("no branches survive post-selection")
+    num = den = 0.0
+    for k, l in ref_pairs(state):
+        dk, pk = ref_shifts(k, axis)
+        dl, pl = ref_shifts(l, axis)
+        w = np.real(k.coeff * np.conj(l.coeff) * ptr.mode_overlap(pk, pl, state.sigma))
+        num += w * ptr.first_moment(dk, dl, state.sigma)
+        den += w * ptr.mode_overlap(dk, dl, state.sigma)
+    if den <= 1e-12:
+        raise VanishingPostSelection(f"post-selected weight {den:.3e} <= 1e-12")
+    return float(num / den)
+
+
+def ref_windowed_intensity(state, axis, centers, width):
+    if not state.branches:
+        raise EmptyState("no branches")
+    c = np.atleast_1d(np.asarray(centers, dtype=float))
+    s = state.sigma
+    z = 1.0 / (s * np.sqrt(2.0))
+    total = np.zeros_like(c)
+    for k, l in ref_pairs(state):
+        dk, pk = ref_shifts(k, axis)
+        dl, pl = ref_shifts(l, axis)
+        w = np.real(
+            k.coeff * np.conj(l.coeff) * ptr.mode_overlap(pk, pl, s) * ptr.mode_overlap(dk, dl, s)
+        )
+        m = 0.5 * (dk + dl)
+        total += w * 0.5 * (erf((c + 0.5 * width - m) * z) - erf((c - 0.5 * width - m) * z))
+    return np.clip(total, 0.0, None)
+
+
+@st.composite
+def branch_states(draw):
+    """Labelled or post-selected states over both arms, blocking and arm phase."""
+    couplers = [
+        ptr.CouplerSpec("spatial", draw(st.sampled_from("AB")), draw(st.floats(0.0, 600.0))),
+        ptr.CouplerSpec("diagonal", draw(st.sampled_from("AB")), draw(st.floats(0.0, 600.0))),
+    ]
+    state = ptr.evolve(
+        qm.pre_state(),
+        couplers,
+        sigma=draw(st.floats(100.0, 900.0)),
+        blocked_arm=draw(st.sampled_from([None, "A", "B"])),
+        arm_phase=draw(st.floats(0.0, 2 * np.pi)),
+    )
+    if draw(st.booleans()):
+        state = ptr.postselect(state, qm.post_state(draw(st.floats(-90.0, 90.0))))
+    return state
+
+
+def assert_matches_reference(fn, ref, *args):
+    """Same exception type, or values within rtol 1e-12 (atol 1e-15 near 0)."""
+    try:
+        expected = ref(*args)
+    except (EmptyState, VanishingPostSelection) as exc:
+        with pytest.raises(type(exc)):
+            fn(*args)
+        return
+    np.testing.assert_allclose(fn(*args), expected, rtol=1e-12, atol=1e-15)
+
+
+@given(branch_states())
+def test_moments_match_pair_loop_reference(state):
+    assert_matches_reference(lambda s: s.total_norm(), ref_total_norm, state)
+    grid = np.linspace(-3000.0, 3000.0, 121)
+    for axis in ("x", "y"):
+        assert_matches_reference(ptr.marginal_intensity, ref_marginal_intensity, state, axis, grid)
+        assert_matches_reference(ptr.centroid_exact, ref_centroid_exact, state, axis)
+        assert_matches_reference(
+            ptr.windowed_intensity, ref_windowed_intensity, state, axis, grid, 50.0
+        )
+        assert_matches_reference(
+            ptr.windowed_intensity, ref_windowed_intensity, state, axis, 12.5, 80.0
+        )
+
+
+@pytest.mark.parametrize(
+    "moment,args",
+    [
+        (ptr.marginal_intensity, ([0.0],)),
+        (ptr.centroid_exact, ()),
+        (ptr.windowed_intensity, ([0.0], 50.0)),
+    ],
+)
+def test_moments_reject_unknown_axis(moment, args):
+    with pytest.raises(ValueError):
+        moment(paper_state(), "z", *args)
 
 
 def test_tiny_branches_pruned():
