@@ -45,18 +45,25 @@ class FitResult:
 
 @dataclass(frozen=True)
 class CenterDistribution:
-    """Bootstrap distribution of fitted profile centers for one (theta, axis)."""
+    """Bootstrap distribution of fitted profile centers for one (theta, axis);
+    ``draw_idx`` names each center's bootstrap draw (default 0, 1, ...)."""
 
     centers: np.ndarray
     theta: float
     axis: str
+    draw_idx: np.ndarray | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.centers, dtype=float)
         if arr.size == 0 or not np.all(np.isfinite(arr)):
             raise ValueError("centers must be non-empty and finite")
+        idx = np.arange(arr.size) if self.draw_idx is None else np.asarray(self.draw_idx, dtype=np.int64)
+        if idx.shape != arr.shape:
+            raise ValueError("draw_idx must have one entry per center")
         arr.setflags(write=False)
+        idx.setflags(write=False)
         object.__setattr__(self, "centers", arr)
+        object.__setattr__(self, "draw_idx", idx)
 
 
 @dataclass(frozen=True)
@@ -229,12 +236,10 @@ def bootstrap_centers(record, n_bootstrap: int = 10_000, seed: int = 0, max_drop
         centers = np.full(n_bootstrap, fit.center)
         return CenterDistribution(centers, record.theta, record.axis)
 
-    profiles = np.empty((n_bootstrap, n_points))
+    # draw-major: the first k draws are the same for any n_bootstrap >= k
+    gen = rngmod.stream(seed, rngmod.BOOTSTRAP, tkey, akey)
     rows = np.arange(n_points)
-    for b in range(n_bootstrap):
-        gen = rngmod.stream(seed, rngmod.BOOTSTRAP, tkey, akey, b)
-        choice = gen.integers(0, repeats, size=n_points)
-        profiles[b] = counts[rows, choice]
+    profiles = counts.astype(float)[rows, gen.integers(0, repeats, size=(n_bootstrap, n_points))]
 
     params, _, converged, _ = _lm_gaussian_batch(record.positions, profiles)
     dropped = int(np.count_nonzero(~converged))
@@ -242,8 +247,7 @@ def bootstrap_centers(record, n_bootstrap: int = 10_000, seed: int = 0, max_drop
         raise NonConvergence(
             f"{dropped}/{n_bootstrap} bootstrap fits failed to converge (> {max_dropped:.0%})"
         )
-    centers = params[converged, 1]
-    return CenterDistribution(centers, record.theta, record.axis)
+    return CenterDistribution(params[converged, 1], record.theta, record.axis, np.flatnonzero(converged))
 
 
 def weak_value_draws(target: CenterDistribution, ref0: CenterDistribution, ref1: CenterDistribution) -> np.ndarray:
@@ -319,7 +323,7 @@ def export_results(
     with open(out / "centers.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("theta_deg,axis,draw_idx,center_um\n")
         for dist in distributions:
-            for i, c in enumerate(dist.centers):
+            for i, c in zip(dist.draw_idx.tolist(), dist.centers):
                 fh.write(f"{float(dist.theta)!r},{dist.axis},{i},{float(c)!r}\n")
 
     with open(out / "weak_values.csv", "w", encoding="utf-8", newline="") as fh:

@@ -3,9 +3,10 @@
 Count model: each (position, repeat) cell of a scan draws an independent
 Poisson count whose mean is the fiber-core-integrated marginal intensity,
 normalized so the grid peak of the undrifted profile yields
-``ScanConfig.mean_rate`` counts per dwell. Every cell consumes its own RNG
-stream (see :mod:`mzweak.rng`), so serial and parallel evaluation produce
-bit-identical records.
+``ScanConfig.mean_rate`` counts per dwell. Each record draws its whole
+count array from one RNG stream (see :mod:`mzweak.rng`), repeat- or
+profile-major, so a record does not depend on the other records, and its
+first k repeats or profiles do not depend on the total.
 
 The heralded-source event model runs per coincidence window: a number of
 photon pairs is emitted, the reference detector clicks with the heralding
@@ -178,24 +179,15 @@ def expected_rate(state: BranchState, axis: str, position, config: ScanConfig):
     return scaled if np.ndim(position) else float(scaled[0])
 
 
-def _rate_profile(state, axis, config, offset=0.0) -> np.ndarray:
-    """Rates over the scan grid with the beam center displaced by ``offset``."""
-    return np.asarray(expected_rate(state, axis, config.positions - offset, config))
-
-
 def simulate_scan(state: BranchState, config: ScanConfig, axis: str, drift: DriftModel, seed: int) -> ScanRecord:
-    """Poisson scan record, one drift offset per repeat, one stream per cell."""
+    """Poisson scan record, one drift offset per repeat, one stream drawn repeat-major."""
     tkey = rngmod.theta_key(config.theta)
     akey = rngmod.AXIS_KEY[axis]
     walk = rngmod.stream(seed, rngmod.SCAN_DRIFT, tkey, akey)
     offsets = drift.offsets(config.repeats, walk)
-    counts = np.zeros((config.n_points, config.repeats), dtype=np.int64)
-    for r in range(config.repeats):
-        rates = _rate_profile(state, axis, config, offsets[r])
-        for i in range(config.n_points):
-            cell = rngmod.stream(seed, rngmod.SCAN_COUNTS, tkey, akey, i, r)
-            counts[i, r] = cell.poisson(rates[i])
-    return ScanRecord(config.theta, axis, config.positions, counts, seed)
+    rates = expected_rate(state, axis, config.positions - offsets[:, None], config)
+    counts = rngmod.stream(seed, rngmod.SCAN_COUNTS, tkey, akey).poisson(rates)
+    return ScanRecord(config.theta, axis, config.positions, counts.T, seed)
 
 
 def single_beam_state(sigma: float = DEFAULT_SIGMA_UM) -> BranchState:
@@ -212,20 +204,14 @@ def simulate_drift_run(
     axis: str = "x",
     sigma: float = DEFAULT_SIGMA_UM,
 ) -> list:
-    """Repeated single-repeat scans of a single-arm beam with accumulating drift."""
+    """Single-repeat scans of a single-arm beam with accumulating drift, drawn profile-major."""
     state = single_beam_state(sigma)
     akey = rngmod.AXIS_KEY[axis]
     walk = rngmod.stream(seed, rngmod.DRIFT_WALK, akey)
     offsets = drift.offsets(n_profiles, walk)
-    records = []
-    for p in range(n_profiles):
-        rates = _rate_profile(state, axis, config, offsets[p])
-        counts = np.zeros((config.n_points, 1), dtype=np.int64)
-        for i in range(config.n_points):
-            cell = rngmod.stream(seed, rngmod.DRIFT_RUN, akey, p, i)
-            counts[i, 0] = cell.poisson(rates[i])
-        records.append(ScanRecord(config.theta, axis, config.positions, counts, seed))
-    return records
+    rates = expected_rate(state, axis, config.positions - offsets[:, None], config)
+    counts = rngmod.stream(seed, rngmod.DRIFT_RUN, akey).poisson(rates)
+    return [ScanRecord(config.theta, axis, config.positions, row[:, None], seed) for row in counts]
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,20 @@
 
 All randomness in the package flows from a single integer seed. Substreams
 are derived from (seed, path) pairs, where the path is a tuple of small
-integers naming the consumer, so that a given draw is reproduced bit-exactly
-no matter in which order (or on how many workers) the cells are evaluated.
+integers naming the consumer, so a record is reproduced bit-exactly whatever
+else is computed, in any order. A record draws its whole array in one call,
+repeat-, profile- or draw-major, so its first k rows do not depend on the total.
 
 The generator is Philox (counter-based); derivation uses SeedSequence spawn
 keys, which is the documented numpy mechanism for non-overlapping streams.
 
 Stream namespace (first path component):
-    SCAN_COUNTS  (.., theta_key, axis_key, position_idx, repeat_idx)
+    SCAN_COUNTS  (.., theta_key, axis_key)
     SCAN_DRIFT   (.., theta_key, axis_key)
-    DRIFT_RUN    (.., axis_key, profile_idx, position_idx)
+    DRIFT_RUN    (.., axis_key)
     DRIFT_WALK   (.., axis_key)
     G2           (.., chunk_idx)
-    BOOTSTRAP    (.., theta_key, axis_key, draw_idx)
+    BOOTSTRAP    (.., theta_key, axis_key)
     ABL_MC       (.., free)
 """
 

@@ -7,6 +7,7 @@ shifts, the end-to-end pipeline, systematic-band calibration, g2 behavior,
 the weak-to-strong transition and byte-level determinism.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -23,6 +24,16 @@ from mzweak.config import ExperimentConfig
 from mzweak.rng import ABL_MC, stream
 
 SIGMA = 475.0
+
+# criterion 10's small config: every command finishes in well under a second
+SMALL_CONFIG = {
+    "scan": {"n_points": 21, "step": 150.0, "repeats": 4,
+             "reference_repeats": 2, "mean_rate": 400.0},
+    "drift": {"n_profiles": 10, "mean_rate": 2000.0},
+    "analysis": {"n_bootstrap": 150},
+    "source": {"n_windows": 100_000},
+    "seed": 5,
+}
 
 
 def _report(n, text):
@@ -223,30 +234,51 @@ def test_criterion_9_weak_to_strong_transition():
     _report(9, "|centroid/g - 1| monotone in g/sigma and < 0.5% at g/sigma = 0.05")
 
 
-def test_criterion_10_byte_determinism(tmp_path):
-    small = {
-        "scan": {"n_points": 21, "step": 150.0, "repeats": 4,
-                 "reference_repeats": 2, "mean_rate": 400.0},
-        "drift": {"n_profiles": 10, "mean_rate": 2000.0},
-        "analysis": {"n_bootstrap": 150},
-        "source": {"n_windows": 100_000},
-        "seed": 5,
-    }
+def _run_small_config(tmp_path, tag):
+    """Run every command on SMALL_CONFIG; return {file name: bytes}."""
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(small))
+    cfg.write_text(json.dumps(SMALL_CONFIG))
+    out = tmp_path / tag
+    argv = ["--quiet", "--config", str(cfg), "--out", str(out)]
+    assert main(argv + ["simulate"]) == 0
+    assert main(argv + ["analyze"]) == 0
+    assert main(argv + ["g2"]) == 0
+    assert main(argv + ["weakvalue"]) == 0
+    assert main(argv + ["sweep", "--parameter", "g", "--start", "10",
+                        "--stop", "200", "--num", "5"]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-    outputs = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        argv = ["--quiet", "--config", str(cfg), "--out", str(out)]
-        assert main(argv + ["simulate"]) == 0
-        assert main(argv + ["analyze"]) == 0
-        assert main(argv + ["g2"]) == 0
-        assert main(argv + ["weakvalue"]) == 0
-        assert main(argv + ["sweep", "--parameter", "g", "--start", "10",
-                            "--stop", "200", "--num", "5"]) == 0
-        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+
+def test_criterion_10_byte_determinism(tmp_path):
+    outputs = [_run_small_config(tmp_path, tag) for tag in ("a", "b")]
     assert outputs[0].keys() == outputs[1].keys()
     for name in outputs[0]:
         assert outputs[0][name] == outputs[1][name], name
     _report(10, f"{len(outputs[0])} output files byte-identical across reruns")
+
+
+# SHA-256 of every SMALL_CONFIG output, pinned with numpy 2.4. A change to the
+# random draw layout or to serialization moves these on purpose: re-pin them
+# in the same change.
+GOLDEN_DIGESTS = {
+    "centers.csv": "5ba25888967816b47bc1a5b3c9f49451a26b9063335e6299002ce5fef47f7dbc",
+    "g2.json": "6cc89f02afa5971d0e7ea0b3996ed1a32c466ef3ef89b5553d7488e31fac8fd5",
+    "scan_theta0_x.csv": "8db049fd0ff250db4d93f051be8bfc29d5b079bf935024024191cdc633a52227",
+    "scan_theta0_y.csv": "4875048b03bf80d97be6570e0720e4060cebde98a7ae920acaad6e105a5f0a6f",
+    "scan_theta45_x.csv": "fc73d4c74f0e8cc3b87a7307edf77b863512a191b5073a1f6bd964aca646032e",
+    "scan_theta45_y.csv": "c5dee7b39fa8a3fc6d9c7b2594b631ece740dae47844472290e4ca3513d33c1e",
+    "scan_theta90_x.csv": "1e8bc113d142c7c155ad3a4a5c1105935c3665e8ba0e62c5f94d4fa5e3b5bf54",
+    "scan_theta90_y.csv": "65942c8ee81caa23d403c916351b7fde6142cb8b148ee04d71288a1960de0404",
+    "summary.json": "8c6a937f65eaf8e94ac768e345509dd628e8b51fb78a8149d93aeca5175d5e8b",
+    "sweep_g.csv": "8e37c47938a64dfbe978e2c59e7845e039c4bf7eea52eabd2f983cadf611874e",
+    "weak_values.csv": "2c6bdbafa0fda313a785f8c29a67bfe8404d85c8d4698c8793a845e3e58edcbf",
+    "weakvalues.json": "adf439289a012691e0ebbc9b1489f6fd974d2abdd094153ce74d4b2e07cf74bf",
+}
+
+
+def test_golden_digests(tmp_path):
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in _run_small_config(tmp_path, "out").items()}
+    assert digests.keys() == GOLDEN_DIGESTS.keys()
+    moved = sorted(name for name in digests if digests[name] != GOLDEN_DIGESTS[name])
+    assert not moved, f"output bytes changed: {moved}"

@@ -149,6 +149,46 @@ def test_bootstrap_spread_matches_resimulation_scatter():
     assert direct_sigma / boot_sigma < 1.5
 
 
+def test_bootstrap_draws_are_prefix_stable():
+    # draw-major resampling: the first 200 draws do not depend on the total
+    cfg = det.ScanConfig(mean_rate=1000.0, repeats=8)
+    walk = det.DriftModel("random-walk", step_sigma=5.0)
+    rec = det.simulate_scan(det.single_beam_state(SIGMA), cfg, "x", walk, seed=2)
+    short = ana.bootstrap_centers(rec, n_bootstrap=200, seed=6)
+    long = ana.bootstrap_centers(rec, n_bootstrap=1000, seed=6)
+    assert np.array_equal(short.centers, long.centers[:200])
+    assert np.array_equal(short.draw_idx, long.draw_idx[:200])
+
+
+def test_bootstrap_dropped_draw_keeps_later_draw_idx(tmp_path, monkeypatch):
+    cfg = det.ScanConfig(mean_rate=1000.0, repeats=8)
+    rec = det.simulate_scan(det.single_beam_state(SIGMA), cfg, "x", det.DriftModel(), seed=2)
+    full = ana.bootstrap_centers(rec, n_bootstrap=300, seed=4)
+    lm = ana._lm_gaussian_batch
+
+    def drop_row_17(u, profiles, **kwargs):
+        params, resnorm, converged, n_iter = lm(u, profiles, **kwargs)
+        converged[17] = False
+        return params, resnorm, converged, n_iter
+
+    monkeypatch.setattr(ana, "_lm_gaussian_batch", drop_row_17)
+    dist = ana.bootstrap_centers(rec, n_bootstrap=300, seed=4)
+    keep = np.arange(300) != 17
+    assert np.array_equal(dist.draw_idx, np.flatnonzero(keep))
+    assert np.array_equal(dist.centers, full.centers[keep])
+
+    ana.export_results(tmp_path, {}, [dist], {}, seed=4, n_bootstrap=300)
+    rows = (tmp_path / "centers.csv").read_text().strip().splitlines()[1:]
+    written = [int(r.split(",")[2]) for r in rows]
+    assert written == list(range(17)) + list(range(18, 300))
+
+
+def test_center_distribution_draw_idx_validation():
+    assert np.array_equal(make_dist([1.0, 2.0, 3.0]).draw_idx, [0, 1, 2])
+    with pytest.raises(ValueError):
+        ana.CenterDistribution(np.array([1.0, 2.0]), 0.0, "x", np.array([0]))
+
+
 def test_bootstrap_drop_policy_errors_on_flat_records():
     flat = det.ScanRecord(0.0, "x", GRID, np.zeros((61, 2), dtype=int), seed=0)
     with pytest.raises(NonConvergence):

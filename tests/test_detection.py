@@ -47,6 +47,16 @@ def test_expected_rate_grid_sum_matches_analytic_flux():
     assert abs(grid_sum - analytic) / analytic < 0.01
 
 
+def test_expected_rate_rows_match_per_offset_calls():
+    # one (repeats, n_points) call replaces one grid call per drift offset
+    cfg = det.ScanConfig(mean_rate=1000.0)
+    offsets = np.array([-37.5, 0.0, 12.25, 410.0])
+    rows = det.expected_rate(paper_state(), "x", cfg.positions - offsets[:, None], cfg)
+    assert rows.shape == (4, cfg.n_points)
+    for row, off in zip(rows, offsets):
+        assert np.array_equal(row, det.expected_rate(paper_state(), "x", cfg.positions - off, cfg))
+
+
 def test_expected_rate_propagates_empty_state():
     from mzweak.errors import EmptyState
 
@@ -91,6 +101,16 @@ def test_scan_bit_determinism():
     assert np.array_equal(a.counts, b.counts)
     c = det.simulate_scan(paper_state(), cfg, "x", det.DriftModel(), seed=4)
     assert not np.array_equal(a.counts, c.counts)
+
+
+def test_scan_repeats_are_prefix_stable():
+    # repeat-major draws: the first 3 repeats do not depend on the total
+    walk = det.DriftModel("random-walk", step_sigma=5.0)
+    short, long = (
+        det.simulate_scan(paper_state(), det.ScanConfig(repeats=r, theta=0.0), "y", walk, seed=9)
+        for r in (3, 16)
+    )
+    assert np.array_equal(short.counts, long.counts[:, :3])
 
 
 def test_scan_csv_roundtrip(tmp_path):
@@ -211,6 +231,18 @@ def test_drift_random_walk_variance_grows_with_profile_index():
         late.append(centers[55])
     # Var(delta_p) = p * step^2: tenfold index, tenfold variance
     assert np.var(late) > 3.0 * np.var(early)
+
+
+def test_drift_run_profiles_are_prefix_stable():
+    # profile-major draws: the first 20 profiles do not depend on the total
+    cfg = det.ScanConfig(mean_rate=2000.0, repeats=1)
+    walk = det.DriftModel("random-walk", step_sigma=2.0)
+    short = det.simulate_drift_run(cfg, walk, 20, seed=4, axis="y")
+    long = det.simulate_drift_run(cfg, walk, 100, seed=4, axis="y")
+    assert len(long) == 100
+    for a, b in zip(short, long[:20]):
+        assert np.array_equal(a.counts, b.counts)
+    assert not np.array_equal(long[0].counts, long[1].counts)
 
 
 def test_strong_regime_scan_frequencies_match_joint_distribution():
