@@ -1,9 +1,9 @@
 """From raw scan counts to weak values with error bars.
 
-Pipeline: fit Gaussian profiles (damped least squares), bootstrap the
-profile centers by drawing one repeat per position (the 16^61 construction,
-10^4 draws by default), scale the target centers against the 45 deg (zero)
-and 90 deg (unit) reference distributions,
+Pipeline: fit Gaussian profiles (variable projection, Golub & Pereyra 1973),
+bootstrap the profile centers by drawing one repeat per position (the 16^61
+construction, 10^4 draws by default), scale the target centers against the
+45 deg (zero) and 90 deg (unit) reference distributions,
 
     w_i = (X_i - X0_i) / <X1 - X0>,
 
@@ -14,6 +14,7 @@ of fitted centers over a long single-arm run divided by the same scale.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,7 @@ RESULTS_SCHEMA_VERSION = 1
 _FTOL = 1e-10
 _GTOL = 1e-8
 _MAX_ITER = 200
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class FitResult:
 @dataclass(frozen=True)
 class CenterDistribution:
     """Bootstrap distribution of fitted profile centers for one (theta, axis);
-    ``draw_idx`` names each center's bootstrap draw (default 0, 1, ...)."""
+    ``draw_idx`` names each center's draw, increasing (default 0, 1, ...)."""
 
     centers: np.ndarray
     theta: float
@@ -58,8 +60,8 @@ class CenterDistribution:
         if arr.size == 0 or not np.all(np.isfinite(arr)):
             raise ValueError("centers must be non-empty and finite")
         idx = np.arange(arr.size) if self.draw_idx is None else np.asarray(self.draw_idx, dtype=np.int64)
-        if idx.shape != arr.shape:
-            raise ValueError("draw_idx must have one entry per center")
+        if idx.shape != arr.shape or np.any(np.diff(idx) <= 0):
+            raise ValueError("draw_idx must have one strictly increasing entry per center")
         arr.setflags(write=False)
         idx.setflags(write=False)
         object.__setattr__(self, "centers", arr)
@@ -80,115 +82,101 @@ class WeakValueEstimate:
             raise ValueError("stat_sigma and sys_band must be >= 0")
 
 
-def _model_and_jacobian(u, params):
-    """Residual model pieces for a batch: params (B, 4) = (A, mu, s, b)."""
-    amp = params[:, 0:1]
-    mu = params[:, 1:2]
-    s = params[:, 2:3]
-    b = params[:, 3:4]
-    z = (u[None, :] - mu) / s
-    e = np.exp(-0.5 * z * z)
-    model = amp * e + b
-    jac = np.empty(params.shape[:1] + u.shape + (4,))
-    jac[:, :, 0] = e
-    jac[:, :, 1] = amp * e * z / s
-    jac[:, :, 2] = amp * e * z * z / s
-    jac[:, :, 3] = 1.0
-    return model, jac
+_dot = functools.partial(np.einsum, "ij,ij->i")  # row-wise dot products
 
 
-def _moment_init(u, profiles):
-    """Start values from profile moments: centroid, rms width, min offset."""
-    b0 = profiles.min(axis=1)
-    w = profiles - b0[:, None]
-    sw = w.sum(axis=1)
-    informative = sw > 0
-    safe = np.where(sw > 0, sw, 1.0)
-    mu0 = (w @ u) / safe
-    var0 = (w * (u[None, :] - mu0[:, None]) ** 2).sum(axis=1) / safe
-    step = float(np.min(np.diff(u))) if u.size > 1 else 1.0
-    s0 = np.sqrt(np.maximum(var0, (0.5 * step) ** 2))
-    a0 = np.maximum(profiles.max(axis=1) - b0, 1.0)
-    params = np.stack([a0, mu0, s0, b0], axis=1)
-    return params, informative, step
+def _centred(v):
+    return v - v.mean(axis=1)[:, None]
+
+
+def _basis(e):
+    """Centred basis e - <e> per row and its squared norm (inf if e is constant, so coefficients read 0)."""
+    ec = _centred(e)
+    see = _dot(ec, ec)
+    return ec, np.where(see > 0, see, np.inf)
+
+
+def _split(v, ec, see):
+    """Coefficient of the centred rows v on ec, and the rest of v, orthogonal to span{e, 1}."""
+    coef = _dot(ec, v) / see
+    return coef, v - coef[:, None] * ec
 
 
 def _lm_gaussian_batch(u, profiles, max_iter=_MAX_ITER, ftol=_FTOL, gtol=_GTOL):
-    """Damped (Levenberg-style) least squares for a batch of profiles.
+    """Variable projection (Golub & Pereyra 1973) for a batch of profiles
+    A exp(-z^2/2) + b, z = (u - mu) / s: A and b are solved in closed form
+    for each (mu, s), and damped Gauss-Newton steps move (mu, s) alone. Rows
+    iterate in chunks of _CHUNK_ROWS to keep the working arrays in cache.
 
-    Returns (params (B,4), residual_norm (B,), converged (B,), n_iter (B,)).
-    Rows without shape information (flat profiles) come back unconverged.
+    Returns (params (B,4) = (A, mu, |s|, b), residual_norm (B,), converged (B,),
+    n_iter (B,)). Rows without shape information (flat profiles) come back
+    unconverged; fewer than 5 positions raise ValueError.
     """
     u = np.asarray(u, dtype=float)
-    profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
-    nbatch = profiles.shape[0]
-    params, informative, step = _moment_init(u, profiles)
+    y = np.atleast_2d(np.asarray(profiles, dtype=float))
+    if u.size < 5:
+        raise ValueError("need at least 5 points")
+    nbatch = y.shape[0]
+    # start from the moments above the row minimum: centroid and rms width
+    w = y - y.min(axis=1)[:, None]
+    sw = w.sum(axis=1)
+    informative = sw > 0
+    safe = np.where(informative, sw, 1.0)
+    mu = (w @ u) / safe
+    var = (w * (u[None, :] - mu[:, None]) ** 2).sum(axis=1) / safe
+    step = float(np.min(np.diff(u)))
+    s = np.sqrt(np.maximum(var, (0.5 * step) ** 2))
     s_floor = 1e-3 * step
-
+    yc = _centred(y)
+    e = np.exp(-0.5 * ((u - mu[:, None]) / s[:, None]) ** 2)
     lam = np.full(nbatch, 1e-3)
-    model, _ = _model_and_jacobian(u, params)
-    cost = ((profiles - model) ** 2).sum(axis=1)
     converged = np.zeros(nbatch, dtype=bool)
     n_iter = np.zeros(nbatch, dtype=int)
-    active = informative.copy()
 
-    eye = np.eye(4)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        p_act = params[idx]
-        model, jac = _model_and_jacobian(u, p_act)
-        resid = profiles[idx] - model
-        grad = np.einsum("bnq,bn->bq", jac, resid)
+    for lo in range(0, nbatch, _CHUNK_ROWS):
+        for _ in range(max_iter):
+            idx = lo + np.flatnonzero((informative & ~converged)[lo:lo + _CHUNK_ROWS])
+            if idx.size == 0:
+                break
+            yi, ei, mi, si, li = yc[idx], e[idx], mu[idx], s[idx], lam[idx]
+            ec, see = _basis(ei)
+            amp, r = _split(yi, ec, see)
+            ci = _dot(r, r)
+            # Jacobian columns A e z / s (mu) and A e z^2 / s (s), projected
+            # off span{e, 1}: amplitude and offset follow (mu, s)
+            z = (u - mi[:, None]) / si[:, None]
+            g_mu = (amp / si)[:, None] * ei * z
+            p_mu, p_s = _split(_centred(g_mu), ec, see)[1], _split(_centred(g_mu * z), ec, see)[1]
+            grad_mu, grad_s = _dot(p_mu, r), _dot(p_s, r)
+            gsmall = np.maximum(np.abs(grad_mu), np.abs(grad_s)) < gtol
 
-        gsmall = np.max(np.abs(grad), axis=1) < gtol
-        if gsmall.any():
-            hit = idx[gsmall]
-            converged[hit] = True
-            active[hit] = False
-            keep = ~gsmall
-            if not keep.any():
-                continue
-            idx = idx[keep]
-            p_act, jac, resid, grad = p_act[keep], jac[keep], resid[keep], grad[keep]
+            # damped 2x2 normal equations (H + lam diag H + 1e-12) delta = grad
+            h_mm = _dot(p_mu, p_mu) * (1.0 + li) + 1e-12
+            h_ss = _dot(p_s, p_s) * (1.0 + li) + 1e-12
+            h_ms = _dot(p_mu, p_s)
+            det = h_mm * h_ss - h_ms * h_ms
+            mu_t = mi + (h_ss * grad_mu - h_ms * grad_s) / det
+            s_t = si + (h_mm * grad_s - h_ms * grad_mu) / det
+            s_t = np.copysign(np.maximum(np.abs(s_t), s_floor), s_t)
+            e_t = np.exp(-0.5 * ((u - mu_t[:, None]) / s_t[:, None]) ** 2)
+            r_t = _split(yi, *_basis(e_t))[1]
+            cost_t = _dot(r_t, r_t)
 
-        hess = np.einsum("bnq,bnp->bqp", jac, jac)
-        diag = np.einsum("bqq->bq", hess)
-        damped = hess + lam[idx, None, None] * (diag[:, :, None] * eye[None, :, :])
-        damped = damped + 1e-12 * eye[None, :, :]
-        try:
-            delta = np.linalg.solve(damped, grad[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            delta = np.stack(
-                [np.linalg.lstsq(damped[b], grad[b], rcond=None)[0] for b in range(len(idx))]
-            )
-        trial = p_act + delta
-        trial[:, 2] = np.sign(trial[:, 2]) * np.maximum(np.abs(trial[:, 2]), s_floor)
-        model_new, _ = _model_and_jacobian(u, trial)
-        cost_new = ((profiles[idx] - model_new) ** 2).sum(axis=1)
-        better = cost_new < cost[idx]
+            stepped = ~gsmall
+            better = stepped & (cost_t < ci)
+            done = gsmall | better & ((ci - cost_t) / np.maximum(cost_t, 1e-300) < ftol)
+            # a rejected step that leaves the cost unchanged within ftol has
+            # stalled at the minimum: the fit is done, not failed
+            done |= stepped & ~better & (np.abs(cost_t - ci) <= ftol * ci)
+            acc = idx[better]
+            e[acc], mu[acc], s[acc] = e_t[better], mu_t[better], s_t[better]
+            lam[idx] = np.where(better, np.maximum(li / 3.0, 1e-12), np.minimum(li * 2.0, 1e12))
+            converged[idx] |= done
+            n_iter[idx] += stepped
 
-        accepted = idx[better]
-        params[accepted] = trial[better]
-        rel_drop = (cost[accepted] - cost_new[better]) / np.maximum(cost_new[better], 1e-300)
-        lam[accepted] = np.maximum(lam[accepted] / 3.0, 1e-12)
-        cost[accepted] = cost_new[better]
-        done = accepted[rel_drop < ftol]
-        converged[done] = True
-        active[done] = False
-
-        # a rejected step that leaves the cost unchanged within ftol has
-        # stalled at the minimum: the fit is done, not failed
-        rejected = idx[~better]
-        stalled = rejected[np.abs(cost_new[~better] - cost[rejected]) <= ftol * cost[rejected]]
-        converged[stalled] = True
-        active[stalled] = False
-        lam[rejected] = np.minimum(lam[rejected] * 2.0, 1e12)
-        n_iter[idx] += 1
-
-    params[:, 2] = np.abs(params[:, 2])
-    return params, np.sqrt(cost), converged, n_iter
+    amp, r = _split(yc, *_basis(e))
+    params = np.stack([amp, mu, np.abs(s), y.mean(axis=1) - amp * e.mean(axis=1)], axis=1)
+    return params, np.sqrt(_dot(r, r)), converged, n_iter
 
 
 def fit_gaussian(positions, counts, max_iter: int = _MAX_ITER, raise_on_failure: bool = True) -> FitResult:
@@ -197,13 +185,10 @@ def fit_gaussian(positions, counts, max_iter: int = _MAX_ITER, raise_on_failure:
     Raises DegenerateProfile for flat input and, unless
     ``raise_on_failure=False``, NonConvergence after the iteration budget.
     """
-    u = np.asarray(positions, dtype=float)
     y = np.asarray(counts, dtype=float)
-    if u.size < 5:
-        raise ValueError("need at least 5 points")
     if np.all(y == y[0]):
         raise DegenerateProfile("all counts equal")
-    params, resnorm, converged, n_iter = _lm_gaussian_batch(u, y[None, :], max_iter=max_iter)
+    params, resnorm, converged, n_iter = _lm_gaussian_batch(positions, y[None, :], max_iter=max_iter)
     if not converged[0] and raise_on_failure:
         raise NonConvergence(f"no convergence within {max_iter} iterations")
     amp, mu, s, b = params[0]
@@ -250,18 +235,25 @@ def bootstrap_centers(record, n_bootstrap: int = 10_000, seed: int = 0, max_drop
     return CenterDistribution(params[converged, 1], record.theta, record.axis, np.flatnonzero(converged))
 
 
+def _paired_centers(*dists):
+    """Sorted draw indices kept by every distribution, and each one's centers on them."""
+    idx = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), [d.draw_idx for d in dists])
+    if idx.size == 0:
+        raise ValueError("the center distributions share no bootstrap draw")
+    return idx, [d.centers[np.isin(d.draw_idx, idx, assume_unique=True)] for d in dists]
+
+
 def weak_value_draws(target: CenterDistribution, ref0: CenterDistribution, ref1: CenterDistribution) -> np.ndarray:
     """Paired weak-value draws (X - X0) / <X1 - X0>.
 
-    The i-th target draw pairs with the i-th reference draws; the scale is
-    the mean displacement between the unit and zero references.
+    Draws pair on the bootstrap draws all three distributions kept; the scale
+    is the mean displacement between the unit and zero references on them.
     """
-    x, x0, x1 = target.centers, ref0.centers, ref1.centers
-    n = min(x.size, x0.size, x1.size)
-    scale = float(np.mean(x1[:n] - x0[:n]))
+    _, (x, x0, x1) = _paired_centers(target, ref0, ref1)
+    scale = float(np.mean(x1 - x0))
     if abs(scale) < 1.0:
         raise ZeroScale(f"|<X1 - X0>| = {abs(scale):.3g} um < 1 um")
-    return (x[:n] - x0[:n]) / scale
+    return (x - x0) / scale
 
 
 def weak_value_estimate(
@@ -281,25 +273,31 @@ def weak_value_estimate(
 
 
 def reference_scale(ref0: CenterDistribution, ref1: CenterDistribution) -> float:
-    """Mean pointer displacement between the unit and zero references (um)."""
-    n = min(ref0.centers.size, ref1.centers.size)
-    return float(np.mean(ref1.centers[:n] - ref0.centers[:n]))
+    """Mean pointer displacement between the unit and zero references (um), paired by draw."""
+    _, (x0, x1) = _paired_centers(ref0, ref1)
+    return float(np.mean(x1 - x0))
 
 
 def systematic_band(drift_records, scale: float) -> float:
     """Spread of fitted beam centers over a drift run, in weak-value units.
 
-    Fits the per-record mean profile and returns std(centers) / scale.
+    Fits the per-record mean profiles in one batch and returns std(centers) / scale;
+    a flat mean profile raises DegenerateProfile, an unconverged fit NonConvergence.
     """
     if len(drift_records) < 10:
         raise ValueError("need at least 10 drift profiles")
     if not scale > 0:
         raise ValueError("scale must be > 0")
-    centers = []
-    for rec in drift_records:
-        profile = rec.counts.mean(axis=1)
-        centers.append(fit_gaussian(rec.positions, profile).center)
-    return float(np.std(centers) / scale)
+    u = drift_records[0].positions
+    if any(not np.array_equal(rec.positions, u) for rec in drift_records):
+        raise ValueError("drift records must share one position grid")
+    profiles = np.stack([rec.counts.mean(axis=1) for rec in drift_records])
+    if np.any(np.all(profiles == profiles[:, :1], axis=1)):
+        raise DegenerateProfile("flat drift-run mean profile")
+    params, _, converged, _ = _lm_gaussian_batch(u, profiles)
+    if not converged.all():
+        raise NonConvergence(f"{np.count_nonzero(~converged)} drift-profile fits did not converge")
+    return float(np.std(params[:, 1]) / scale)
 
 
 def export_results(
@@ -313,9 +311,9 @@ def export_results(
 ) -> dict:
     """Write the results dataset: center draws, weak-value draws, JSON summary.
 
-    ``estimates`` maps axis -> WeakValueEstimate; ``weak_draws`` maps
-    axis -> array of paired draws. Floats are serialized with repr so a
-    re-parse reproduces them bit-exactly. Returns the summary dict.
+    ``estimates`` maps axis -> WeakValueEstimate; ``weak_draws`` maps axis -> draws
+    paired on the draw indices that axis's ``distributions`` share. Floats are
+    serialized with repr so a re-parse reproduces them bit-exactly. Returns the summary dict.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -329,7 +327,8 @@ def export_results(
     with open(out / "weak_values.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("axis,draw_idx,weak_value\n")
         for axis in sorted(weak_draws):
-            for i, w in enumerate(weak_draws[axis]):
+            idx = _paired_centers(*(d for d in distributions if d.axis == axis))[0]
+            for i, w in zip(idx.tolist(), weak_draws[axis], strict=True):
                 fh.write(f"{axis},{i},{float(w)!r}\n")
 
     summary = {

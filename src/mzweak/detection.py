@@ -109,16 +109,13 @@ class ScanRecord:
     @classmethod
     def load_csv(cls, path) -> "ScanRecord":
         seed = None
-        rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             first = fh.readline()
             if first.startswith("# seed="):
                 seed = int(first.strip().split("=", 1)[1])
             else:
                 fh.seek(0)
-            reader = csv.DictReader(fh)
-            for row in reader:
-                rows.append(row)
+            rows = list(csv.DictReader(fh))
         if not rows:
             raise ValueError(f"{path}: empty scan file")
         theta = float(rows[0]["theta_deg"])
@@ -129,6 +126,9 @@ class ScanRecord:
         if min(r for _, r in cells) < 0:
             raise ValueError(f"{path}: negative repeat_idx")
         positions = list(dict.fromkeys(u for u, _ in cells))
+        steps = np.diff(positions)
+        if steps.size and (steps.min() <= 0 or np.ptp(steps) > 1e-9 * steps.mean()):
+            raise ValueError(f"{path}: positions are not strictly increasing and evenly spaced")
         index = {u: i for i, u in enumerate(positions)}
         n_rep = 1 + max(r for _, r in cells)
         counts = np.zeros((len(positions), n_rep), dtype=np.int64)

@@ -261,7 +261,7 @@ def test_criterion_10_byte_determinism(tmp_path):
 # random draw layout or to serialization moves these on purpose: re-pin them
 # in the same change.
 GOLDEN_DIGESTS = {
-    "centers.csv": "5ba25888967816b47bc1a5b3c9f49451a26b9063335e6299002ce5fef47f7dbc",
+    "centers.csv": "8b7cf70903a2f0c58989932c6026ef5ef41c9c622b191fee79e993b2df18435b",
     "g2.json": "6cc89f02afa5971d0e7ea0b3996ed1a32c466ef3ef89b5553d7488e31fac8fd5",
     "scan_theta0_x.csv": "8db049fd0ff250db4d93f051be8bfc29d5b079bf935024024191cdc633a52227",
     "scan_theta0_y.csv": "4875048b03bf80d97be6570e0720e4060cebde98a7ae920acaad6e105a5f0a6f",
@@ -269,9 +269,9 @@ GOLDEN_DIGESTS = {
     "scan_theta45_y.csv": "c5dee7b39fa8a3fc6d9c7b2594b631ece740dae47844472290e4ca3513d33c1e",
     "scan_theta90_x.csv": "1e8bc113d142c7c155ad3a4a5c1105935c3665e8ba0e62c5f94d4fa5e3b5bf54",
     "scan_theta90_y.csv": "65942c8ee81caa23d403c916351b7fde6142cb8b148ee04d71288a1960de0404",
-    "summary.json": "8c6a937f65eaf8e94ac768e345509dd628e8b51fb78a8149d93aeca5175d5e8b",
+    "summary.json": "9337f6f18b4751deb076b7efdcf340e72ad2cf175a4711be643e6a3674790d4a",
     "sweep_g.csv": "8e37c47938a64dfbe978e2c59e7845e039c4bf7eea52eabd2f983cadf611874e",
-    "weak_values.csv": "2c6bdbafa0fda313a785f8c29a67bfe8404d85c8d4698c8793a845e3e58edcbf",
+    "weak_values.csv": "53b0170989927ca234570468001828d4caa9106756f4507e89f59193c24edded",
     "weakvalues.json": "adf439289a012691e0ebbc9b1489f6fd974d2abdd094153ce74d4b2e07cf74bf",
 }
 

@@ -31,6 +31,18 @@ def make_dist(centers, theta=0.0, axis="x"):
     return ana.CenterDistribution(np.asarray(centers, dtype=float), theta, axis)
 
 
+def flag_unconverged(monkeypatch, row):
+    """Make every _lm_gaussian_batch call report ``row`` as unconverged."""
+    lm = ana._lm_gaussian_batch
+
+    def patched(u, profiles, **kwargs):
+        params, resnorm, converged, n_iter = lm(u, profiles, **kwargs)
+        converged[row] = False
+        return params, resnorm, converged, n_iter
+
+    monkeypatch.setattr(ana, "_lm_gaussian_batch", patched)
+
+
 # ----------------------------------------------------------------- fitting
 
 
@@ -110,6 +122,44 @@ def test_fit_center_error_scale_poisson_profile():
         centers.append(ana.fit_gaussian(rec.positions, rec.counts[:, 0]).center)
     scatter = np.std(centers)
     assert 1.0 < scatter < 10.0
+
+
+def poisson_profiles(n, seed):
+    """Seeded Poisson profiles over the paper's parameter ranges, and their truth."""
+    rng = np.random.default_rng(seed)
+    truth = np.stack(
+        [rng.uniform(100, 5000, n), rng.uniform(-200, 200, n), rng.uniform(250, 650, n), rng.uniform(0, 50, n)],
+        axis=1,
+    )
+    amp, center, width, offset = (truth[:, k:k + 1] for k in range(4))
+    return rng.poisson(amp * np.exp(-((GRID - center) ** 2) / (2 * width**2)) + offset).astype(float), truth
+
+
+def test_fit_matches_least_squares_oracle():
+    from scipy.optimize import least_squares
+
+    profiles, truth = poisson_profiles(150, seed=12)
+    params, resnorm, converged, _ = ana._lm_gaussian_batch(GRID, profiles)
+    assert converged.all()
+
+    def residual(p, y):
+        return p[0] * np.exp(-((GRID - p[1]) ** 2) / (2 * p[2] ** 2)) + p[3] - y
+
+    for row, y in enumerate(profiles):
+        oracle = least_squares(residual, truth[row], args=(y,), method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert abs(params[row, 1] - oracle.x[1]) < 1e-4
+        assert resnorm[row] ** 2 <= (1 + 1e-9) * np.sum(oracle.fun**2)
+
+
+def test_fit_rows_do_not_depend_on_chunking():
+    n = 2 * ana._CHUNK_ROWS + 40
+    profiles, _ = poisson_profiles(n, seed=13)
+    params, resnorm, converged, n_iter = ana._lm_gaussian_batch(GRID, profiles)
+    edges = (0, ana._CHUNK_ROWS - 1, ana._CHUNK_ROWS, 2 * ana._CHUNK_ROWS - 1, 2 * ana._CHUNK_ROWS, n - 1)
+    for row in edges:
+        fit = ana.fit_gaussian(GRID, profiles[row])
+        assert (fit.amplitude, fit.center, fit.width, fit.offset) == tuple(params[row])
+        assert (fit.residual_norm, fit.converged, fit.n_iterations) == (resnorm[row], converged[row], n_iter[row])
 
 
 # --------------------------------------------------------------- bootstrap
@@ -242,6 +292,30 @@ def test_weak_value_zero_scale_raises():
         ana.weak_value_draws(make_dist(ref0.centers), ref0, ref1)
 
 
+def test_weak_values_pair_on_draw_idx(tmp_path, monkeypatch):
+    recs = {
+        theta: det.simulate_scan(
+            paper_state(theta), det.ScanConfig(mean_rate=1000.0, repeats=4, theta=theta), "x", det.DriftModel(), seed=8
+        )
+        for theta in (0.0, 45.0, 90.0)
+    }
+    full = {theta: ana.bootstrap_centers(rec, n_bootstrap=300, seed=4) for theta, rec in recs.items()}
+    flag_unconverged(monkeypatch, 17)
+    target, ref0, ref1 = full[0.0], full[45.0], ana.bootstrap_centers(recs[90.0], n_bootstrap=300, seed=4)
+    keep = np.arange(300) != 17
+    x, x0, x1 = target.centers[keep], ref0.centers[keep], full[90.0].centers[keep]
+    scale = float(np.mean(x1 - x0))
+    assert ana.reference_scale(ref0, ref1) == scale
+    draws = ana.weak_value_draws(target, ref0, ref1)
+    assert np.array_equal(draws, (x - x0) / scale)
+
+    ana.export_results(tmp_path, {}, [target, ref0, ref1], {"x": draws}, seed=4, n_bootstrap=300)
+    rows = (tmp_path / "weak_values.csv").read_text().strip().splitlines()[1:]
+    assert [int(r.split(",")[1]) for r in rows] == list(range(17)) + list(range(18, 300))
+    with pytest.raises(ValueError):  # pairing needs each distribution's draws in order
+        ana.CenterDistribution(np.array([1.0, 2.0]), 0.0, "x", np.array([3, 1]))
+
+
 def test_stat_sigma_shrinks_with_rate():
     sigmas = []
     for rate in (250.0, 1000.0, 4000.0):
@@ -279,6 +353,24 @@ def test_systematic_band_monotone_in_step_sigma():
         recs = det.simulate_drift_run(cfg, drift, 60, seed=71)
         bands.append(ana.systematic_band(recs, 49.7))
     assert bands[0] < bands[1] < bands[2]
+
+
+def test_systematic_band_is_std_of_single_fits():
+    cfg = det.ScanConfig(mean_rate=20000.0, repeats=1)
+    recs = det.simulate_drift_run(cfg, det.DriftModel("random-walk", 2.0), 60, seed=72)
+    single = [ana.fit_gaussian(rec.positions, rec.counts.mean(axis=1)).center for rec in recs]
+    assert ana.systematic_band(recs, 49.7) == float(np.std(single) / 49.7)
+
+
+def test_systematic_band_flat_and_unconverged_profiles_raise(monkeypatch):
+    cfg = det.ScanConfig(mean_rate=20000.0, repeats=1)
+    recs = det.simulate_drift_run(cfg, det.DriftModel(), 20, seed=73)
+    flat = det.ScanRecord(0.0, "x", recs[0].positions, np.zeros((61, 1), dtype=int), seed=73)
+    with pytest.raises(DegenerateProfile):
+        ana.systematic_band(recs[:7] + [flat] + recs[8:], 49.7)
+    flag_unconverged(monkeypatch, 5)
+    with pytest.raises(NonConvergence):
+        ana.systematic_band(recs, 49.7)
 
 
 # ----------------------------------------------------------------- export

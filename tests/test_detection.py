@@ -168,6 +168,30 @@ def test_scan_csv_mixed_theta_or_axis_rejected(tmp_path, column, value):
         det.ScanRecord.load_csv(path)
 
 
+def _swap_blocks_10_and_11(blocks):
+    blocks[10], blocks[11] = blocks[11], blocks[10]
+
+
+def _move_position_20_by_10um(blocks):
+    for k, line in enumerate(blocks[20]):
+        fields = line.split(",")
+        fields[2] = repr(float(fields[2]) + 10.0)
+        blocks[20][k] = ",".join(fields)
+
+
+@pytest.mark.parametrize("edit", [_swap_blocks_10_and_11, _move_position_20_by_10um])
+def test_scan_csv_bad_grid_rejected(tmp_path, edit):
+    # an unsorted or uneven grid would reach the fitter, whose width floor
+    # is 1e-3 * min(diff(positions))
+    path, lines = _saved_scan_lines(tmp_path)
+    head, body = lines[:2], lines[2:]
+    blocks = [body[i:i + 3] for i in range(0, len(body), 3)]  # 3 repeats per position
+    edit(blocks)
+    path.write_text("".join(head + [line for block in blocks for line in block]))
+    with pytest.raises(ValueError, match="evenly spaced"):
+        det.ScanRecord.load_csv(path)
+
+
 def test_scan_record_validation():
     with pytest.raises(ValueError):
         det.ScanRecord(0.0, "x", np.arange(3.0), np.array([[1], [2]]))
