@@ -19,6 +19,7 @@ from .errors import (
     NotAnEigenvalue,
     OrthogonalPostSelection,
     SimulationError,
+    UnreadableInput,
     VanishingPostSelection,
     ZeroDenominator,
     ZeroScale,

@@ -9,7 +9,7 @@ Commands:
 
 Every command is a pure function of (config, seed): re-running with the same
 inputs produces byte-identical output files. Exit codes: 0 success, 2 config
-error, 3 missing input, 4 numerical failure.
+error, 3 missing or unreadable input, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     MissingReference,
     OrthogonalPostSelection,
     SimulationError,
+    UnreadableInput,
 )
 
 EXIT_OK = 0
@@ -149,7 +150,10 @@ def _load_record(out_dir: Path, theta: float, axis: str) -> det.ScanRecord:
     path = out_dir / scan_filename(theta, axis)
     if not path.exists():
         raise MissingReference(f"missing scan file: {path}")
-    return det.ScanRecord.load_csv(path)
+    try:
+        return det.ScanRecord.load_csv(path)
+    except ValueError as exc:
+        raise UnreadableInput(str(exc)) from None
 
 
 def cmd_analyze(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
@@ -333,6 +337,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (MissingReference, FileNotFoundError) as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return EXIT_MISSING
+    except UnreadableInput as exc:
+        print(f"unreadable input: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except SimulationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ matters for the g2 estimate.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,39 +109,81 @@ class ScanRecord:
 
     @classmethod
     def load_csv(cls, path) -> "ScanRecord":
+        """Read a file written by ``save_csv`` (one row per line).
+
+        Any damage raises ValueError naming the file, and the line for a
+        malformed row: a short or long row, a non-numeric or non-finite
+        field, mixed theta/axis, an uneven grid, a missing or duplicate cell.
+        """
         seed = None
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            first = fh.readline()
-            if first.startswith("# seed="):
-                seed = int(first.strip().split("=", 1)[1])
-            else:
-                fh.seek(0)
-            rows = list(csv.DictReader(fh))
+            try:
+                first = fh.readline()
+                if first.startswith("# seed="):
+                    seed = int(_parse_column(path, 1, "seed", [first.strip().split("=", 1)[1]], np.int64)[0])
+                else:
+                    fh.seek(0)
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                rows = list(reader)
+            except (csv.Error, UnicodeDecodeError) as exc:
+                raise ValueError(f"{path}: not a scan CSV ({exc})") from None
         if not rows:
             raise ValueError(f"{path}: empty scan file")
-        theta = float(rows[0]["theta_deg"])
-        axis = rows[0]["axis"]
-        if any(float(row["theta_deg"]) != theta or row["axis"] != axis for row in rows):
+        line0 = 2 if seed is None else 3  # the file line of rows[0]
+        if sorted(header) != sorted(_SCAN_COLUMNS):
+            raise ValueError(f"{path}, line {line0 - 1}: the header must name {', '.join(_SCAN_COLUMNS)}")
+        widths = list(map(len, rows))
+        if widths.count(len(header)) < len(rows):
+            bad = next(i for i, w in enumerate(widths) if w != len(header))
+            raise ValueError(f"{path}, line {line0 + bad}: expected {len(header)} fields, got {widths[bad]}")
+        fields = dict(zip(header, zip(*rows)))
+        theta = _parse_column(path, line0, "theta_deg", fields["theta_deg"], float)
+        u = _parse_column(path, line0, "position_um", fields["position_um"], float)
+        rep = _parse_column(path, line0, "repeat_idx", fields["repeat_idx"], np.int64)
+        n = _parse_column(path, line0, "counts", fields["counts"], np.int64)
+        axis = fields["axis"][0]
+        if np.any(theta != theta[0]) or fields["axis"].count(axis) < len(rows):
             raise ValueError(f"{path}: mixed theta/axis values")
-        cells = [(float(row["position_um"]), int(row["repeat_idx"])) for row in rows]
-        if min(r for _, r in cells) < 0:
+        if rep.min() < 0:
             raise ValueError(f"{path}: negative repeat_idx")
-        positions = list(dict.fromkeys(u for u, _ in cells))
-        steps = np.diff(positions)
+        positions, first_seen, pos_idx = np.unique(u, return_index=True, return_inverse=True)
+        steps = np.diff(u[np.sort(first_seen)])  # the grid in file order
         if steps.size and (steps.min() <= 0 or np.ptp(steps) > 1e-9 * steps.mean()):
             raise ValueError(f"{path}: positions are not strictly increasing and evenly spaced")
-        index = {u: i for i, u in enumerate(positions)}
-        n_rep = 1 + max(r for _, r in cells)
-        counts = np.zeros((len(positions), n_rep), dtype=np.int64)
-        seen = np.zeros(counts.shape, dtype=bool)
-        for (u, r), row in zip(cells, rows):
-            if seen[index[u], r]:
-                raise ValueError(f"{path}: duplicate cell (position {u!r}, repeat {r})")
-            seen[index[u], r] = True
-            counts[index[u], r] = int(row["counts"])
-        if not seen.all():
-            raise ValueError(f"{path}: {int(np.count_nonzero(~seen))} missing (position, repeat) cells")
-        return cls(theta, axis, np.array(positions), counts, seed)
+        counts = np.zeros((positions.size, 1 + int(rep.max())), dtype=np.int64)
+        cell = pos_idx * counts.shape[1] + rep
+        cells, per_cell = np.unique(cell, return_counts=True)
+        if per_cell.max() > 1:
+            i, r = divmod(int(cells[np.argmax(per_cell)]), counts.shape[1])
+            raise ValueError(f"{path}: duplicate cell (position {float(positions[i])!r}, repeat {r})")
+        if cells.size < counts.size:
+            raise ValueError(f"{path}: {counts.size - cells.size} missing (position, repeat) cells")
+        counts.flat[cell] = n
+        return cls(float(theta[0]), axis, positions, counts, seed)
+
+
+_SCAN_COLUMNS = ("theta_deg", "axis", "position_um", "repeat_idx", "counts")
+
+
+def _parse_column(path, line0: int, name: str, texts, dtype) -> np.ndarray:
+    """A column of CSV fields as a float or int64 array; a field that is not
+    a finite number raises ValueError naming its file line."""
+    try:
+        values = np.array(texts, dtype=dtype)
+        if np.all(np.isfinite(values)):
+            return values
+    except (ValueError, OverflowError):
+        pass
+    parse = float if dtype is float else int
+    for i, text in enumerate(texts):
+        try:
+            ok = math.isfinite(parse(text))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{path}, line {line0 + i}: {name} {text!r} is not a finite {parse.__name__}")
+    raise ValueError(f"{path}: {name} column does not fit {np.dtype(dtype).name}")
 
 
 @dataclass(frozen=True)
@@ -169,14 +212,19 @@ def expected_rate(state: BranchState, axis: str, position, config: ScanConfig):
     """Mean counts per dwell at a fiber position.
 
     Integrates the marginal intensity over the fiber core and scales so the
-    peak grid position of the undrifted profile yields ``mean_rate``.
+    peak grid position of the undrifted profile yields ``mean_rate``. The
+    grid and the requested positions go through one ``windowed_intensity``
+    call, so windows they share are integrated once.
     """
-    flux = windowed_intensity(state, axis, position, config.fiber_core)
-    peak = float(np.max(windowed_intensity(state, axis, config.positions, config.fiber_core)))
+    pos = np.asarray(position, dtype=float)
+    n = config.n_points
+    both = windowed_intensity(state, axis, np.concatenate([config.positions, pos.ravel()]), config.fiber_core)
+    peak = float(np.max(both[:n]))
+    flux = both[n:].reshape(pos.shape)
     if peak <= 0.0:
-        return np.zeros_like(flux) if np.ndim(position) else 0.0
+        return np.zeros_like(flux) if pos.ndim else 0.0
     scaled = config.mean_rate * flux / peak
-    return scaled if np.ndim(position) else float(scaled[0])
+    return scaled if pos.ndim else float(scaled)
 
 
 def simulate_scan(state: BranchState, config: ScanConfig, axis: str, drift: DriftModel, seed: int) -> ScanRecord:

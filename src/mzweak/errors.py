@@ -41,5 +41,9 @@ class MissingReference(SimulationError):
     """A required reference dataset (45 or 90 degree scan) is absent."""
 
 
+class UnreadableInput(SimulationError):
+    """An input file exists but is damaged or malformed."""
+
+
 class ConfigError(SimulationError):
     """A configuration document is malformed, has unknown keys, or bad values."""

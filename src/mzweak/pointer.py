@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,6 +123,14 @@ class BranchState:
         """Squared norm including Gaussian overlaps between branches."""
         weight, dk, dl = _pair_table(self, "x")
         return float(np.sum(weight * _overlap(dk, dl, self.sigma)))
+
+    @cached_property
+    def _pairs_x(self):
+        return _build_pair_table(self.branches, self.sigma, "x")
+
+    @cached_property
+    def _pairs_y(self):
+        return _build_pair_table(self.branches, self.sigma, "y")
 
 
 def _merged(branches, sigma, arm_phase, postselected) -> BranchState:
@@ -324,11 +333,17 @@ def _pair_table(state: BranchState, axis: str):
 
     ``weight`` is Re(c_k conj(c_l)) times the exact overlap of the two modes
     along the other axis; d_k, d_l are the shifts along ``axis``. Distinct
-    system labels do not interfere, so only equal-label pairs appear.
+    system labels do not interfere, so only equal-label pairs appear. The
+    table is built once per state and axis; its arrays are read-only.
     """
-    if axis not in ("x", "y"):
-        raise ValueError("axis must be 'x' or 'y'")
-    branches = state.branches
+    if axis == "x":
+        return state._pairs_x
+    if axis == "y":
+        return state._pairs_y
+    raise ValueError("axis must be 'x' or 'y'")
+
+
+def _build_pair_table(branches, sigma: float, axis: str):
     labels = np.array([b.label for b in branches], dtype=object)
     k, l = np.nonzero(labels[:, None] == labels[None, :])
     coeff = np.array([b.coeff for b in branches], dtype=complex)
@@ -338,8 +353,17 @@ def _pair_table(state: BranchState, axis: str):
     # Re(c_k conj(c_l)) spelled out: numpy's array complex product may fuse
     # multiply-adds and round differently from the scalar product
     re, im = coeff.real, coeff.imag
-    weight = (re[k] * re[l] + im[k] * im[l]) * _overlap(across[k], across[l], state.sigma)
-    return weight, along[k], along[l]
+    table = ((re[k] * re[l] + im[k] * im[l]) * _overlap(across[k], across[l], sigma), along[k], along[l])
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _distinct_midpoints(dk, dl):
+    """Sorted distinct pair midpoints (d_k + d_l)/2 and each pair's index into them."""
+    mid = 0.5 * (dk + dl)
+    mids = np.array(sorted(set(mid.tolist())))
+    return mids, np.searchsorted(mids, mid)
 
 
 def marginal_intensity(state: BranchState, axis: str, grid) -> np.ndarray:
@@ -347,14 +371,22 @@ def marginal_intensity(state: BranchState, axis: str, grid) -> np.ndarray:
 
     I(u) = sum_kl c_k conj(c_l) xi(u - d_k) xi(u - d_l) O_perp(k, l) with
     O_perp the exact overlap along the other axis; distinct system labels do
-    not interfere. The result is clipped at 0 against rounding dust.
+    not interfere. Since xi_a xi_b = <xi_a|xi_b> N(u; (a+b)/2, sigma^2), the
+    pairs are summed per distinct midpoint and each midpoint's Gaussian is
+    evaluated once. The result is clipped at 0 against rounding dust.
     """
     weight, dk, dl = _pair_table(state, axis)
     if not state.branches:
         raise EmptyState("no branches")
-    u = np.asarray(grid, dtype=float)[..., None]
     s = state.sigma
-    total = np.sum(weight * gaussian_amplitude(u, dk, s) * gaussian_amplitude(u, dl, s), axis=-1)
+    mids, pair_mid = _distinct_midpoints(dk, dl)
+    u = np.asarray(grid, dtype=float)
+    along_mids = (-1,) + (1,) * u.ndim
+    coef = np.bincount(pair_mid, weight * _overlap(dk, dl, s), mids.size).reshape(along_mids)
+    # a product-then-sum, not a matmul: BLAS may fuse multiply-adds, and then
+    # opposite-sign branches at +/-g no longer cancel exactly at their center
+    gauss = np.exp((u - mids.reshape(along_mids)) ** 2 / (-2.0 * s**2))
+    total = np.sum(gauss * coef, axis=0) / (s * np.sqrt(2.0 * np.pi))
     return np.clip(total, 0.0, None)
 
 
@@ -387,18 +419,21 @@ def windowed_intensity(state: BranchState, axis: str, centers, width: float) -> 
     """Integral of the marginal intensity over [c - width/2, c + width/2].
 
     Closed form via the normal CDF of the pairwise product Gaussians; used
-    for fiber-core integration. Pairs sharing a midpoint share their erf
-    values, so erf runs once per distinct midpoint and window edge.
+    for fiber-core integration. erf runs once per distinct window edge and
+    distinct pair midpoint: windows that share an edge (a scan whose step
+    equals its width, or a repeated center) share its erf values.
     """
     if not state.branches:
         raise EmptyState("no branches")
     weight, dk, dl = _pair_table(state, axis)
-    mid = 0.5 * (dk + dl)
-    mids = np.array(sorted(set(mid.tolist())))
-    c = np.atleast_1d(np.asarray(centers, dtype=float))[..., None]
+    mids, pair_mid = _distinct_midpoints(dk, dl)
+    c = np.atleast_1d(np.asarray(centers, dtype=float))
+    edges, edge_idx = np.unique(np.stack([c + 0.5 * width, c - 0.5 * width]), return_inverse=True)
+    edge_idx = edge_idx.reshape((2,) + c.shape)
     z = 1.0 / (state.sigma * np.sqrt(2.0))
-    mass = 0.5 * (_erf((c + 0.5 * width - mids) * z) - _erf((c - 0.5 * width - mids) * z))
-    pair_mass = mass[..., np.searchsorted(mids, mid)]
+    cdf = _erf((edges[:, None] - mids) * z)
+    mass = 0.5 * (cdf[edge_idx[0]] - cdf[edge_idx[1]])
+    pair_mass = mass[..., pair_mid]
     total = np.sum(weight * _overlap(dk, dl, state.sigma) * pair_mass, axis=-1)
     return np.clip(total, 0.0, None)
 

@@ -25,6 +25,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,11 @@ class SystemOperator:
     def is_projector(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.matrix @ self.matrix - self.matrix)) <= tol)
 
+    @cached_property
+    def spectrum(self) -> tuple:
+        """``eigen_projectors`` at the default tolerance, computed once."""
+        return _spectral_groups(self.matrix, EIGENVALUE_TOL)
+
 
 def inner(bra: SystemState, ket: SystemState) -> complex:
     """<bra|ket> with the first argument conjugated."""
@@ -146,19 +152,25 @@ def hwp_jones(theta_deg: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
+_R = 1.0 / np.sqrt(2.0)
+_PRE_STATE = SystemState(np.array([_R, 0.0, 0.0, _R], dtype=complex))
+
+
 def pre_state() -> SystemState:
     """(|A,H> + |B,V>)/sqrt(2): the state prepared after the input splitter."""
-    r = 1.0 / np.sqrt(2.0)
-    return SystemState(np.array([r, 0.0, 0.0, r], dtype=complex))
+    return _PRE_STATE
 
 
 def post_state(theta_deg: float) -> SystemState:
     """(|A> + |B>)/sqrt(2) (x) S(theta)|H>: post-selection at HWP angle theta."""
     if not np.isfinite(theta_deg):
         raise ValueError("theta must be finite")
-    pol = hwp_jones(theta_deg) @ np.array([1.0, 0.0], dtype=complex)
-    amps = np.kron(np.array([1.0, 1.0]) / np.sqrt(2.0), pol)
-    return SystemState(amps)
+    # S(theta)|H> = (cos 2t, sin 2t), the first column of hwp_jones(theta);
+    # "+ 0.0" turns t = -0.0 into +0.0, whose sine is +0.0 as in the Jones
+    # product hwp_jones(theta) @ |H>
+    t = np.deg2rad(2.0 * float(theta_deg)) + 0.0
+    c, s = _R * np.cos(t), _R * np.sin(t)
+    return SystemState(np.array([c, s, c, s], dtype=complex))
 
 
 def identity_operator() -> SystemOperator:
@@ -197,12 +209,18 @@ def weak_value(op: SystemOperator, pp: PrePostPair, tol: float = ORTHOGONALITY_T
 
 
 def eigen_projectors(op: SystemOperator, tol: float = EIGENVALUE_TOL):
-    """Spectral decomposition [(eigenvalue, projector)], degeneracies merged.
+    """Spectral decomposition ((eigenvalue, projector), ...), degeneracies merged.
 
     Eigenvalues closer than ``tol`` are treated as one outcome; requires a
-    Hermitian operator.
+    Hermitian operator. The projectors are read-only; at the default ``tol``
+    the decomposition is computed once per operator and cached on it.
     """
-    mat = np.asarray(op)
+    if tol == EIGENVALUE_TOL:
+        return op.spectrum
+    return _spectral_groups(np.asarray(op), tol)
+
+
+def _spectral_groups(mat: np.ndarray, tol: float) -> tuple:
     if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
         raise ValueError("projective outcomes need a Hermitian operator")
     vals, vecs = np.linalg.eigh(mat)
@@ -211,9 +229,11 @@ def eigen_projectors(op: SystemOperator, tol: float = EIGENVALUE_TOL):
     for k in range(1, len(vals) + 1):
         if k == len(vals) or vals[k] - vals[start] > tol:
             sub = vecs[:, start:k]
-            groups.append((float(np.mean(vals[start:k])), sub @ sub.conj().T))
+            proj = sub @ sub.conj().T
+            proj.setflags(write=False)
+            groups.append((float(np.mean(vals[start:k])), proj))
             start = k
-    return groups
+    return tuple(groups)
 
 
 def abl_conditional(
@@ -278,6 +298,26 @@ def sample_measure_postselect(op: SystemOperator, pp: PrePostPair, n_trials: int
     return joint, int(np.count_nonzero(ref_ok))
 
 
+def _joint_projectors() -> dict:
+    """The three record projectors of the joint measurement: |A><A| (x) 1 and
+    |B><B| (x) |diag><diag|, |B><B| (x) |anti><anti|."""
+    diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    anti = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    b_up = np.kron(np.array([0.0, 1.0]), diag)
+    b_dn = np.kron(np.array([0.0, 1.0]), anti)
+    out = {
+        "A": np.asarray(observable("spatial", "A")),
+        "B+": np.outer(b_up, b_up.conj()),
+        "B-": np.outer(b_dn, b_dn.conj()),
+    }
+    for proj in out.values():
+        proj.setflags(write=False)
+    return out
+
+
+_JOINT_PROJECTORS = _joint_projectors()
+
+
 def joint_disturbing_distribution(pp: PrePostPair):
     """Outcome statistics of the strong joint measurement on both arms.
 
@@ -292,16 +332,7 @@ def joint_disturbing_distribution(pp: PrePostPair):
     """
     psi = np.asarray(pp.pre)
     phi = np.asarray(pp.post)
-    diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    anti = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    b_up = np.kron(np.array([0.0, 1.0]), diag)
-    b_dn = np.kron(np.array([0.0, 1.0]), anti)
-    proj_a = np.asarray(observable("spatial", "A"))
-    branches = {
-        "A": proj_a @ psi,
-        "B+": np.outer(b_up, b_up.conj()) @ psi,
-        "B-": np.outer(b_dn, b_dn.conj()) @ psi,
-    }
+    branches = {k: proj @ psi for k, proj in _JOINT_PROJECTORS.items()}
     uncond = OutcomeDistribution(
         tuple((k, float(np.real(np.vdot(v, v)))) for k, v in branches.items()),
         kind="unconditional",

@@ -148,6 +148,28 @@ def test_cli_analyze_missing_reference(tmp_path):
     assert rc == 3
 
 
+def _cut_at_2000_bytes(data):
+    return data[:2000]
+
+
+def _cut_at_row_boundary(data):
+    return data[: data.rindex(b"\n", 0, 2000) + 1]
+
+
+@pytest.mark.parametrize("cut", [_cut_at_2000_bytes, _cut_at_row_boundary])
+def test_cli_analyze_damaged_scan_is_unreadable_input(tmp_path, capsys, cut):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "simulate"]) == 0
+    path = out / scan_filename(0.0, "x")
+    path.write_bytes(cut(path.read_bytes()))
+    capsys.readouterr()
+    rc = main(["--quiet", "--config", cfg, "--out", str(out), "analyze"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"unreadable input: {path}") and err.count("\n") == 1
+
+
 def test_cli_simulate_then_analyze(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"

@@ -57,6 +57,28 @@ def test_expected_rate_rows_match_per_offset_calls():
         assert np.array_equal(row, det.expected_rate(paper_state(), "x", cfg.positions - off, cfg))
 
 
+def two_call_expected_rate(state, axis, position, cfg):
+    """expected_rate with the peak from its own windowed_intensity call."""
+    flux = ptr.windowed_intensity(state, axis, position, cfg.fiber_core)
+    peak = float(np.max(ptr.windowed_intensity(state, axis, cfg.positions, cfg.fiber_core)))
+    return cfg.mean_rate * flux / peak
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize(
+    "cfg", [det.ScanConfig(mean_rate=1000.0), det.ScanConfig(step=25.0, n_points=41, fiber_core=62.5)]
+)
+def test_expected_rate_equals_two_call_form(axis, cfg):
+    # one windowed_intensity call on [grid, positions] gives the same bits
+    offsets = np.array([-37.5, 0.0, 12.25, 410.0])
+    for state in (paper_state(), paper_state(30.0, g=300.0), single_gaussian()):
+        for position in (cfg.positions, cfg.positions[::-1] + 3.0, cfg.positions - offsets[:, None]):
+            np.testing.assert_array_equal(
+                det.expected_rate(state, axis, position, cfg),
+                two_call_expected_rate(state, axis, position, cfg),
+            )
+
+
 def test_expected_rate_propagates_empty_state():
     from mzweak.errors import EmptyState
 
@@ -138,6 +160,31 @@ def test_scan_csv_truncated_file_rejected(tmp_path):
     path, lines = _saved_scan_lines(tmp_path)
     path.write_text("".join(lines[:100]))
     with pytest.raises(ValueError, match="missing"):
+        det.ScanRecord.load_csv(path)
+
+
+@pytest.mark.parametrize(
+    "last_line,message",
+    [
+        ("0.0,x,1500.0,2", r"line 185: expected 5 fields, got 4"),  # cut mid-row
+        ("0.0,x,1500.0,2,17,3\r\n", r"line 185: expected 5 fields, got 6"),
+        ("0.0,x,1500.0,2,1e3\r\n", r"line 185: counts '1e3' is not a finite int"),
+        ("0.0,x,abc,2,17\r\n", r"line 185: position_um 'abc' is not a finite float"),
+        ("0.0,x,nan,2,17\r\n", r"line 185: position_um 'nan' is not a finite float"),
+    ],
+)
+def test_scan_csv_malformed_row_names_file_and_line(tmp_path, last_line, message):
+    path, lines = _saved_scan_lines(tmp_path)
+    assert len(lines) == 185  # seed line, header, 61 x 3 cells
+    path.write_text("".join(lines[:-1]) + last_line, newline="")
+    with pytest.raises(ValueError, match=f"scan.csv, {message}"):
+        det.ScanRecord.load_csv(path)
+
+
+def test_scan_csv_undecodable_file_rejected(tmp_path):
+    path = tmp_path / "scan.csv"
+    path.write_bytes(b"\xff\xfe\x00 not text")
+    with pytest.raises(ValueError, match="scan.csv: not a scan CSV"):
         det.ScanRecord.load_csv(path)
 
 

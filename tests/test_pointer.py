@@ -449,6 +449,56 @@ def test_moments_match_pair_loop_reference(state):
         )
 
 
+# ---------------------------------------------- computed-once exactness
+
+
+def per_edge_windowed_intensity(state, axis, centers, width):
+    """windowed_intensity with erf evaluated on both edges c -/+ width/2 of
+    every window, shared edges and all: the same operands, so the same bits."""
+    weight, dk, dl = ptr._pair_table(state, axis)
+    mid = 0.5 * (dk + dl)
+    mids = np.array(sorted(set(mid.tolist())))
+    c = np.atleast_1d(np.asarray(centers, dtype=float))[..., None]
+    z = 1.0 / (state.sigma * np.sqrt(2.0))
+    mass = 0.5 * (ptr._erf((c + 0.5 * width - mids) * z) - ptr._erf((c - 0.5 * width - mids) * z))
+    pair_mass = mass[..., np.searchsorted(mids, mid)]
+    total = np.sum(weight * ptr._overlap(dk, dl, state.sigma) * pair_mass, axis=-1)
+    return np.clip(total, 0.0, None)
+
+
+EXACTNESS_STATES = [
+    paper_state(0.0),
+    paper_state(30.0, g=400.0, sigma=375.0),
+    paper_state(0.0, blocked_arm="A"),
+    ptr.evolve(qm.pre_state(), paper_couplers(120.0), sigma=SIGMA, arm_phase=0.7),
+]
+
+
+@pytest.mark.parametrize("state", EXACTNESS_STATES)
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("step,width", [(50.0, 50.0), (25.0, 25.0), (50.0, 80.0), (37.5, 12.5)])
+def test_windowed_intensity_equals_per_edge_formula(state, axis, step, width):
+    grid = step * np.arange(-40, 41)
+    drifted = grid - np.array([-37.5, 0.0, 12.25, 410.0, 1e-3])[:, None]
+    for centers in (grid, drifted, grid[:1], 12.5):
+        np.testing.assert_array_equal(
+            ptr.windowed_intensity(state, axis, centers, width),
+            per_edge_windowed_intensity(state, axis, centers, width),
+        )
+
+
+@pytest.mark.parametrize("state", EXACTNESS_STATES)
+def test_pair_tables_cached_read_only_and_fresh(state):
+    for axis in ("x", "y"):
+        table = ptr._pair_table(state, axis)
+        assert ptr._pair_table(state, axis) is table
+        fresh = ptr._build_pair_table(state.branches, state.sigma, axis)
+        for cached, rebuilt in zip(table, fresh):
+            np.testing.assert_array_equal(cached, rebuilt)
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+
+
 @pytest.mark.parametrize(
     "moment,args",
     [

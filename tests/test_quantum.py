@@ -59,6 +59,21 @@ def test_post_state_45_by_direct_jones_application():
     assert np.allclose(np.asarray(qm.post_state(45.0)), [0, 1 / RT2, 0, 1 / RT2], atol=1e-12)
 
 
+def test_pre_state_is_one_immutable_instance():
+    psi = qm.pre_state()
+    assert qm.pre_state() is psi
+    with pytest.raises(ValueError):
+        psi.amplitudes[0] = 0.0
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, 22.5, 45.0, 67.5, 90.0, -33.3, 1e-300, 719.9])
+def test_post_state_bits_equal_jones_product(theta):
+    # the Kronecker form of the docstring, (|A> + |B>)/sqrt(2) (x) S(theta)|H>
+    pol = qm.hwp_jones(theta) @ np.array([1.0, 0.0], dtype=complex)
+    expected = np.kron(np.array([1.0, 1.0]) / np.sqrt(2.0), pol)
+    assert qm.post_state(theta).amplitudes.tobytes() == expected.tobytes()
+
+
 def test_post_state_requires_finite_theta():
     with pytest.raises(ValueError):
         qm.post_state(float("nan"))
@@ -203,6 +218,26 @@ def test_abl_conditional_values_at_zero():
     assert abs(qm.abl_conditional(qm.observable("spatial", "B"), 1.0, pp)) < 1e-12
     assert abs(qm.abl_conditional(qm.observable("diagonal", "B"), 1.0, pp) - 0.25) < 1e-12
     assert abs(qm.abl_conditional(qm.observable("diagonal", "B"), -1.0, pp) - 0.25) < 1e-12
+
+
+@pytest.mark.parametrize("kind,arm", [("spatial", "A"), ("spatial", "B"), ("diagonal", "A"), ("diagonal", "B")])
+def test_spectrum_cached_read_only_and_fresh(kind, arm):
+    op = qm.observable(kind, arm)
+    spectrum = qm.eigen_projectors(op)
+    assert qm.eigen_projectors(op) is spectrum
+    fresh = qm.eigen_projectors(op, tol=0.5)  # a non-default tol bypasses the cache
+    assert [lam for lam, _ in spectrum] == [lam for lam, _ in fresh]
+    for (_, cached), (_, rebuilt) in zip(spectrum, fresh):
+        np.testing.assert_array_equal(cached, rebuilt)
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+
+
+def test_spectrum_rejects_non_hermitian_operator():
+    op = qm.SystemOperator(np.triu(np.ones((4, 4))))
+    for _ in range(2):  # a failed decomposition is not cached
+        with pytest.raises(ValueError, match="Hermitian"):
+            qm.eigen_projectors(op)
 
 
 def test_abl_rejects_non_eigenvalue():

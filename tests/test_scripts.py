@@ -1,0 +1,47 @@
+"""The two end-to-end scripts, run as a user runs them, in a fresh interpreter."""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, out, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_run_headline_script(tmp_path):
+    out = tmp_path / "headline"
+    proc = run_script("run_headline.py", out, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    names = {p.name for p in out.iterdir()}
+    scans = {f"scan_theta{t}_{axis}.csv" for t in (0, 45, 90) for axis in "xy"}
+    assert names == scans | {"centers.csv", "weak_values.csv", "summary.json"}
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["results"]) == {"x", "y"}
+    for axis in "xy":
+        assert f"  {axis}: w = " in proc.stdout
+
+
+def test_weak_to_strong_script(tmp_path):
+    out = tmp_path / "transition"
+    proc = run_script("weak_to_strong.py", out, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert {p.name for p in out.iterdir()} == {"weak_to_strong.csv", "destructive_profile.csv"}
+    with open(out / "weak_to_strong.csv", encoding="utf-8") as fh:
+        rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+    assert len(rows) == 13
+    weak = rows[0]
+    assert abs(weak["g_over_sigma"] - 0.02) < 1e-12
+    for axis in "xy":
+        first = weak[f"first_order_{axis}_um"]
+        assert abs(weak[f"centroid_{axis}_um"] - first) <= 0.01 * abs(first)
