@@ -321,15 +321,16 @@ def export_results(
     with open(out / "centers.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("theta_deg,axis,draw_idx,center_um\n")
         for dist in distributions:
-            for i, c in zip(dist.draw_idx.tolist(), dist.centers):
-                fh.write(f"{float(dist.theta)!r},{dist.axis},{i},{float(c)!r}\n")
+            head = f"{float(dist.theta)!r},{dist.axis},"
+            rows = zip(dist.draw_idx.tolist(), dist.centers.tolist())
+            fh.write("".join(f"{head}{i},{c!r}\n" for i, c in rows))
 
     with open(out / "weak_values.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("axis,draw_idx,weak_value\n")
         for axis in sorted(weak_draws):
             idx = _paired_centers(*(d for d in distributions if d.axis == axis))[0]
-            for i, w in zip(idx.tolist(), weak_draws[axis], strict=True):
-                fh.write(f"{axis},{i},{float(w)!r}\n")
+            rows = zip(idx.tolist(), np.asarray(weak_draws[axis], dtype=float).tolist(), strict=True)
+            fh.write("".join(f"{axis},{i},{w!r}\n" for i, w in rows))
 
     summary = {
         "schema_version": RESULTS_SCHEMA_VERSION,

@@ -25,7 +25,7 @@ from . import analysis as ana
 from . import detection as det
 from . import pointer as ptr
 from . import quantum as qm
-from .config import ExperimentConfig
+from .config import ExperimentConfig, read_json
 from .errors import (
     ConfigError,
     MissingReference,
@@ -298,22 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config is None:
-        config = ExperimentConfig.from_dict({})
-    else:
-        config = ExperimentConfig.from_file(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.theta is not None:
-        overrides["theta_list"] = (float(args.theta),)
-    if overrides:
-        import dataclasses
-
-        config = dataclasses.replace(config, **overrides)
-    return config
+    """The config file (or the defaults) with the command-line overrides
+    merged in, validated once."""
+    raw = {} if args.config is None else read_json(args.config)
+    overrides = {
+        "seed": args.seed,
+        "output_dir": args.out,
+        "theta_list": None if args.theta is None else [args.theta],
+    }
+    if isinstance(raw, dict):
+        raw = raw | {key: value for key, value in overrides.items() if value is not None}
+    return ExperimentConfig.from_dict(raw)
 
 
 def main(argv=None) -> int:

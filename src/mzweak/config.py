@@ -11,6 +11,7 @@ naming the offending key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,6 +79,8 @@ def _require(cond, key, message):
 def _check_number(value, key, *, minimum=None, maximum=None, integer=False, exclusive_min=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {_type_name(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     if integer and not float(value).is_integer():
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
     if minimum is not None:
@@ -101,6 +104,18 @@ def _merge_section(defaults: dict, given, key: str) -> dict:
     merged = dict(defaults)
     merged.update(given)
     return merged
+
+
+def read_json(path):
+    """The parsed JSON document of a config file, not yet validated."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config ({exc})") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
 
 
 @dataclass(frozen=True)
@@ -185,7 +200,7 @@ class ExperimentConfig:
             analysis["n_bootstrap"], "analysis.n_bootstrap", minimum=1, integer=True
         )
 
-        seed = _check_number(raw.get("seed", DEFAULTS["seed"]), "seed", integer=True)
+        seed = _check_number(raw.get("seed", DEFAULTS["seed"]), "seed", minimum=0, integer=True)
         output_dir = raw.get("output_dir", DEFAULTS["output_dir"])
         if not isinstance(output_dir, str):
             raise ConfigError(f"output_dir: expected a string, got {_type_name(output_dir)}")
@@ -208,15 +223,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"{path}: cannot read config ({exc})") from exc
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path))
 
     def scan_config(self, theta: float) -> ScanConfig:
         """ScanConfig for one post-selection angle (target vs reference repeats)."""

@@ -79,7 +79,14 @@ class ScanRecord:
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
-        cnt = np.asarray(self.counts, dtype=np.int64)
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions must be finite")
+        cnt = np.asarray(self.counts)
+        if cnt.dtype.kind not in "iu":
+            as_float = cnt.astype(float)
+            if not np.all(np.isfinite(as_float) & (as_float == np.floor(as_float))):
+                raise ValueError("counts must be whole numbers")
+        cnt = cnt.astype(np.int64, copy=False)
         if cnt.ndim != 2 or cnt.shape[0] != pos.shape[0]:
             raise ValueError("counts must be (n_points, repeats)")
         if np.any(cnt < 0):

@@ -121,23 +121,24 @@ class BranchState:
 
     def total_norm(self) -> float:
         """Squared norm including Gaussian overlaps between branches."""
-        weight, dk, dl = _pair_table(self, "x")
-        return float(np.sum(weight * _overlap(dk, dl, self.sigma)))
+        return float(np.sum(_mixture(self, "x")[1]))
 
     @cached_property
-    def _pairs_x(self):
-        return _build_pair_table(self.branches, self.sigma, "x")
+    def _mixture_x(self):
+        return _build_mixture(self.branches, self.sigma, "x")
 
     @cached_property
-    def _pairs_y(self):
-        return _build_pair_table(self.branches, self.sigma, "y")
+    def _mixture_y(self):
+        return _build_mixture(self.branches, self.sigma, "y")
 
 
-def _merged(branches, sigma, arm_phase, postselected) -> BranchState:
+def _merged(terms, sigma, arm_phase, postselected) -> BranchState:
+    """One branch per distinct (label, dx, dy) of the (coeff, label, dx, dy)
+    terms, coefficients summed in term order; sums below COEFF_PRUNE_TOL drop."""
     acc = {}
-    for b in branches:
-        key = (b.label, b.dx, b.dy)
-        acc[key] = acc.get(key, 0.0) + b.coeff
+    for coeff, label, dx, dy in terms:
+        key = (label, dx, dy)
+        acc[key] = acc.get(key, 0.0) + coeff
     kept = tuple(
         Branch(c, lab, dx, dy)
         for (lab, dx, dy), c in acc.items()
@@ -174,12 +175,12 @@ class CouplerSpec:
 
 def initial_branch_state(state: SystemState, sigma: float = DEFAULT_SIGMA_UM) -> BranchState:
     """Attach unshifted pointer modes to every system basis component."""
-    branches = [
-        Branch(complex(amp), j, 0.0, 0.0)
+    terms = [
+        (complex(amp), j, 0.0, 0.0)
         for j, amp in enumerate(np.asarray(state))
         if abs(amp) >= COEFF_PRUNE_TOL
     ]
-    return _merged(branches, sigma, 0.0, False)
+    return _merged(terms, sigma, 0.0, False)
 
 
 def _apply_on_arm(state: BranchState, arm: str, axis: str, terms) -> BranchState:
@@ -193,12 +194,12 @@ def _apply_on_arm(state: BranchState, arm: str, axis: str, terms) -> BranchState
     out = []
     for b in state.branches:
         if b.label not in idx:
-            out.append(b)
+            out.append((b.coeff, b.label, b.dx, b.dy))
             continue
         col = idx.index(b.label)
         for m, shift in terms:
             dx, dy = (b.dx + shift, b.dy) if axis == "x" else (b.dx, b.dy + shift)
-            out.extend(Branch(b.coeff * m[row, col], lab, dx, dy) for row, lab in enumerate(idx))
+            out.extend((b.coeff * m[row, col], lab, dx, dy) for row, lab in enumerate(idx))
     return _merged(out, state.sigma, state.arm_phase, state.postselected)
 
 
@@ -258,7 +259,7 @@ def diagonal_coupler_composite(arm: str, g: float):
 def block_arm(state: BranchState, arm: str) -> BranchState:
     """Drop every branch on the given arm (state becomes un-normalized)."""
     idx = ARM_INDICES[arm]
-    kept = [b for b in state.branches if b.label not in idx]
+    kept = [(b.coeff, b.label, b.dx, b.dy) for b in state.branches if b.label not in idx]
     if not kept:
         raise EmptyState("blocking removed every branch")
     return _merged(kept, state.sigma, state.arm_phase, state.postselected)
@@ -271,7 +272,7 @@ def apply_arm_phase(state: BranchState, phase: float) -> BranchState:
     factor = np.exp(1j * phase)
     idx = ARM_INDICES["B"]
     out = [
-        Branch(b.coeff * factor, b.label, b.dx, b.dy) if b.label in idx else b
+        (b.coeff * factor if b.label in idx else b.coeff, b.label, b.dx, b.dy)
         for b in state.branches
     ]
     return _merged(out, state.sigma, phase, state.postselected)
@@ -281,14 +282,8 @@ def postselect(state: BranchState, post: SystemState) -> BranchState:
     """Project the system part on <post|; the result is un-normalized and
     carries pointer-only branches (label None)."""
     phi = np.asarray(post)
-    acc = {}
-    for b in state.branches:
-        key = (b.dx, b.dy)
-        acc[key] = acc.get(key, 0.0) + b.coeff * np.conj(phi[b.label])
-    branches = tuple(
-        Branch(c, None, dx, dy) for (dx, dy), c in acc.items() if abs(c) >= COEFF_PRUNE_TOL
-    )
-    return BranchState(branches, state.sigma, state.arm_phase, True)
+    terms = [(b.coeff * np.conj(phi[b.label]), None, b.dx, b.dy) for b in state.branches]
+    return _merged(terms, state.sigma, state.arm_phase, True)
 
 
 def evolve(
@@ -328,22 +323,25 @@ def evolve_and_postselect(
     return postselect(state, post)
 
 
-def _pair_table(state: BranchState, axis: str):
-    """Label-matched branch pairs (k, l), k-major, as arrays (weight, d_k, d_l).
+def _mixture(state: BranchState, axis: str):
+    """The marginal along ``axis`` as a Gaussian mixture, arrays (mids, weight).
 
-    ``weight`` is Re(c_k conj(c_l)) times the exact overlap of the two modes
-    along the other axis; d_k, d_l are the shifts along ``axis``. Distinct
-    system labels do not interfere, so only equal-label pairs appear. The
-    table is built once per state and axis; its arrays are read-only.
+    Since xi_a xi_b = <xi_a|xi_b> N(u; (a+b)/2, sigma^2), the marginal
+    intensity is sum_m weight[m] N(u; mids[m], sigma^2). ``mids`` are the
+    sorted distinct pair midpoints; weight[m] sums, in k-major pair order,
+    Re(c_k conj(c_l)) times the exact overlaps of the two modes across and
+    along ``axis`` over the label-matched pairs (k, l) at mids[m] (distinct
+    system labels do not interfere). The table is built once per state and
+    axis; its arrays are read-only.
     """
     if axis == "x":
-        return state._pairs_x
+        return state._mixture_x
     if axis == "y":
-        return state._pairs_y
+        return state._mixture_y
     raise ValueError("axis must be 'x' or 'y'")
 
 
-def _build_pair_table(branches, sigma: float, axis: str):
+def _build_mixture(branches, sigma: float, axis: str):
     labels = np.array([b.label for b in branches], dtype=object)
     k, l = np.nonzero(labels[:, None] == labels[None, :])
     coeff = np.array([b.coeff for b in branches], dtype=complex)
@@ -353,61 +351,52 @@ def _build_pair_table(branches, sigma: float, axis: str):
     # Re(c_k conj(c_l)) spelled out: numpy's array complex product may fuse
     # multiply-adds and round differently from the scalar product
     re, im = coeff.real, coeff.imag
-    table = ((re[k] * re[l] + im[k] * im[l]) * _overlap(across[k], across[l], sigma), along[k], along[l])
-    for arr in table:
-        arr.setflags(write=False)
-    return table
-
-
-def _distinct_midpoints(dk, dl):
-    """Sorted distinct pair midpoints (d_k + d_l)/2 and each pair's index into them."""
-    mid = 0.5 * (dk + dl)
-    mids = np.array(sorted(set(mid.tolist())))
-    return mids, np.searchsorted(mids, mid)
+    pair_weight = (
+        (re[k] * re[l] + im[k] * im[l])
+        * _overlap(across[k], across[l], sigma)
+        * _overlap(along[k], along[l], sigma)
+    )
+    mid = 0.5 * (along[k] + along[l])
+    mids = np.array(sorted(set(mid.tolist())), dtype=float)
+    weight = np.bincount(np.searchsorted(mids, mid), pair_weight, mids.size)
+    mids.setflags(write=False)
+    weight.setflags(write=False)
+    return mids, weight
 
 
 def marginal_intensity(state: BranchState, axis: str, grid) -> np.ndarray:
     """Marginal intensity I(u) on the grid along one axis.
 
-    I(u) = sum_kl c_k conj(c_l) xi(u - d_k) xi(u - d_l) O_perp(k, l) with
-    O_perp the exact overlap along the other axis; distinct system labels do
-    not interfere. Since xi_a xi_b = <xi_a|xi_b> N(u; (a+b)/2, sigma^2), the
-    pairs are summed per distinct midpoint and each midpoint's Gaussian is
-    evaluated once. The result is clipped at 0 against rounding dust.
+    I(u) = sum_m weight[m] N(u; mids[m], sigma^2) over the state's mixture
+    table (see ``_mixture``): one Gaussian per distinct pair midpoint. The
+    result is clipped at 0 against rounding dust.
     """
-    weight, dk, dl = _pair_table(state, axis)
+    mids, weight = _mixture(state, axis)
     if not state.branches:
         raise EmptyState("no branches")
     s = state.sigma
-    mids, pair_mid = _distinct_midpoints(dk, dl)
     u = np.asarray(grid, dtype=float)
     along_mids = (-1,) + (1,) * u.ndim
-    coef = np.bincount(pair_mid, weight * _overlap(dk, dl, s), mids.size).reshape(along_mids)
     # a product-then-sum, not a matmul: BLAS may fuse multiply-adds, and then
     # opposite-sign branches at +/-g no longer cancel exactly at their center
     gauss = np.exp((u - mids.reshape(along_mids)) ** 2 / (-2.0 * s**2))
-    total = np.sum(gauss * coef, axis=0) / (s * np.sqrt(2.0 * np.pi))
+    total = np.sum(gauss * weight.reshape(along_mids), axis=0) / (s * np.sqrt(2.0 * np.pi))
     return np.clip(total, 0.0, None)
 
 
 def centroid_exact(state: BranchState, axis: str) -> float:
     """Mean position of the normalized marginal intensity, in closed form.
 
-    Uses the Gaussian first-moment overlaps M(k, l) = midpoint * overlap;
-    raises VanishingPostSelection when the total weight is at most 1e-12.
+    The mixture's mean: sum(weight * mids) / sum(weight). Raises
+    VanishingPostSelection when the total weight is at most 1e-12.
     """
-    weight, dk, dl = _pair_table(state, axis)
+    mids, weight = _mixture(state, axis)
     if not state.branches:
         raise VanishingPostSelection("no branches survive post-selection")
-    overlap = _overlap(dk, dl, state.sigma)
-    # cumsum adds in pair order, as the pair loop did: the centroid of a
-    # near-symmetric state is a small difference of large terms, and its
-    # rounding depends on that order
-    num = np.cumsum(weight * (0.5 * (dk + dl) * overlap))[-1]
-    den = np.cumsum(weight * overlap)[-1]
+    den = np.sum(weight)
     if den <= 1e-12:
         raise VanishingPostSelection(f"post-selected weight {den:.3e} <= 1e-12")
-    return float(num / den)
+    return float(np.sum(weight * mids) / den)
 
 
 def first_order_shift(weak_val: complex, g: float) -> float:
@@ -418,23 +407,23 @@ def first_order_shift(weak_val: complex, g: float) -> float:
 def windowed_intensity(state: BranchState, axis: str, centers, width: float) -> np.ndarray:
     """Integral of the marginal intensity over [c - width/2, c + width/2].
 
-    Closed form via the normal CDF of the pairwise product Gaussians; used
-    for fiber-core integration. erf runs once per distinct window edge and
-    distinct pair midpoint: windows that share an edge (a scan whose step
-    equals its width, or a repeated center) share its erf values.
+    Closed form via the normal CDF of the mixture's Gaussians; used for
+    fiber-core integration. erf runs once per distinct window edge and
+    mixture midpoint: windows that share an edge (a scan whose step equals
+    its width, or a repeated center) share its erf values. Each center sums
+    mass * weight along a C-contiguous midpoint axis, so its value does not
+    depend on how many centers share the call.
     """
     if not state.branches:
         raise EmptyState("no branches")
-    weight, dk, dl = _pair_table(state, axis)
-    mids, pair_mid = _distinct_midpoints(dk, dl)
+    mids, weight = _mixture(state, axis)
     c = np.atleast_1d(np.asarray(centers, dtype=float))
     edges, edge_idx = np.unique(np.stack([c + 0.5 * width, c - 0.5 * width]), return_inverse=True)
     edge_idx = edge_idx.reshape((2,) + c.shape)
     z = 1.0 / (state.sigma * np.sqrt(2.0))
     cdf = _erf((edges[:, None] - mids) * z)
     mass = 0.5 * (cdf[edge_idx[0]] - cdf[edge_idx[1]])
-    pair_mass = mass[..., pair_mid]
-    total = np.sum(weight * _overlap(dk, dl, state.sigma) * pair_mass, axis=-1)
+    total = np.sum(mass * weight, axis=-1)
     return np.clip(total, 0.0, None)
 
 

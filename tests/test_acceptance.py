@@ -270,7 +270,7 @@ GOLDEN_DIGESTS = {
     "scan_theta90_x.csv": "1e8bc113d142c7c155ad3a4a5c1105935c3665e8ba0e62c5f94d4fa5e3b5bf54",
     "scan_theta90_y.csv": "65942c8ee81caa23d403c916351b7fde6142cb8b148ee04d71288a1960de0404",
     "summary.json": "9337f6f18b4751deb076b7efdcf340e72ad2cf175a4711be643e6a3674790d4a",
-    "sweep_g.csv": "8e37c47938a64dfbe978e2c59e7845e039c4bf7eea52eabd2f983cadf611874e",
+    "sweep_g.csv": "24787fc338148b9238f77ab9f6a962f2ba25cc82a5a725f51d3d0aa2cecd0c69",
     "weak_values.csv": "53b0170989927ca234570468001828d4caa9106756f4507e89f59193c24edded",
     "weakvalues.json": "adf439289a012691e0ebbc9b1489f6fd974d2abdd094153ce74d4b2e07cf74bf",
 }

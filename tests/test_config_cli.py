@@ -75,6 +75,34 @@ def test_out_of_range_rejected():
         ExperimentConfig.from_dict({"blocked_arm": "C"})
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig.from_dict({"seed": -3})
+    assert ExperimentConfig.from_dict({"seed": 0}).seed == 0
+
+
+@pytest.mark.parametrize(
+    "doc,key",
+    [
+        ({"theta_list": [0.0, float("nan")]}, "theta_list"),
+        ({"target_theta": float("inf")}, "target_theta"),
+        ({"arm_phase": float("-inf")}, "arm_phase"),
+        ({"scan": {"start": float("nan")}}, "scan.start"),
+        ({"drift": {"initial_offset": float("inf")}}, "drift.initial_offset"),
+    ],
+)
+def test_non_finite_numbers_rejected(doc, key):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_config_file_nan_rejected(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"theta_list": [0.0, NaN]}')
+    with pytest.raises(ConfigError, match="theta_list"):
+        ExperimentConfig.from_file(path)
+
+
 def test_config_file_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -252,6 +280,31 @@ def test_cli_bad_config_exit_code(tmp_path):
     cfg.write_text(json.dumps({"unknown_key": 1}))
     rc = main(["--quiet", "--config", str(cfg), "--out", str(tmp_path), "weakvalue"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "doc,flags,key",
+    [
+        (None, ["--seed", "-1"], "seed"),
+        (None, ["--theta", "nan"], "theta_list"),
+        ({"seed": -3}, [], "seed"),
+        ({"theta_list": [0.0, float("nan")]}, [], "theta_list"),
+        ({"seed": 5}, ["--seed", "-2"], "seed"),
+    ],
+)
+def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, doc, flags, key):
+    # file values and command-line overrides go through one validation
+    out = tmp_path / "out"
+    config = [] if doc is None else ["--config", write_config(tmp_path, doc)]
+    assert main(["--quiet", *config, "--out", str(out), *flags, "simulate"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert not out.exists()
+
+
+def test_cli_override_replaces_bad_file_seed(tmp_path):
+    cfg = write_config(tmp_path, dict(SMALL, seed=-3))
+    assert main(["--quiet", "--config", cfg, "--out", str(tmp_path), "--seed", "4",
+                 "--theta", "0", "weakvalue"]) == 0
 
 
 def test_cli_seed_override_changes_counts(tmp_path):

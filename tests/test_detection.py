@@ -246,6 +246,24 @@ def test_scan_record_validation():
         det.ScanRecord(0.0, "x", np.arange(2.0), np.array([[1], [-2]]))
 
 
+@pytest.mark.parametrize("counts", [[[1.7], [2], [3]], [[1], [np.nan], [3]], [[1], [2], [np.inf]]])
+def test_scan_record_rejects_non_integral_counts(counts):
+    with pytest.raises(ValueError, match="counts"):
+        det.ScanRecord(0.0, "x", [0.0, 1.0, 2.0], counts)
+
+
+def test_scan_record_keeps_whole_float_counts():
+    record = det.ScanRecord(0.0, "x", [0.0, 1.0, 2.0], [[1.0], [2.0], [3.0]])
+    assert record.counts.dtype == np.int64
+    assert record.counts[:, 0].tolist() == [1, 2, 3]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scan_record_rejects_non_finite_positions(bad):
+    with pytest.raises(ValueError, match="positions"):
+        det.ScanRecord(0.0, "x", [0.0, bad, 2.0], [[1], [2], [3]])
+
+
 def test_scan_config_validation():
     with pytest.raises(ValueError):
         det.ScanConfig(step=0.0)

@@ -6,6 +6,7 @@ from scipy.integrate import trapezoid
 from scipy.special import erf
 from hypothesis import given, strategies as st
 
+from mzweak import detection as det
 from mzweak import pointer as ptr
 from mzweak import quantum as qm
 from mzweak.errors import EmptyState, VanishingPostSelection
@@ -455,15 +456,11 @@ def test_moments_match_pair_loop_reference(state):
 def per_edge_windowed_intensity(state, axis, centers, width):
     """windowed_intensity with erf evaluated on both edges c -/+ width/2 of
     every window, shared edges and all: the same operands, so the same bits."""
-    weight, dk, dl = ptr._pair_table(state, axis)
-    mid = 0.5 * (dk + dl)
-    mids = np.array(sorted(set(mid.tolist())))
+    mids, weight = ptr._mixture(state, axis)
     c = np.atleast_1d(np.asarray(centers, dtype=float))[..., None]
     z = 1.0 / (state.sigma * np.sqrt(2.0))
     mass = 0.5 * (ptr._erf((c + 0.5 * width - mids) * z) - ptr._erf((c - 0.5 * width - mids) * z))
-    pair_mass = mass[..., np.searchsorted(mids, mid)]
-    total = np.sum(weight * ptr._overlap(dk, dl, state.sigma) * pair_mass, axis=-1)
-    return np.clip(total, 0.0, None)
+    return np.clip(np.sum(mass * weight, axis=-1), 0.0, None)
 
 
 EXACTNESS_STATES = [
@@ -487,16 +484,58 @@ def test_windowed_intensity_equals_per_edge_formula(state, axis, step, width):
         )
 
 
+def seeded_random_state(rng):
+    """A labelled or post-selected state: either coupler arm, blocking, arm
+    phase. Diagonal couplers on both arms give up to 9 distinct midpoints on
+    x; from 8 terms on, numpy's sum order can depend on the array layout."""
+    couplers = [
+        ptr.CouplerSpec("spatial", str(rng.choice(["A", "B"])), rng.uniform(0.0, 600.0)),
+        ptr.CouplerSpec("diagonal", str(rng.choice(["A", "B"])), rng.uniform(0.0, 600.0)),
+    ]
+    if rng.integers(2):
+        arm = "A" if couplers[1].arm == "B" else "B"
+        couplers.append(ptr.CouplerSpec("diagonal", arm, rng.uniform(0.0, 600.0)))
+    state = ptr.evolve(
+        qm.pre_state(),
+        couplers,
+        sigma=rng.uniform(100.0, 900.0),
+        blocked_arm=[None, "A", "B"][rng.integers(3)],
+        arm_phase=rng.uniform(0.0, 2 * np.pi),
+    )
+    if rng.integers(2):
+        state = ptr.postselect(state, qm.post_state(rng.uniform(-90.0, 90.0)))
+    return state
+
+
+def test_scalar_center_equals_grid_element_bit_for_bit():
+    # a center's window integral and rate must not depend on the call's shape
+    rng = np.random.default_rng(20261018)
+    cfg = det.ScanConfig(mean_rate=1000.0)
+    for _ in range(120):
+        state = seeded_random_state(rng)
+        grid = cfg.positions - rng.uniform(-400.0, 400.0, size=(4, 1))
+        for axis in ("x", "y"):
+            flux = ptr.windowed_intensity(state, axis, grid, cfg.fiber_core)
+            rates = det.expected_rate(state, axis, grid, cfg)
+            for i, j in zip(rng.integers(4, size=6), rng.integers(cfg.n_points, size=6)):
+                c = float(grid[i, j])
+                assert ptr.windowed_intensity(state, axis, c, cfg.fiber_core)[0] == flux[i, j]
+                assert det.expected_rate(state, axis, c, cfg) == rates[i, j]
+
+
 @pytest.mark.parametrize("state", EXACTNESS_STATES)
 def test_pair_tables_cached_read_only_and_fresh(state):
+    # the pair sums live in the (mids, weight) mixture table
     for axis in ("x", "y"):
-        table = ptr._pair_table(state, axis)
-        assert ptr._pair_table(state, axis) is table
-        fresh = ptr._build_pair_table(state.branches, state.sigma, axis)
+        table = ptr._mixture(state, axis)
+        assert ptr._mixture(state, axis) is table
+        fresh = ptr._build_mixture(state.branches, state.sigma, axis)
         for cached, rebuilt in zip(table, fresh):
             np.testing.assert_array_equal(cached, rebuilt)
             with pytest.raises(ValueError):
                 cached[0] = 1.0
+        assert np.all(np.diff(table[0]) > 0)
+    assert float(np.sum(ptr._mixture(state, "x")[1])) == state.total_norm()
 
 
 @pytest.mark.parametrize(
