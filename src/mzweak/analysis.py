@@ -56,10 +56,11 @@ class CenterDistribution:
     draw_idx: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.centers, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writable
+        arr = np.array(self.centers, dtype=float)
         if arr.size == 0 or not np.all(np.isfinite(arr)):
             raise ValueError("centers must be non-empty and finite")
-        idx = np.arange(arr.size) if self.draw_idx is None else np.asarray(self.draw_idx, dtype=np.int64)
+        idx = np.arange(arr.size) if self.draw_idx is None else np.array(self.draw_idx, dtype=np.int64)
         if idx.shape != arr.shape or np.any(np.diff(idx) <= 0):
             raise ValueError("draw_idx must have one strictly increasing entry per center")
         arr.setflags(write=False)

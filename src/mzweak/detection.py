@@ -29,6 +29,14 @@ from .errors import ZeroDenominator
 from .pointer import BranchState, Branch, DEFAULT_SIGMA_UM, windowed_intensity
 
 
+def _require_finite(obj, *names) -> None:
+    """Raise ValueError naming the first field that is neither None nor finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Geometry and statistics of one fiber scan.
@@ -49,6 +57,7 @@ class ScanConfig:
     dwell: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, "start", "step", "fiber_core", "mean_rate")
         if not self.step > 0:
             raise ValueError("step must be > 0")
         if self.n_points < 3:
@@ -78,7 +87,8 @@ class ScanRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writable
+        pos = np.array(self.positions, dtype=float)
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
         cnt = np.asarray(self.counts)
@@ -86,7 +96,7 @@ class ScanRecord:
             as_float = cnt.astype(float)
             if not np.all(np.isfinite(as_float) & (as_float == np.floor(as_float))):
                 raise ValueError("counts must be whole numbers")
-        cnt = cnt.astype(np.int64, copy=False)
+        cnt = cnt.astype(np.int64)
         if cnt.ndim != 2 or cnt.shape[0] != pos.shape[0]:
             raise ValueError("counts must be (n_points, repeats)")
         if np.any(cnt < 0):
@@ -204,6 +214,7 @@ class DriftModel:
     def __post_init__(self):
         if self.kind not in ("none", "random-walk"):
             raise ValueError(f"kind must be 'none' or 'random-walk', got {self.kind!r}")
+        _require_finite(self, "step_sigma", "initial_offset")
         if self.step_sigma < 0:
             raise ValueError("step_sigma must be >= 0")
 
@@ -295,6 +306,7 @@ class SourceModel:
     window: float = 312.5e-12
 
     def __post_init__(self):
+        _require_finite(self, "pair_rate")
         if self.pair_rate < 0:
             raise ValueError("pair_rate must be >= 0")
         if not 0 <= self.heralding_efficiency <= 1:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,12 +83,12 @@ class GaussianMode:
         return gaussian_amplitude(u, self.center, self.sigma)
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One term of the joint superposition.
+class Branch(NamedTuple):
+    """One term of the joint superposition, plain data.
 
     ``label`` is a basis index 0..3 (AH, AV, BH, BV) before post-selection
-    and None once the system degree of freedom has been projected out.
+    and None once the system degree of freedom has been projected out. A
+    branch is not checked on its own: the ``BranchState`` holding it is.
     """
 
     coeff: complex
@@ -95,15 +96,13 @@ class Branch:
     dx: float
     dy: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.dx) and math.isfinite(self.dy) and math.isfinite(abs(self.coeff))):
-            raise ValueError("branch fields must be finite")
-
 
 @dataclass(frozen=True)
 class BranchState:
     """Finite superposition of Gaussian pointer branches.
 
+    The state holds the invariant, checked once here: sigma is positive and
+    finite, and every branch's |coeff|, dx and dy are finite.
     ``arm_phase`` records the relative A/B phase that was applied before
     post-selection (radians); ``postselected`` marks states whose system part
     has been projected out (labels None, generally un-normalized).
@@ -115,9 +114,13 @@ class BranchState:
     postselected: bool = False
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        object.__setattr__(self, "branches", tuple(self.branches))
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        branches = tuple(self.branches)
+        for coeff, _, dx, dy in branches:
+            if not (math.isfinite(abs(coeff)) and math.isfinite(dx) and math.isfinite(dy)):
+                raise ValueError("branch fields must be finite")
+        object.__setattr__(self, "branches", branches)
 
     def total_norm(self) -> float:
         """Squared norm including Gaussian overlaps between branches."""
@@ -134,16 +137,12 @@ class BranchState:
 
 def _merged(terms, sigma, arm_phase, postselected) -> BranchState:
     """One branch per distinct (label, dx, dy) of the (coeff, label, dx, dy)
-    terms, coefficients summed in term order; sums below COEFF_PRUNE_TOL drop."""
+    terms, coefficients summed in term order; sums below COEFF_PRUNE_TOL drop, NaN stays."""
     acc = {}
     for coeff, label, dx, dy in terms:
         key = (label, dx, dy)
         acc[key] = acc.get(key, 0.0) + coeff
-    kept = tuple(
-        Branch(c, lab, dx, dy)
-        for (lab, dx, dy), c in acc.items()
-        if abs(c) >= COEFF_PRUNE_TOL
-    )
+    kept = tuple(Branch(c, *key) for key, c in acc.items() if not abs(c) < COEFF_PRUNE_TOL)
     return BranchState(kept, sigma, arm_phase, postselected)
 
 
@@ -194,7 +193,7 @@ def _apply_on_arm(state: BranchState, arm: str, axis: str, terms) -> BranchState
     out = []
     for b in state.branches:
         if b.label not in idx:
-            out.append((b.coeff, b.label, b.dx, b.dy))
+            out.append(b)
             continue
         col = idx.index(b.label)
         for m, shift in terms:
@@ -223,6 +222,8 @@ def build_coupler(spec: CouplerSpec):
 
 def apply_jones(state: BranchState, arm: str, jones: np.ndarray) -> BranchState:
     """Apply a 2x2 polarization Jones matrix to branches on one arm."""
+    if not np.all(np.isfinite(jones)):
+        raise ValueError("Jones matrix entries must be finite")
     return _apply_on_arm(state, arm, "x", [(jones, 0.0)])
 
 
@@ -259,7 +260,7 @@ def diagonal_coupler_composite(arm: str, g: float):
 def block_arm(state: BranchState, arm: str) -> BranchState:
     """Drop every branch on the given arm (state becomes un-normalized)."""
     idx = ARM_INDICES[arm]
-    kept = [(b.coeff, b.label, b.dx, b.dy) for b in state.branches if b.label not in idx]
+    kept = [b for b in state.branches if b.label not in idx]
     if not kept:
         raise EmptyState("blocking removed every branch")
     return _merged(kept, state.sigma, state.arm_phase, state.postselected)
@@ -271,10 +272,7 @@ def apply_arm_phase(state: BranchState, phase: float) -> BranchState:
         return state
     factor = np.exp(1j * phase)
     idx = ARM_INDICES["B"]
-    out = [
-        (b.coeff * factor if b.label in idx else b.coeff, b.label, b.dx, b.dy)
-        for b in state.branches
-    ]
+    out = [b._replace(coeff=b.coeff * factor) if b.label in idx else b for b in state.branches]
     return _merged(out, state.sigma, phase, state.postselected)
 
 

@@ -24,6 +24,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,28 +41,26 @@ EIGENVALUE_TOL = 1e-9
 _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def _frozen_complex_vector(values, n):
-    arr = np.asarray(values, dtype=complex).reshape(n)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class SystemState:
     """Amplitude vector on the 4-dim path x polarization space.
 
     ``normalized=False`` flags intentionally un-normalized intermediates
     (e.g. after blocking an arm); normalized states are checked to unit norm
-    within 1e-12.
+    within 1e-12. Every state needs finite amplitudes (a finite norm).
     """
 
     amplitudes: np.ndarray
     normalized: bool = True
 
     def __post_init__(self):
-        arr = _frozen_complex_vector(self.amplitudes, 4)
+        arr = np.array(self.amplitudes, dtype=complex).reshape(4)
+        arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
-        if self.normalized and abs(np.linalg.norm(arr) - 1.0) > 1e-12:
+        norm = np.linalg.norm(arr)
+        if not math.isfinite(norm):
+            raise ValueError("amplitudes must be finite")
+        if self.normalized and abs(norm - 1.0) > 1e-12:
             raise ValueError("state marked normalized has norm != 1")
 
     def __array__(self, dtype=None):
@@ -78,7 +77,7 @@ class SystemOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=complex).reshape(4, 4)
+        arr = np.array(self.matrix, dtype=complex).reshape(4, 4)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -132,14 +131,13 @@ class OutcomeDistribution:
     kind: str  # "unconditional" | "conditional-on-postselection"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "outcomes", tuple((str(k), float(p)) for k, p in self.outcomes)
-        )
-        probs = np.array([p for _, p in self.outcomes])
-        if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):
+        outcomes = tuple((str(k), float(p)) for k, p in self.outcomes)
+        object.__setattr__(self, "outcomes", outcomes)
+        if not all(-1e-12 <= p <= 1 + 1e-12 for _, p in outcomes):
             raise ValueError("probabilities out of [0, 1]")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+        total = sum(p for _, p in outcomes)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     def probability(self, label: str) -> float:
         return dict(self.outcomes)[label]

@@ -10,6 +10,8 @@ from mzweak import analysis as ana
 from mzweak import detection as det
 from mzweak import pointer as ptr
 from mzweak import quantum as qm
+from mzweak.cli import build_state
+from mzweak.config import ExperimentConfig
 from mzweak.errors import DegenerateProfile, NonConvergence, ZeroScale
 
 SIGMA = 475.0
@@ -239,6 +241,17 @@ def test_center_distribution_draw_idx_validation():
         ana.CenterDistribution(np.array([1.0, 2.0]), 0.0, "x", np.array([0]))
 
 
+def test_center_distribution_copies_caller_arrays():
+    centers = np.array([1.0, 2.0, 3.0])
+    idx = np.array([0, 4, 7], dtype=np.int64)
+    dist = ana.CenterDistribution(centers, 0.0, "x", idx)
+    assert centers.flags.writeable and idx.flags.writeable
+    assert not (dist.centers.flags.writeable or dist.draw_idx.flags.writeable)
+    centers[0] = 99.0
+    idx[2] = 99
+    assert dist.centers[0] == 1.0 and dist.draw_idx[2] == 7
+
+
 def test_bootstrap_drop_policy_errors_on_flat_records():
     flat = det.ScanRecord(0.0, "x", GRID, np.zeros((61, 2), dtype=int), seed=0)
     with pytest.raises(NonConvergence):
@@ -314,6 +327,27 @@ def test_weak_values_pair_on_draw_idx(tmp_path, monkeypatch):
     assert [int(r.split(",")[1]) for r in rows] == list(range(17)) + list(range(18, 300))
     with pytest.raises(ValueError):  # pairing needs each distribution's draws in order
         ana.CenterDistribution(np.array([1.0, 2.0]), 0.0, "x", np.array([3, 1]))
+
+
+@pytest.mark.parametrize(
+    "target,tol_x,tol_y", [(0.0, 1e-9, 1e-9), (10.0, 2e-3, 2e-4), (20.0, 2e-3, 2e-4), (30.0, 2e-3, 2e-4)]
+)
+def test_noise_free_chain_matches_exact_centroid_ratio(target, tol_x, tol_y):
+    # truth oracle: Gaussian fits of the noise-free rate profiles against the
+    # closed-form centroids at the default config (g/sigma = 0.105). At theta = 0
+    # the check is trivial, post_state(90) = -post_state(0); at 10..30 deg the
+    # fit's bias measures 0.85-1.02e-3 on x and <= 6e-5 on y.
+    config = ExperimentConfig.from_dict({})
+    states = {theta: build_state(config, theta) for theta in (target, 45.0, 90.0)}
+    for axis, tol in (("x", tol_x), ("y", tol_y)):
+        fitted, exact = {}, {}
+        for theta, state in states.items():
+            scan = config.scan_config(theta)
+            rates = det.expected_rate(state, axis, scan.positions, scan)
+            fitted[theta] = ana.fit_gaussian(scan.positions, rates).center
+            exact[theta] = ptr.centroid_exact(state, axis)
+        w_fit, w_exact = ((c[target] - c[45.0]) / (c[90.0] - c[45.0]) for c in (fitted, exact))
+        assert abs(w_fit - w_exact) <= tol, axis
 
 
 def test_stat_sigma_shrinks_with_rate():

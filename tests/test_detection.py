@@ -264,6 +264,24 @@ def test_scan_record_rejects_non_finite_positions(bad):
         det.ScanRecord(0.0, "x", [0.0, bad, 2.0], [[1], [2], [3]])
 
 
+def test_scan_record_copies_caller_arrays():
+    pos = np.arange(3.0)
+    cnt = np.array([[1], [2], [3]], dtype=np.int64)
+    record = det.ScanRecord(0.0, "x", pos, cnt)
+    assert pos.flags.writeable and cnt.flags.writeable
+    assert not (record.positions.flags.writeable or record.counts.flags.writeable)
+    pos[0] = 99.0
+    cnt[0, 0] = 99
+    assert record.positions[0] == 0.0 and record.counts[0, 0] == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["start", "step", "fiber_core", "mean_rate"])
+def test_scan_config_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        det.ScanConfig(**{field: bad})
+
+
 def test_scan_config_validation():
     with pytest.raises(ValueError):
         det.ScanConfig(step=0.0)
@@ -296,6 +314,13 @@ def test_drift_model_validation_and_offsets():
     offs = walk.offsets(1000, stream(0, 98))
     assert abs(np.mean(np.diff(offs))) < 0.5  # zero-mean steps
     assert np.std(np.diff(offs)) == pytest.approx(2.0, rel=0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["step_sigma", "initial_offset"])
+def test_drift_model_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        det.DriftModel("random-walk", **{field: bad})
 
 
 def test_drift_none_centers_have_statistical_scatter_only():
@@ -385,6 +410,13 @@ def test_source_model_validation():
         det.SourceModel(heralding_efficiency=1.5)
     with pytest.raises(ValueError):
         det.SourceModel(pair_rate=0.01, multi_pair_prob=0.4)  # mean unreachable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["pair_rate"])
+def test_source_model_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        det.SourceModel(**{field: bad})
 
 
 def test_ideal_heralded_source_g2_zero():

@@ -551,6 +551,40 @@ def test_moments_reject_unknown_axis(moment, args):
         moment(paper_state(), "z", *args)
 
 
+def test_nan_arm_phase_rejected_not_pruned():
+    # a NaN coefficient sum must reach the finiteness check, not drop as if zero
+    with pytest.raises(ValueError, match="branch fields must be finite"):
+        ptr.evolve(qm.pre_state(), [], sigma=SIGMA, arm_phase=float("nan"))
+    with pytest.raises(ValueError, match="branch fields must be finite"):
+        ptr._merged([(complex("nan"), 0, 0.0, 0.0)], SIGMA, 0.0, False)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
+def test_branch_state_requires_positive_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        ptr.BranchState((), sigma)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (1.0, None, np.nan, 0.0),
+        (1.0, None, 0.0, -np.inf),
+        (complex(np.inf, 0.0), None, 0.0, 0.0),
+        (complex(0.0, np.nan), 0, 0.0, 0.0),
+    ],
+)
+def test_branch_state_rejects_non_finite_branch(fields):
+    with pytest.raises(ValueError, match="branch fields must be finite"):
+        ptr.BranchState((ptr.Branch(0.5, None, 0.0, 0.0), ptr.Branch(*fields)), SIGMA)
+
+
+def test_apply_jones_rejects_infinite_entry():
+    base = ptr.initial_branch_state(qm.pre_state(), SIGMA)
+    with pytest.raises(ValueError, match="finite"):
+        ptr.apply_jones(base, "A", np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))
+
+
 def test_tiny_branches_pruned():
     state = ptr.evolve_and_postselect(
         qm.pre_state(), [], qm.post_state(45.0), sigma=SIGMA

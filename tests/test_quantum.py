@@ -86,6 +86,23 @@ def test_unnormalized_state_flag():
     assert abs(st_ok.norm() - RT2) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_system_state_rejects_non_finite_amplitudes(bad, normalized):
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        qm.SystemState(np.array([bad, 0, 0, 0]), normalized=normalized)
+
+
+def test_state_and_operator_leave_caller_arrays_writable():
+    amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    mat = np.eye(4, dtype=complex)
+    state, op = qm.SystemState(amps), qm.SystemOperator(mat)
+    assert amps.flags.writeable and not state.amplitudes.flags.writeable
+    assert mat.flags.writeable and not op.matrix.flags.writeable
+    amps[0] = mat[0, 0] = 0.0
+    assert state.amplitudes[0] == op.matrix[0, 0] == 1.0
+
+
 # ------------------------------------------------------------ observables
 
 
@@ -418,6 +435,12 @@ def test_outcome_distribution_validation():
         qm.OutcomeDistribution((("a", 0.7), ("b", 0.7)), kind="unconditional")
     with pytest.raises(ValueError):
         qm.OutcomeDistribution((("a", -0.1), ("b", 1.1)), kind="unconditional")
+
+
+@pytest.mark.parametrize("probs", [(np.nan, 1.0), (0.5, np.nan), (np.nan, np.nan)])
+def test_outcome_distribution_rejects_nan(probs):
+    with pytest.raises(ValueError, match="probabilities"):
+        qm.OutcomeDistribution(tuple(zip("ab", probs)), kind="unconditional")
 
 
 def test_pre_post_pair_overlap_cache_checked():
