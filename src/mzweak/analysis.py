@@ -1,9 +1,12 @@
 """From raw scan counts to weak values with error bars.
 
-Pipeline: fit Gaussian profiles (variable projection, Golub & Pereyra 1973),
-bootstrap the profile centers by drawing one repeat per position (the 16^61
-construction, 10^4 draws by default), scale the target centers against the
-45 deg (zero) and 90 deg (unit) reference distributions,
+Pipeline: fit Gaussian profiles (moment-form variable projection, Golub &
+Pereyra 1973: each Gauss-Newton step on center and width comes from row
+sums, and a closed-form cost small enough to lose digits to cancellation is
+recomputed from the explicit residual), bootstrap the profile centers by
+drawing one repeat per position (the 16^61 construction, 10^4 draws by
+default), scale the target centers against the 45 deg (zero) and 90 deg
+(unit) reference distributions,
 
     w_i = (X_i - X0_i) / <X1 - X0>,
 
@@ -85,29 +88,39 @@ class WeakValueEstimate:
 
 _dot = functools.partial(np.einsum, "ij,ij->i")  # row-wise dot products
 
-
-def _centred(v):
-    return v - v.mean(axis=1)[:, None]
-
-
-def _basis(e):
-    """Centred basis e - <e> per row and its squared norm (inf if e is constant, so coefficients read 0)."""
-    ec = _centred(e)
-    see = _dot(ec, ec)
-    return ec, np.where(see > 0, see, np.inf)
+# a closed-form cost below this fraction of ||yc||^2 is recomputed from the
+# explicit residual: its cancellation error ~eps ||yc||^2 / cost stays ~2e-12
+_GUARD = 1e-4
 
 
-def _split(v, ec, see):
-    """Coefficient of the centred rows v on ec, and the rest of v, orthogonal to span{e, 1}."""
-    coef = _dot(ec, v) / see
-    return coef, v - coef[:, None] * ec
+def _sums(e, yc):
+    """Sum e, squared norm of e - <e> (inf if e is constant, so A reads 0) and <e, yc>, per row."""
+    se = e.sum(axis=1)
+    see = _dot(e, e) - se * se / e.shape[1]
+    return se, np.where(see > 0, see, np.inf), _dot(e, yc)
+
+
+def _cost(yc, ycn, e, se, see, eyc):
+    """Least-squares cost ||yc - A (e - <e>)||^2 = ||yc||^2 - <e, yc>^2 / see of
+    the centred rows yc; rows under the cancellation guard use the residual."""
+    cost = ycn - eyc * eyc / see
+    low = np.flatnonzero(cost < _GUARD * ycn)
+    if low.size:
+        r = yc[low] - (eyc[low] / see[low])[:, None] * (e[low] - (se[low] / e.shape[1])[:, None])
+        cost[low] = _dot(r, r)
+    return cost
 
 
 def _lm_gaussian_batch(u, profiles, max_iter=_MAX_ITER, ftol=_FTOL, gtol=_GTOL):
-    """Variable projection (Golub & Pereyra 1973) for a batch of profiles
-    A exp(-z^2/2) + b, z = (u - mu) / s: A and b are solved in closed form
-    for each (mu, s), and damped Gauss-Newton steps move (mu, s) alone. Rows
-    iterate in chunks of _CHUNK_ROWS to keep the working arrays in cache.
+    """Moment-form variable projection (Golub & Pereyra 1973) for a batch of
+    profiles A exp(-z^2/2) + b, z = (u - mu) / s: A and b are solved in closed
+    form for each (mu, s), and damped Gauss-Newton steps move (mu, s) alone.
+    Each step is built from row sums of e = exp(-z^2/2), e z and e z^2 against
+    each other and the centred profile; an accepted trial carries its sums,
+    so an iteration runs one exp. The closed-form cost ||yc||^2 - <e, yc>^2 / see
+    falls back to the explicit residual below _GUARD ||yc||^2, where its
+    cancellation would reach ftol. Rows are fitted in chunks of _CHUNK_ROWS,
+    each on its own arrays, to keep them in cache.
 
     Returns (params (B,4) = (A, mu, |s|, b), residual_norm (B,), converged (B,),
     n_iter (B,)). Rows without shape information (flat profiles) come back
@@ -118,6 +131,19 @@ def _lm_gaussian_batch(u, profiles, max_iter=_MAX_ITER, ftol=_FTOL, gtol=_GTOL):
     if u.size < 5:
         raise ValueError("need at least 5 points")
     nbatch = y.shape[0]
+    params = np.empty((nbatch, 4))
+    resnorm = np.empty(nbatch)
+    converged = np.zeros(nbatch, dtype=bool)
+    n_iter = np.zeros(nbatch, dtype=int)
+    for lo in range(0, nbatch, _CHUNK_ROWS):
+        sl = slice(lo, lo + _CHUNK_ROWS)
+        params[sl], resnorm[sl], converged[sl], n_iter[sl] = _fit_chunk(u, y[sl], max_iter, ftol, gtol)
+    return params, resnorm, converged, n_iter
+
+
+def _fit_chunk(u, y, max_iter, ftol, gtol):
+    """_lm_gaussian_batch on one chunk of rows."""
+    n = u.size
     # start from the moments above the row minimum: centroid and rms width
     w = y - y.min(axis=1)[:, None]
     sw = w.sum(axis=1)
@@ -128,56 +154,67 @@ def _lm_gaussian_batch(u, profiles, max_iter=_MAX_ITER, ftol=_FTOL, gtol=_GTOL):
     step = float(np.min(np.diff(u)))
     s = np.sqrt(np.maximum(var, (0.5 * step) ** 2))
     s_floor = 1e-3 * step
-    yc = _centred(y)
+    ybar = y.mean(axis=1)
+    yc = y - ybar[:, None]
+    ycn = _dot(yc, yc)
     e = np.exp(-0.5 * ((u - mu[:, None]) / s[:, None]) ** 2)
-    lam = np.full(nbatch, 1e-3)
-    converged = np.zeros(nbatch, dtype=bool)
-    n_iter = np.zeros(nbatch, dtype=int)
+    se, see, eyc = _sums(e, yc)
+    cost = _cost(yc, ycn, e, se, see, eyc)
+    lam = np.full(y.shape[0], 1e-3)
+    converged = np.zeros(y.shape[0], dtype=bool)
+    n_iter = np.zeros(y.shape[0], dtype=int)
 
-    for lo in range(0, nbatch, _CHUNK_ROWS):
-        for _ in range(max_iter):
-            idx = lo + np.flatnonzero((informative & ~converged)[lo:lo + _CHUNK_ROWS])
-            if idx.size == 0:
-                break
-            yi, ei, mi, si, li = yc[idx], e[idx], mu[idx], s[idx], lam[idx]
-            ec, see = _basis(ei)
-            amp, r = _split(yi, ec, see)
-            ci = _dot(r, r)
-            # Jacobian columns A e z / s (mu) and A e z^2 / s (s), projected
-            # off span{e, 1}: amplitude and offset follow (mu, s)
-            z = (u - mi[:, None]) / si[:, None]
-            g_mu = (amp / si)[:, None] * ei * z
-            p_mu, p_s = _split(_centred(g_mu), ec, see)[1], _split(_centred(g_mu * z), ec, see)[1]
-            grad_mu, grad_s = _dot(p_mu, r), _dot(p_s, r)
-            gsmall = np.maximum(np.abs(grad_mu), np.abs(grad_s)) < gtol
+    for _ in range(max_iter):
+        idx = np.flatnonzero(informative & ~converged)
+        if idx.size == 0:
+            break
+        yi, ei, mi, si, li, ci = yc[idx], e[idx], mu[idx], s[idx], lam[idx], cost[idx]
+        sei, seei, amp = se[idx], see[idx], eyc[idx] / see[idx]
+        # Jacobian columns A e z / s (mu) and A e z^2 / s (s), projected off
+        # span{e, 1}; the residual is orthogonal to that span, so each
+        # gradient is <column, yc> - A <column, e - <e>>
+        z = (u - mi[:, None]) / si[:, None]
+        ez = ei * z
+        ez2 = ez * z
+        s1, s2 = ez.sum(axis=1), ez2.sum(axis=1)
+        q2 = _dot(ez, ez)  # <ez, ez> = <e, ez^2>
+        c1 = _dot(ei, ez) - sei * s1 / n
+        c2 = q2 - sei * s2 / n
+        f = amp / si
+        grad_mu = f * (_dot(ez, yi) - amp * c1)
+        grad_s = f * (_dot(ez2, yi) - amp * c2)
+        gsmall = np.maximum(np.abs(grad_mu), np.abs(grad_s)) < gtol
 
-            # damped 2x2 normal equations (H + lam diag H + 1e-12) delta = grad
-            h_mm = _dot(p_mu, p_mu) * (1.0 + li) + 1e-12
-            h_ss = _dot(p_s, p_s) * (1.0 + li) + 1e-12
-            h_ms = _dot(p_mu, p_s)
-            det = h_mm * h_ss - h_ms * h_ms
-            mu_t = mi + (h_ss * grad_mu - h_ms * grad_s) / det
-            s_t = si + (h_mm * grad_s - h_ms * grad_mu) / det
-            s_t = np.copysign(np.maximum(np.abs(s_t), s_floor), s_t)
-            e_t = np.exp(-0.5 * ((u - mu_t[:, None]) / s_t[:, None]) ** 2)
-            r_t = _split(yi, *_basis(e_t))[1]
-            cost_t = _dot(r_t, r_t)
+        # projected Gram H_ab = (A/s)^2 (<a, b> - sum a sum b / n - c_a c_b / see);
+        # damped 2x2 normal equations (H + lam diag H + 1e-12) delta = grad
+        f2 = f * f
+        h_mm = f2 * (q2 - s1 * s1 / n - c1 * c1 / seei) * (1.0 + li) + 1e-12
+        h_ss = f2 * (_dot(ez2, ez2) - s2 * s2 / n - c2 * c2 / seei) * (1.0 + li) + 1e-12
+        h_ms = f2 * (_dot(ez, ez2) - s1 * s2 / n - c1 * c2 / seei)
+        det = h_mm * h_ss - h_ms * h_ms
+        mu_t = mi + (h_ss * grad_mu - h_ms * grad_s) / det
+        s_t = si + (h_mm * grad_s - h_ms * grad_mu) / det
+        s_t = np.copysign(np.maximum(np.abs(s_t), s_floor), s_t)
+        e_t = np.exp(-0.5 * ((u - mu_t[:, None]) / s_t[:, None]) ** 2)
+        se_t, see_t, eyc_t = _sums(e_t, yi)
+        cost_t = _cost(yi, ycn[idx], e_t, se_t, see_t, eyc_t)
 
-            stepped = ~gsmall
-            better = stepped & (cost_t < ci)
-            done = gsmall | better & ((ci - cost_t) / np.maximum(cost_t, 1e-300) < ftol)
-            # a rejected step that leaves the cost unchanged within ftol has
-            # stalled at the minimum: the fit is done, not failed
-            done |= stepped & ~better & (np.abs(cost_t - ci) <= ftol * ci)
-            acc = idx[better]
-            e[acc], mu[acc], s[acc] = e_t[better], mu_t[better], s_t[better]
-            lam[idx] = np.where(better, np.maximum(li / 3.0, 1e-12), np.minimum(li * 2.0, 1e12))
-            converged[idx] |= done
-            n_iter[idx] += stepped
+        stepped = ~gsmall
+        better = stepped & (cost_t < ci)
+        done = gsmall | better & ((ci - cost_t) / np.maximum(cost_t, 1e-300) < ftol)
+        # a rejected step that leaves the cost unchanged within ftol has
+        # stalled at the minimum: the fit is done, not failed
+        done |= stepped & ~better & (np.abs(cost_t - ci) <= ftol * ci)
+        acc = idx[better]
+        e[acc], mu[acc], s[acc] = e_t[better], mu_t[better], s_t[better]
+        se[acc], see[acc], eyc[acc], cost[acc] = se_t[better], see_t[better], eyc_t[better], cost_t[better]
+        lam[idx] = np.where(better, np.maximum(li / 3.0, 1e-12), np.minimum(li * 2.0, 1e12))
+        converged[idx] |= done
+        n_iter[idx] += stepped
 
-    amp, r = _split(yc, *_basis(e))
-    params = np.stack([amp, mu, np.abs(s), y.mean(axis=1) - amp * e.mean(axis=1)], axis=1)
-    return params, np.sqrt(_dot(r, r)), converged, n_iter
+    amp = eyc / see
+    params = np.stack([amp, mu, np.abs(s), ybar - amp * se / n], axis=1)
+    return params, np.sqrt(cost), converged, n_iter
 
 
 def fit_gaussian(positions, counts, max_iter: int = _MAX_ITER, raise_on_failure: bool = True) -> FitResult:

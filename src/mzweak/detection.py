@@ -29,12 +29,19 @@ from .errors import ZeroDenominator
 from .pointer import BranchState, Branch, DEFAULT_SIGMA_UM, windowed_intensity
 
 
-def _require_finite(obj, *names) -> None:
-    """Raise ValueError naming the first field that is neither None nor finite."""
+def _require_finite(obj, *names, integer=False) -> None:
+    """Raise ValueError naming the first field that is neither None nor finite;
+    with ``integer``, also one that is not a whole number, and store each as int."""
     for name in names:
         value = getattr(obj, name)
-        if value is not None and not math.isfinite(value):
+        if value is None:
+            continue
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+        if integer:
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(obj, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,8 @@ class ScanConfig:
     dwell: float = 1.0
 
     def __post_init__(self):
-        _require_finite(self, "start", "step", "fiber_core", "mean_rate")
+        _require_finite(self, "start", "step", "theta", "fiber_core", "mean_rate")
+        _require_finite(self, "n_points", "repeats", integer=True)
         if not self.step > 0:
             raise ValueError("step must be > 0")
         if self.n_points < 3:
@@ -307,6 +315,7 @@ class SourceModel:
 
     def __post_init__(self):
         _require_finite(self, "pair_rate")
+        _require_finite(self, "n_windows", integer=True)
         if self.pair_rate < 0:
             raise ValueError("pair_rate must be >= 0")
         if not 0 <= self.heralding_efficiency <= 1:

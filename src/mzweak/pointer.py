@@ -76,8 +76,10 @@ class GaussianMode:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not math.isfinite(self.center):
+            raise ValueError("center must be finite")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
     def amplitude(self, u):
         return gaussian_amplitude(u, self.center, self.sigma)
@@ -160,8 +162,8 @@ class CouplerSpec:
             raise ValueError(f"kind must be 'spatial' or 'diagonal', got {self.kind!r}")
         if self.arm not in ARM_INDICES:
             raise ValueError(f"arm must be 'A' or 'B', got {self.arm!r}")
-        if not self.g >= 0:
-            raise ValueError("g must be non-negative")
+        if not 0 <= self.g < math.inf:
+            raise ValueError("g must be non-negative and finite")
 
     @property
     def axis(self) -> str:

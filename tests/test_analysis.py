@@ -126,21 +126,38 @@ def test_fit_center_error_scale_poisson_profile():
     assert 1.0 < scatter < 10.0
 
 
-def poisson_profiles(n, seed):
+def gaussian_rows(params):
+    """Rows A exp(-(u - mu)^2 / (2 s^2)) + b on GRID for params rows (A, mu, s, b)."""
+    amp, center, width, offset = (params[:, k:k + 1] for k in range(4))
+    return amp * np.exp(-((GRID - center) ** 2) / (2 * width**2)) + offset
+
+
+def poisson_profiles(n, seed, amplitude=(100, 5000)):
     """Seeded Poisson profiles over the paper's parameter ranges, and their truth."""
     rng = np.random.default_rng(seed)
     truth = np.stack(
-        [rng.uniform(100, 5000, n), rng.uniform(-200, 200, n), rng.uniform(250, 650, n), rng.uniform(0, 50, n)],
+        [rng.uniform(*amplitude, n), rng.uniform(-200, 200, n), rng.uniform(250, 650, n), rng.uniform(0, 50, n)],
         axis=1,
     )
-    amp, center, width, offset = (truth[:, k:k + 1] for k in range(4))
-    return rng.poisson(amp * np.exp(-((GRID - center) ** 2) / (2 * width**2)) + offset).astype(float), truth
+    return rng.poisson(gaussian_rows(truth)).astype(float), truth
 
 
-def test_fit_matches_least_squares_oracle():
+def noise_free_profiles(n, seed):
+    """Exact profiles at bootstrap (1e3) and drift-run (2e4) amplitudes, and their truth.
+
+    Their least-squares cost is at the rounding level, so the closed-form
+    cost ||yc||^2 - <e, yc>^2 / see cancels completely on them."""
+    rng = np.random.default_rng(seed)
+    truth = np.stack(
+        [rng.choice([1e3, 2e4], n), rng.uniform(-200, 200, n), rng.uniform(300, 600, n), np.full(n, 10.0)],
+        axis=1,
+    )
+    return gaussian_rows(truth), truth
+
+
+def assert_matches_least_squares_oracle(profiles, truth):
     from scipy.optimize import least_squares
 
-    profiles, truth = poisson_profiles(150, seed=12)
     params, resnorm, converged, _ = ana._lm_gaussian_batch(GRID, profiles)
     assert converged.all()
 
@@ -151,6 +168,34 @@ def test_fit_matches_least_squares_oracle():
         oracle = least_squares(residual, truth[row], args=(y,), method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
         assert abs(params[row, 1] - oracle.x[1]) < 1e-4
         assert resnorm[row] ** 2 <= (1 + 1e-9) * np.sum(oracle.fun**2)
+
+
+def test_fit_matches_least_squares_oracle():
+    assert_matches_least_squares_oracle(*poisson_profiles(150, seed=12))
+
+
+def test_fit_matches_least_squares_oracle_at_drift_rates():
+    # peak ~2e4 counts as in the drift run: 10 of these 50 fits end with
+    # cost / ||yc||^2 under the closed-form cost's cancellation guard
+    assert_matches_least_squares_oracle(*poisson_profiles(50, seed=15, amplitude=(1.5e4, 2.5e4)))
+
+
+def test_fit_noise_free_profiles_converge_fast_and_exactly():
+    profiles, truth = noise_free_profiles(50, seed=16)
+    params, _, converged, n_iter = ana._lm_gaussian_batch(GRID, profiles)
+    assert converged.all()
+    assert n_iter.max() <= 6
+    assert np.abs(params[:, 1] - truth[:, 1]).max() < 1e-9
+
+
+def test_fit_residual_norm_is_explicit_residual():
+    # noise-free rows have rounding-level residuals, hence the absolute floor
+    for profiles in (noise_free_profiles(50, seed=16)[0], poisson_profiles(200, seed=17)[0],
+                     poisson_profiles(50, seed=15, amplitude=(1.5e4, 2.5e4))[0]):
+        params, resnorm, _, _ = ana._lm_gaussian_batch(GRID, profiles)
+        explicit = np.linalg.norm(profiles - gaussian_rows(params), axis=1)
+        floor = 1e-12 * np.linalg.norm(profiles, axis=1)
+        assert np.all(np.abs(resnorm - explicit) <= 1e-8 * explicit + floor)
 
 
 def test_fit_rows_do_not_depend_on_chunking():

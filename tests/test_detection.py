@@ -276,10 +276,26 @@ def test_scan_record_copies_caller_arrays():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("field", ["start", "step", "fiber_core", "mean_rate"])
+@pytest.mark.parametrize("field", ["start", "step", "fiber_core", "mean_rate", "theta", "n_points", "repeats"])
 def test_scan_config_rejects_non_finite(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         det.ScanConfig(**{field: bad})
+
+
+@pytest.mark.parametrize(
+    "model,field,bad",
+    [(det.ScanConfig, "n_points", 60.5), (det.ScanConfig, "repeats", 2.5), (det.SourceModel, "n_windows", 1e5 + 0.5)],
+)
+def test_count_fields_reject_fractions(model, field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        model(**{field: bad})
+
+
+def test_scan_config_stores_whole_counts_as_int():
+    cfg = det.ScanConfig(n_points=61.0, repeats=np.int64(2))
+    assert type(cfg.n_points) is int and type(cfg.repeats) is int
+    rec = det.simulate_scan(det.single_beam_state(SIGMA), cfg, "x", det.DriftModel(), seed=1)
+    assert rec.counts.shape == (61, 2)
 
 
 def test_scan_config_validation():
@@ -413,7 +429,7 @@ def test_source_model_validation():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("field", ["pair_rate"])
+@pytest.mark.parametrize("field", ["pair_rate", "n_windows"])
 def test_source_model_rejects_non_finite(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         det.SourceModel(**{field: bad})

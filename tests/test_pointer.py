@@ -66,8 +66,11 @@ def test_first_moment_matches_quadrature(a, b, sigma):
 
 
 def test_gaussian_mode_validation():
-    with pytest.raises(ValueError):
-        ptr.GaussianMode(0.0, -1.0)
+    for sigma in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            ptr.GaussianMode(0.0, sigma)
+    with pytest.raises(ValueError, match="center must be finite"):
+        ptr.GaussianMode(np.nan, 1.0)
 
 
 # --------------------------------------------------------------- couplers
@@ -107,8 +110,10 @@ def test_coupler_spec_validation_and_weak_flag():
         ptr.CouplerSpec("spatial", "C", 1.0)
     with pytest.raises(ValueError):
         ptr.CouplerSpec("other", "A", 1.0)
-    with pytest.raises(ValueError):
-        ptr.CouplerSpec("spatial", "A", -1.0)
+    # an infinite g used to fail only later, in BranchState, without naming g
+    for g in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="g must be non-negative and finite"):
+            ptr.CouplerSpec("spatial", "A", g)
     assert ptr.CouplerSpec("spatial", "A", 50.0).is_weak(475.0)
     assert not ptr.CouplerSpec("spatial", "A", 200.0).is_weak(475.0)
 
