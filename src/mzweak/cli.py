@@ -174,6 +174,8 @@ def cmd_analyze(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     for axis in ("x", "y"):
         ref0 = dists[(45.0, axis)]
         ref1 = dists[(90.0, axis)]
+        # first, so coinciding references raise ZeroScale (exit 4) before systematic_band rejects scale 0
+        draws[axis] = ana.weak_value_draws(dists[(target, axis)], ref0, ref1)
         scale = abs(ana.reference_scale(ref0, ref1))
         drift_records = det.simulate_drift_run(
             config.drift_scan_config(),
@@ -185,7 +187,6 @@ def cmd_analyze(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         )
         band = ana.systematic_band(drift_records, scale)
         estimates[axis] = ana.weak_value_estimate(dists[(target, axis)], ref0, ref1, sys_band=band)
-        draws[axis] = ana.weak_value_draws(dists[(target, axis)], ref0, ref1)
 
     ana.export_results(out_dir, estimates, distributions, draws, config.seed, n_boot, target)
     for axis in ("x", "y"):

@@ -6,13 +6,21 @@ in 50 um steps, 16 repeats at the target angle and 3 at the references,
 10^4 bootstrap draws, plus the calibrated drift walk for the systematic
 band. Unknown keys, wrong types and out-of-range values are startup errors
 naming the offending key.
+
+This module checks what only the JSON document shows: its shape, unknown
+keys, number types, finiteness, whole counts, and the ranges of the keys no
+model owns. Every other ``scan``, ``drift`` and ``source`` value is
+range-checked by the model it builds (``ScanConfig``, ``DriftModel``,
+``SourceModel``): ``from_dict`` builds each model a command asks for and
+reports a failure under its JSON key. The ``scan`` and ``source`` defaults
+are the model field defaults.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .detection import DriftModel, ScanConfig, SourceModel
@@ -24,6 +32,11 @@ from .errors import ConfigError
 CALIBRATED_STEP_SIGMA_X = 1.02
 CALIBRATED_STEP_SIGMA_Y = 1.21
 
+
+def _field_defaults(model, *skip) -> dict:
+    return {f.name: f.default for f in fields(model) if f.name not in skip}
+
+
 DEFAULTS = {
     "theta_list": [0.0, 45.0, 90.0],
     "target_theta": 0.0,
@@ -32,16 +45,7 @@ DEFAULTS = {
     "sigma": 475.0,
     "arm_phase": 0.0,
     "blocked_arm": None,
-    "scan": {
-        "start": None,
-        "step": 50.0,
-        "n_points": 61,
-        "repeats": 16,
-        "reference_repeats": 3,
-        "fiber_core": 50.0,
-        "mean_rate": 1000.0,
-        "dwell": 1.0,
-    },
+    "scan": _field_defaults(ScanConfig, "theta") | {"reference_repeats": 3},
     "drift": {
         "kind": "random-walk",
         "step_sigma_x": CALIBRATED_STEP_SIGMA_X,
@@ -51,20 +55,18 @@ DEFAULTS = {
         "mean_rate": 20000.0,
         "apply_to_scans": False,
     },
-    "source": {
-        "pair_rate": 0.05,
-        "multi_pair_prob": 0.0007,
-        "heralding_efficiency": 0.6,
-        "split_ratio": 0.5,
-        "n_windows": 1_000_000,
-        "window": 312.5e-12,
-    },
+    "source": _field_defaults(SourceModel),
     "analysis": {
         "n_bootstrap": 10_000,
     },
     "seed": 20260809,
     "output_dir": "runs",
 }
+
+# Section values that may be null: a centered grid, the coherent source.
+_NULLABLE = ("scan.start", "source.multi_pair_prob")
+# Lower bounds of the section keys that no model owns.
+_MINIMUM = {"scan.reference_repeats": 1, "drift.n_profiles": 10, "analysis.n_bootstrap": 1}
 
 
 def _type_name(v):
@@ -76,46 +78,63 @@ def _require(cond, key, message):
         raise ConfigError(f"{key}: {message}")
 
 
-def _check_number(value, key, *, minimum=None, maximum=None, integer=False, exclusive_min=False):
+def _check_number(value, key, *, minimum=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {_type_name(value)}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    # NaN, the infinities and JSON integers beyond the float range
+    _require(abs(value) <= sys.float_info.max, key, f"expected a finite number, got {value!r}")
     if integer and not float(value).is_integer():
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
     if minimum is not None:
-        if exclusive_min:
-            _require(value > minimum, key, f"must be > {minimum}")
-        else:
-            _require(value >= minimum, key, f"must be >= {minimum}")
-    if maximum is not None:
-        _require(value <= maximum, key, f"must be <= {maximum}")
+        _require(value >= minimum, key, f"must be >= {minimum}")
     return int(value) if integer else float(value)
 
 
-def _merge_section(defaults: dict, given, key: str) -> dict:
+def _section(raw: dict, name: str) -> dict:
+    """One section merged over its defaults. Each number is checked and stored
+    as the type of its default (int for counts, float otherwise); the ranges
+    of model fields, and ``drift.kind``, are left to the model."""
+    given = raw.get(name)
     if given is None:
-        return dict(defaults)
+        given = {}
     if not isinstance(given, dict):
-        raise ConfigError(f"{key}: expected an object, got {_type_name(given)}")
-    unknown = set(given) - set(defaults)
+        raise ConfigError(f"{name}: expected an object, got {_type_name(given)}")
+    unknown = set(given) - set(DEFAULTS[name])
     if unknown:
-        raise ConfigError(f"{key}.{sorted(unknown)[0]}: unknown key")
-    merged = dict(defaults)
-    merged.update(given)
-    return merged
+        raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown key")
+    section = DEFAULTS[name] | given
+    for key, default in DEFAULTS[name].items():
+        value, path = section[key], f"{name}.{key}"
+        if isinstance(default, bool):
+            _require(isinstance(value, bool), path, "expected true or false")
+        elif not isinstance(default, str) and not (value is None and path in _NULLABLE):
+            section[key] = _check_number(value, path, minimum=_MINIMUM.get(path), integer=isinstance(default, int))
+    return section
+
+
+def _build(build, section: str, **renamed):
+    """Call ``build`` to construct a model. Its ValueError, whose message
+    starts with the name of a model field, becomes a ConfigError that starts
+    with the JSON key: ``section.field``, or ``renamed[field]``."""
+    try:
+        build()
+    except ValueError as exc:
+        field, _, message = str(exc).partition(" ")
+        raise ConfigError(f"{renamed.get(field, f'{section}.{field}')}: {message}") from None
 
 
 def read_json(path):
     """The parsed JSON document of a config file, not yet validated."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config ({exc})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an integer literal longer than Python converts
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -152,60 +171,18 @@ class ExperimentConfig:
         target_theta = _check_number(raw.get("target_theta", DEFAULTS["target_theta"]), "target_theta")
         g_x = _check_number(raw.get("g_x", DEFAULTS["g_x"]), "g_x", minimum=0.0)
         g_y = _check_number(raw.get("g_y", DEFAULTS["g_y"]), "g_y", minimum=0.0)
-        sigma = _check_number(raw.get("sigma", DEFAULTS["sigma"]), "sigma", minimum=0.0, exclusive_min=True)
+        sigma = _check_number(raw.get("sigma", DEFAULTS["sigma"]), "sigma")
+        _require(sigma > 0, "sigma", "must be > 0")
         arm_phase = _check_number(raw.get("arm_phase", DEFAULTS["arm_phase"]), "arm_phase")
         blocked = raw.get("blocked_arm", DEFAULTS["blocked_arm"])
         if blocked is not None and blocked not in ("A", "B"):
             raise ConfigError(f"blocked_arm: expected null, 'A' or 'B', got {blocked!r}")
-
-        scan = _merge_section(DEFAULTS["scan"], raw.get("scan"), "scan")
-        if scan["start"] is not None:
-            scan["start"] = _check_number(scan["start"], "scan.start")
-        scan["step"] = _check_number(scan["step"], "scan.step", minimum=0.0, exclusive_min=True)
-        scan["n_points"] = _check_number(scan["n_points"], "scan.n_points", minimum=3, integer=True)
-        scan["repeats"] = _check_number(scan["repeats"], "scan.repeats", minimum=1, integer=True)
-        scan["reference_repeats"] = _check_number(
-            scan["reference_repeats"], "scan.reference_repeats", minimum=1, integer=True
-        )
-        scan["fiber_core"] = _check_number(scan["fiber_core"], "scan.fiber_core", minimum=0.0, exclusive_min=True)
-        scan["mean_rate"] = _check_number(scan["mean_rate"], "scan.mean_rate", minimum=0.0)
-        scan["dwell"] = _check_number(scan["dwell"], "scan.dwell", minimum=0.0, exclusive_min=True)
-
-        drift = _merge_section(DEFAULTS["drift"], raw.get("drift"), "drift")
-        if drift["kind"] not in ("none", "random-walk"):
-            raise ConfigError(f"drift.kind: expected 'none' or 'random-walk', got {drift['kind']!r}")
-        drift["step_sigma_x"] = _check_number(drift["step_sigma_x"], "drift.step_sigma_x", minimum=0.0)
-        drift["step_sigma_y"] = _check_number(drift["step_sigma_y"], "drift.step_sigma_y", minimum=0.0)
-        drift["initial_offset"] = _check_number(drift["initial_offset"], "drift.initial_offset")
-        drift["n_profiles"] = _check_number(drift["n_profiles"], "drift.n_profiles", minimum=10, integer=True)
-        drift["mean_rate"] = _check_number(drift["mean_rate"], "drift.mean_rate", minimum=0.0)
-        if not isinstance(drift["apply_to_scans"], bool):
-            raise ConfigError("drift.apply_to_scans: expected true or false")
-
-        source = _merge_section(DEFAULTS["source"], raw.get("source"), "source")
-        source["pair_rate"] = _check_number(source["pair_rate"], "source.pair_rate", minimum=0.0)
-        if source["multi_pair_prob"] is not None:
-            source["multi_pair_prob"] = _check_number(
-                source["multi_pair_prob"], "source.multi_pair_prob", minimum=0.0, maximum=1.0
-            )
-        source["heralding_efficiency"] = _check_number(
-            source["heralding_efficiency"], "source.heralding_efficiency", minimum=0.0, maximum=1.0
-        )
-        source["split_ratio"] = _check_number(source["split_ratio"], "source.split_ratio", minimum=0.0, maximum=1.0)
-        source["n_windows"] = _check_number(source["n_windows"], "source.n_windows", minimum=1, integer=True)
-        source["window"] = _check_number(source["window"], "source.window", minimum=0.0, exclusive_min=True)
-
-        analysis = _merge_section(DEFAULTS["analysis"], raw.get("analysis"), "analysis")
-        analysis["n_bootstrap"] = _check_number(
-            analysis["n_bootstrap"], "analysis.n_bootstrap", minimum=1, integer=True
-        )
-
         seed = _check_number(raw.get("seed", DEFAULTS["seed"]), "seed", minimum=0, integer=True)
         output_dir = raw.get("output_dir", DEFAULTS["output_dir"])
         if not isinstance(output_dir, str):
             raise ConfigError(f"output_dir: expected a string, got {_type_name(output_dir)}")
 
-        return cls(
+        config = cls(
             theta_list=theta_list,
             target_theta=target_theta,
             g_x=g_x,
@@ -213,13 +190,19 @@ class ExperimentConfig:
             sigma=sigma,
             arm_phase=arm_phase,
             blocked_arm=blocked,
-            scan=scan,
-            drift=drift,
-            source=source,
-            analysis=analysis,
+            scan=_section(raw, "scan"),
+            drift=_section(raw, "drift"),
+            source=_section(raw, "source"),
+            analysis=_section(raw, "analysis"),
             seed=seed,
             output_dir=output_dir,
         )
+        _build(lambda: config.scan_config(target_theta), "scan")
+        _build(config.drift_scan_config, "scan", mean_rate="drift.mean_rate")
+        for axis in ("x", "y"):
+            _build(lambda: config.drift_model(axis), "drift", step_sigma=f"drift.step_sigma_{axis}")
+        _build(config.source_model, "source")
+        return config
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -227,17 +210,11 @@ class ExperimentConfig:
 
     def scan_config(self, theta: float) -> ScanConfig:
         """ScanConfig for one post-selection angle (target vs reference repeats)."""
-        repeats = self.scan["repeats"] if theta == self.target_theta else self.scan["reference_repeats"]
-        return ScanConfig(
-            start=self.scan["start"],
-            step=self.scan["step"],
-            n_points=self.scan["n_points"],
-            repeats=repeats,
-            theta=theta,
-            fiber_core=self.scan["fiber_core"],
-            mean_rate=self.scan["mean_rate"],
-            dwell=self.scan["dwell"],
-        )
+        scan = dict(self.scan, theta=theta)
+        reference_repeats = scan.pop("reference_repeats")
+        if theta != self.target_theta:
+            scan["repeats"] = reference_repeats
+        return ScanConfig(**scan)
 
     def scan_drift_model(self, axis: str) -> DriftModel:
         """Drift applied to ordinary scans (none unless configured)."""
@@ -256,23 +233,7 @@ class ExperimentConfig:
 
     def drift_scan_config(self) -> ScanConfig:
         """Scan geometry of the drift run (single repeat, boosted rate)."""
-        return ScanConfig(
-            start=self.scan["start"],
-            step=self.scan["step"],
-            n_points=self.scan["n_points"],
-            repeats=1,
-            theta=self.target_theta,
-            fiber_core=self.scan["fiber_core"],
-            mean_rate=self.drift["mean_rate"],
-            dwell=self.scan["dwell"],
-        )
+        return replace(self.scan_config(self.target_theta), repeats=1, mean_rate=self.drift["mean_rate"])
 
     def source_model(self) -> SourceModel:
-        return SourceModel(
-            pair_rate=self.source["pair_rate"],
-            multi_pair_prob=self.source["multi_pair_prob"],
-            heralding_efficiency=self.source["heralding_efficiency"],
-            split_ratio=self.source["split_ratio"],
-            n_windows=self.source["n_windows"],
-            window=self.source["window"],
-        )
+        return SourceModel(**self.source)

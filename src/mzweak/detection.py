@@ -44,6 +44,10 @@ def _require_finite(obj, *names, integer=False) -> None:
             object.__setattr__(obj, name, int(value))
 
 
+# Largest mean count drawn: numpy's Poisson sampler takes means up to about 9.2e18.
+_MAX_POISSON_MEAN = 1e18
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Geometry and statistics of one fiber scan.
@@ -64,20 +68,25 @@ class ScanConfig:
     dwell: float = 1.0
 
     def __post_init__(self):
-        _require_finite(self, "start", "step", "theta", "fiber_core", "mean_rate")
+        _require_finite(self, "start", "step", "theta", "fiber_core", "mean_rate", "dwell")
         _require_finite(self, "n_points", "repeats", integer=True)
         if not self.step > 0:
             raise ValueError("step must be > 0")
-        if self.n_points < 3:
-            raise ValueError("n_points must be >= 3")
+        if self.n_points < 5:
+            raise ValueError("n_points must be >= 5, one more than the 4 parameters of the profile fit")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if not self.fiber_core > 0:
             raise ValueError("fiber_core must be > 0")
-        if self.mean_rate < 0:
-            raise ValueError("mean_rate must be >= 0")
+        if not 0 <= self.mean_rate <= _MAX_POISSON_MEAN:
+            raise ValueError(f"mean_rate must be in [0, {_MAX_POISSON_MEAN:g}]")
+        if not self.dwell > 0:
+            raise ValueError("dwell must be > 0")
         if self.start is None:
             object.__setattr__(self, "start", -0.5 * self.step * (self.n_points - 1))
+        # float64 rounding of the positions then stays < 1.3e-10 step, below the 1e-9 step load_csv allows
+        if not 1e-5 * max(abs(self.start), abs(self.start + self.step * (self.n_points - 1))) <= self.step:
+            raise ValueError("step must be at least 1e-5 of the largest |position|, for a finite, evenly spaced grid")
 
     @property
     def positions(self) -> np.ndarray:
@@ -314,23 +323,27 @@ class SourceModel:
     window: float = 312.5e-12
 
     def __post_init__(self):
-        _require_finite(self, "pair_rate")
+        _require_finite(self, "pair_rate", "window")
         _require_finite(self, "n_windows", integer=True)
-        if self.pair_rate < 0:
-            raise ValueError("pair_rate must be >= 0")
+        if not 0 <= self.pair_rate <= _MAX_POISSON_MEAN:
+            raise ValueError(f"pair_rate must be in [0, {_MAX_POISSON_MEAN:g}]")
         if not 0 <= self.heralding_efficiency <= 1:
             raise ValueError("heralding_efficiency must be in [0, 1]")
         if not 0 <= self.split_ratio <= 1:
             raise ValueError("split_ratio must be in [0, 1]")
         if self.n_windows < 1:
             raise ValueError("n_windows must be >= 1")
+        if not self.window > 0:
+            raise ValueError("window must be > 0")
         if self.multi_pair_prob is not None:
             p2 = self.multi_pair_prob
             p1 = self.pair_rate - 2.0 * p2
             if not 0 <= p2 <= 1:
                 raise ValueError("multi_pair_prob must be in [0, 1]")
             if p1 < 0 or p1 + p2 > 1:
-                raise ValueError("pair_rate and multi_pair_prob give no valid pair distribution")
+                raise ValueError(
+                    f"pair_rate must be in [2 * multi_pair_prob, 1 + multi_pair_prob] = [{2 * p2:g}, {1 + p2:g}]"
+                )
 
 
 @dataclass(frozen=True)

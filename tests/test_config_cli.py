@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mzweak
 from mzweak.cli import main, scan_filename
 from mzweak.config import DEFAULTS, ExperimentConfig
+from mzweak.detection import ScanConfig, SourceModel
 from mzweak.errors import ConfigError
 
 SMALL = {
@@ -108,12 +110,53 @@ def test_config_file_parse_error(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         ExperimentConfig.from_file(bad)
+    bad.write_text('{"seed": ' + "1" * 5000 + "}")  # beyond Python's int conversion limit
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        ExperimentConfig.from_file(bad)
+    bad.write_bytes(b'{"output_dir": "\xff"}')
+    with pytest.raises(ConfigError, match="cannot read config"):
+        ExperimentConfig.from_file(bad)
 
 
 def test_defaults_document_complete():
     # every DEFAULTS key round-trips through a full parse
     config = ExperimentConfig.from_dict(json.loads(json.dumps(DEFAULTS)))
     assert config.seed == DEFAULTS["seed"]
+    # the scan and source defaults are the model defaults, kept once
+    assert config.scan_config(0.0) == ScanConfig()
+    assert config.source_model() == SourceModel()
+
+
+# JSON values of every type, including 0, negatives, NaN, huge numbers, and
+# integers where floats are expected
+_JSON_VALUES = st.one_of(
+    st.sampled_from([None, True, "none", "random-walk", "brownian"]),
+    st.integers(-3, 70),
+    st.integers(-(10**400), 10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 2.0),
+    st.sampled_from([0.0, -0.0, 1e-300, 0.5, 1.0, 50.0, 1e18, 1e19, 1e307]),
+)
+
+
+def _section_values(name):
+    return st.dictionaries(st.sampled_from(sorted(DEFAULTS[name])), _JSON_VALUES, max_size=2)
+
+
+@settings(max_examples=200)
+@given(_section_values("scan"), _section_values("drift"), _section_values("source"))
+def test_config_that_loads_builds_every_model(scan, drift, source):
+    try:
+        config = ExperimentConfig.from_dict({"scan": scan, "drift": drift, "source": source})
+    except ConfigError:
+        return
+    for theta in (0.0, 45.0, 90.0):
+        config.scan_config(theta)
+    config.drift_scan_config()
+    for axis in ("x", "y"):
+        config.drift_model(axis)
+        config.scan_drift_model(axis)
+    config.source_model()
 
 
 # --------------------------------------------------------------------- cli
@@ -196,6 +239,17 @@ def test_cli_analyze_damaged_scan_is_unreadable_input(tmp_path, capsys, cut):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith(f"unreadable input: {path}") and err.count("\n") == 1
+
+
+def test_cli_analyze_coinciding_references_is_numerical_failure(tmp_path, capsys):
+    # a 1e19 um step leaves the whole beam on one position: every fitted center
+    # is the same, so the reference scale is exactly 0
+    cfg = write_config(tmp_path, dict(SMALL, scan=dict(SMALL["scan"], step=1e19)))
+    out = tmp_path / "run"
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "simulate"]) == 0
+    capsys.readouterr()
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "analyze"]) == 4
+    assert capsys.readouterr().err.startswith("numerical failure: |<X1 - X0>| = 0 um")
 
 
 def test_cli_simulate_then_analyze(tmp_path):
@@ -290,15 +344,27 @@ def test_cli_bad_config_exit_code(tmp_path):
         ({"seed": -3}, [], "seed"),
         ({"theta_list": [0.0, float("nan")]}, [], "theta_list"),
         ({"seed": 5}, ["--seed", "-2"], "seed"),
+        ({"source": {"pair_rate": 0.001}}, [], "source.pair_rate"),
+        ({"scan": {"n_points": 4}}, [], "scan.n_points"),
+        ({"scan": {"dwell": 0}}, [], "scan.dwell"),
+        ({"source": {"window": -1}}, [], "source.window"),
+        ({"drift": {"step_sigma_y": -1}}, [], "drift.step_sigma_y"),
+        ({"drift": {"mean_rate": -1}}, [], "drift.mean_rate"),
+        ({"scan": {"reference_repeats": 0}}, [], "scan.reference_repeats"),
+        ({"scan": {"step": 1e307}}, [], "scan.step"),
+        ({"scan": {"mean_rate": 1e19}}, [], "scan.mean_rate"),
     ],
 )
 def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, doc, flags, key):
-    # file values and command-line overrides go through one validation
+    # file values and command-line overrides go through one validation, at
+    # load: every command stops on it before writing anything
     out = tmp_path / "out"
     config = [] if doc is None else ["--config", write_config(tmp_path, doc)]
-    assert main(["--quiet", *config, "--out", str(out), *flags, "simulate"]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {key}")
-    assert not out.exists()
+    for command in ("simulate", "analyze", "g2"):
+        assert main(["--quiet", *config, "--out", str(out), *flags, command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_cli_override_replaces_bad_file_seed(tmp_path):

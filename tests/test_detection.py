@@ -276,7 +276,7 @@ def test_scan_record_copies_caller_arrays():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("field", ["start", "step", "fiber_core", "mean_rate", "theta", "n_points", "repeats"])
+@pytest.mark.parametrize("field", ["start", "step", "fiber_core", "mean_rate", "theta", "n_points", "repeats", "dwell"])
 def test_scan_config_rejects_non_finite(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         det.ScanConfig(**{field: bad})
@@ -307,6 +307,15 @@ def test_scan_config_validation():
         det.ScanConfig(repeats=0)
     with pytest.raises(ValueError):
         det.ScanConfig(fiber_core=-1.0)
+    with pytest.raises(ValueError, match="dwell must be > 0"):
+        det.ScanConfig(dwell=0.0)
+    with pytest.raises(ValueError, match="n_points must be >= 5"):
+        det.ScanConfig(n_points=4)  # fewer points than the profile fit needs
+    with pytest.raises(ValueError, match="mean_rate must be in"):
+        det.ScanConfig(mean_rate=1e19)  # beyond numpy's Poisson sampler
+    for grid in ({"step": 1e307}, {"start": 1e20, "step": 1.0}):  # overflows, or repeats positions
+        with pytest.raises(ValueError, match="step must be at least"):
+            det.ScanConfig(**grid)
 
 
 def test_scan_default_grid_spans_3mm_centered():
@@ -426,10 +435,14 @@ def test_source_model_validation():
         det.SourceModel(heralding_efficiency=1.5)
     with pytest.raises(ValueError):
         det.SourceModel(pair_rate=0.01, multi_pair_prob=0.4)  # mean unreachable
+    with pytest.raises(ValueError, match="window must be > 0"):
+        det.SourceModel(window=0.0)
+    with pytest.raises(ValueError, match="pair_rate must be in"):
+        det.SourceModel(pair_rate=1e19, multi_pair_prob=None)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("field", ["pair_rate", "n_windows"])
+@pytest.mark.parametrize("field", ["pair_rate", "n_windows", "window"])
 def test_source_model_rejects_non_finite(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         det.SourceModel(**{field: bad})
