@@ -4,7 +4,7 @@ Commands:
     weakvalue   analytic weak values and conditional probabilities per angle
     simulate    pointer evolution + counting statistics -> scan CSV files
     analyze     bootstrap + weak-value estimation + systematic band -> results
-    g2          heralded-source event simulation -> g2 with counting error
+    g2          heralded-source tallies (one multinomial draw) -> g2 with counting error
     sweep       parameter sweep (theta | g | sigma) -> transition table CSV
 
 Every command is a pure function of (config, seed): re-running with the same

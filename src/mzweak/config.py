@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .detection import DriftModel, ScanConfig, SourceModel
 from .errors import ConfigError
+from .rng import theta_key
 
 # Drift-walk steps calibrated so the default pipeline reproduces systematic
 # bands of about +/-0.070 (x) and +/-0.095 (y) in weak-value units over the
@@ -88,6 +89,13 @@ def _check_number(value, key, *, minimum=None, integer=False):
     if minimum is not None:
         _require(value >= minimum, key, f"must be >= {minimum}")
     return int(value) if integer else float(value)
+
+
+def _check_angle(value, key):
+    """A finite angle that has a stream key (``rng.theta_key``)."""
+    theta = _check_number(value, key)
+    _build(lambda: theta_key(theta), "", theta=key)
+    return theta
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -166,9 +174,9 @@ class ExperimentConfig:
         thetas = raw.get("theta_list", DEFAULTS["theta_list"])
         if not isinstance(thetas, list) or not thetas:
             raise ConfigError("theta_list: expected a non-empty list of angles")
-        theta_list = tuple(_check_number(t, "theta_list[]") for t in thetas)
+        theta_list = tuple(_check_angle(t, "theta_list[]") for t in thetas)
 
-        target_theta = _check_number(raw.get("target_theta", DEFAULTS["target_theta"]), "target_theta")
+        target_theta = _check_angle(raw.get("target_theta", DEFAULTS["target_theta"]), "target_theta")
         g_x = _check_number(raw.get("g_x", DEFAULTS["g_x"]), "g_x", minimum=0.0)
         g_y = _check_number(raw.get("g_y", DEFAULTS["g_y"]), "g_y", minimum=0.0)
         sigma = _check_number(raw.get("sigma", DEFAULTS["sigma"]), "sigma")

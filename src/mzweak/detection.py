@@ -8,12 +8,14 @@ count array from one RNG stream (see :mod:`mzweak.rng`), repeat- or
 profile-major, so a record does not depend on the other records, and its
 first k repeats or profiles do not depend on the total.
 
-The heralded-source event model runs per coincidence window: a number of
+The heralded-source event model is per coincidence window: a number of
 photon pairs is emitted, the reference detector clicks with the heralding
 efficiency per idler, and each signal photon routes through the 50:50
-splitter to one of the two scan fibers. Scan counts, by contrast, are plain
-Poisson aggregates (long-dwell regime); sub-Poissonian timing structure only
-matters for the g2 estimate.
+splitter to one of the two scan fibers. The windows are independent and the
+g2 estimate reads only four tallies, so the windows are not simulated one by
+one: the tallies come from one multinomial draw over the five outcomes of a
+window. Scan counts, by contrast, are plain Poisson aggregates (long-dwell
+regime); sub-Poissonian timing structure only matters for the g2 estimate.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ def _require_finite(obj, *names, integer=False) -> None:
 
 # Largest mean count drawn: numpy's Poisson sampler takes means up to about 9.2e18.
 _MAX_POISSON_MEAN = 1e18
+# Most g2 windows: numpy's multinomial takes an int64 number of trials.
+_MAX_WINDOWS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,8 @@ class ScanRecord:
 
         Any damage raises ValueError naming the file, and the line for a
         malformed row: a short or long row, a non-numeric or non-finite
-        field, mixed theta/axis, an uneven grid, a missing or duplicate cell.
+        field, mixed theta/axis, an angle without a stream key
+        (``rng.theta_key``), an uneven grid, a missing or duplicate cell.
         """
         seed = None
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -179,6 +184,10 @@ class ScanRecord:
         axis = fields["axis"][0]
         if np.any(theta != theta[0]) or fields["axis"].count(axis) < len(rows):
             raise ValueError(f"{path}: mixed theta/axis values")
+        try:
+            rngmod.theta_key(theta[0])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if rep.min() < 0:
             raise ValueError(f"{path}: negative repeat_idx")
         positions, first_seen, pos_idx = np.unique(u, return_index=True, return_inverse=True)
@@ -220,6 +229,12 @@ def _parse_column(path, line0: int, name: str, texts, dtype) -> np.ndarray:
     raise ValueError(f"{path}: {name} column does not fit {np.dtype(dtype).name}")
 
 
+# Largest drift step: a walk of at most 2**60 steps (the most float64 values
+# an array holds), each under 14 sigma (numpy's normal sampler never draws
+# more), then stays below 1.7e307 um, inside the float64 range.
+_MAX_STEP_SIGMA = 1e288
+
+
 @dataclass(frozen=True)
 class DriftModel:
     """Slow beam-center drift: none, or a Gaussian random walk per profile."""
@@ -232,8 +247,11 @@ class DriftModel:
         if self.kind not in ("none", "random-walk"):
             raise ValueError(f"kind must be 'none' or 'random-walk', got {self.kind!r}")
         _require_finite(self, "step_sigma", "initial_offset")
-        if self.step_sigma < 0:
-            raise ValueError("step_sigma must be >= 0")
+        if not 0 <= self.step_sigma <= _MAX_STEP_SIGMA:
+            raise ValueError(
+                f"step_sigma must be in [0, {_MAX_STEP_SIGMA:g}] um: a walk of at most 2**60 steps, "
+                "each under 14 sigma, then stays below 1.7e307 um, inside the float64 range"
+            )
 
     def offsets(self, n: int, rng) -> np.ndarray:
         """Beam-center offset before each of n profiles (um)."""
@@ -331,8 +349,8 @@ class SourceModel:
             raise ValueError("heralding_efficiency must be in [0, 1]")
         if not 0 <= self.split_ratio <= 1:
             raise ValueError("split_ratio must be in [0, 1]")
-        if self.n_windows < 1:
-            raise ValueError("n_windows must be >= 1")
+        if not 1 <= self.n_windows <= _MAX_WINDOWS:
+            raise ValueError(f"n_windows must be in [1, {_MAX_WINDOWS}], the int64 range of the multinomial draw")
         if not self.window > 0:
             raise ValueError("window must be > 0")
         if self.multi_pair_prob is not None:
@@ -364,39 +382,42 @@ class G2Counts:
             raise ValueError("triple coincidences cannot exceed either singles channel")
 
 
-_G2_CHUNK = 1_000_000
-
-
 def simulate_heralded_counts(source: SourceModel, seed: int) -> G2Counts:
-    """Window-by-window event simulation of the heralded source."""
-    n_ref = c1 = c2 = triple = 0
-    remaining = source.n_windows
-    chunk_idx = 0
+    """The four g2 tallies of ``source.n_windows`` independent windows, drawn
+    from their exact law in one multinomial draw from one stream.
+
+    Each window ends in one of five outcomes: herald with no signal click,
+    with S1 only, with S2 only, with both, or no herald. Each of the first
+    four probabilities is a sum of products of non-negative factors, never a
+    difference, so it stays accurate when tiny:
+
+    - pair model: n pairs with P(1) = p1, P(2) = p2; the herald fires with
+      1 - (1 - eta)^n (eta for n = 1, eta (2 - eta) for n = 2), and the n
+      signal photons split binomially, k1 ~ Bin(n, q), so S1 clicks when
+      k1 >= 1 and S2 when n - k1 >= 1;
+    - coherent model: the herald is independent of the signal, and Poisson
+      thinning makes the S1 and S2 photon numbers independent Poisson(q
+      lambda) and Poisson((1 - q) lambda), so P(S1) = 1 - exp(-q lambda).
+
+    Cost and memory do not depend on ``n_windows``.
+    """
     eta = source.heralding_efficiency
     q = source.split_ratio
-    while remaining > 0:
-        m = min(remaining, _G2_CHUNK)
-        gen = rngmod.stream(seed, rngmod.G2, chunk_idx)
-        if source.multi_pair_prob is None:
-            # coherent light: reference tap independent of the signal field
-            n = gen.poisson(source.pair_rate, size=m)
-            herald = gen.random(m) < -np.expm1(-eta * source.pair_rate)
-        else:
-            p2 = source.multi_pair_prob
-            p1 = source.pair_rate - 2.0 * p2
-            u = gen.random(m)
-            n = np.where(u < p2, 2, np.where(u < p2 + p1, 1, 0)).astype(np.int64)
-            herald = gen.random(m) < (1.0 - (1.0 - eta) ** n)
-        k1 = gen.binomial(n, q)
-        s1 = k1 >= 1
-        s2 = (n - k1) >= 1
-        n_ref += int(np.count_nonzero(herald))
-        c1 += int(np.count_nonzero(herald & s1))
-        c2 += int(np.count_nonzero(herald & s2))
-        triple += int(np.count_nonzero(herald & s1 & s2))
-        remaining -= m
-        chunk_idx += 1
-    return G2Counts(n_ref, c1, c2, triple)
+    if source.multi_pair_prob is None:
+        lam = source.pair_rate
+        herald = -math.expm1(-eta * lam)
+        s1, s2 = -math.expm1(-q * lam), -math.expm1(-(1.0 - q) * lam)
+        no1, no2 = math.exp(-q * lam), math.exp(-(1.0 - q) * lam)
+        outcomes = [herald * no1 * no2, herald * s1 * no2, herald * no1 * s2, herald * s1 * s2]
+    else:
+        p2 = source.multi_pair_prob
+        h1 = (source.pair_rate - 2.0 * p2) * eta  # one pair, heralded
+        h2 = p2 * eta * (2.0 - eta)  # two pairs, heralded
+        outcomes = [0.0, h1 * q + h2 * q * q, h1 * (1.0 - q) + h2 * (1.0 - q) ** 2, h2 * 2.0 * q * (1.0 - q)]
+    # numpy assigns the last outcome, no herald, the remaining probability
+    draw = rngmod.stream(seed, rngmod.G2).multinomial(source.n_windows, outcomes + [0.0])
+    dark, only1, only2, both = (int(k) for k in draw[:4])
+    return G2Counts(dark + only1 + only2 + both, only1 + both, only2 + both, both)
 
 
 def g2_statistic(counts: G2Counts) -> float:

@@ -14,7 +14,7 @@ Stream namespace (first path component):
     SCAN_DRIFT   (.., theta_key, axis_key)
     DRIFT_RUN    (.., axis_key)
     DRIFT_WALK   (.., axis_key)
-    G2           (.., chunk_idx)
+    G2           (..)
     BOOTSTRAP    (.., theta_key, axis_key)
     ABL_MC       (.., free)
 """
@@ -34,9 +34,24 @@ ABL_MC = 7
 AXIS_KEY = {"x": 0, "y": 1}
 
 
+# Largest |millidegrees| of an angle: its rounded count then fits a signed
+# 32-bit integer, so no two keys alias modulo 2**32.
+_MAX_MILLIDEGREES = 2**31 - 0.5
+
+
 def theta_key(theta_deg: float) -> int:
-    """Encode an angle as an unsigned 32-bit key (millidegree resolution)."""
-    return int(round(float(theta_deg) * 1000.0)) & 0xFFFFFFFF
+    """Encode an angle as an unsigned 32-bit key (millidegree resolution).
+
+    Raises ValueError for an angle whose rounded millidegree count would not
+    fit a signed 32-bit integer (or is not a number)."""
+    theta = float(theta_deg)
+    milli = theta * 1000.0
+    if not abs(milli) < _MAX_MILLIDEGREES:
+        raise ValueError(
+            f"theta must be in (-{_MAX_MILLIDEGREES / 1000}, {_MAX_MILLIDEGREES / 1000}) degrees, "
+            f"so its millidegree count fits the signed 32-bit stream key, got {theta!r}"
+        )
+    return int(round(milli)) & 0xFFFFFFFF
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:

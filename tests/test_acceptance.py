@@ -262,7 +262,7 @@ def test_criterion_10_byte_determinism(tmp_path):
 # these on purpose: re-pin them in the same change.
 GOLDEN_DIGESTS = {
     "centers.csv": "4609be54e527c688912560780babef73c82a96645858112072ea8b5d2605391d",
-    "g2.json": "6cc89f02afa5971d0e7ea0b3996ed1a32c466ef3ef89b5553d7488e31fac8fd5",
+    "g2.json": "9d66a3a6cbd4326d733137a78530d07242b0f155eac9eb16ece06d5407fb122c",
     "scan_theta0_x.csv": "8db049fd0ff250db4d93f051be8bfc29d5b079bf935024024191cdc633a52227",
     "scan_theta0_y.csv": "4875048b03bf80d97be6570e0720e4060cebde98a7ae920acaad6e105a5f0a6f",
     "scan_theta45_x.csv": "fc73d4c74f0e8cc3b87a7307edf77b863512a191b5073a1f6bd964aca646032e",

@@ -353,6 +353,11 @@ def test_cli_bad_config_exit_code(tmp_path):
         ({"scan": {"reference_repeats": 0}}, [], "scan.reference_repeats"),
         ({"scan": {"step": 1e307}}, [], "scan.step"),
         ({"scan": {"mean_rate": 1e19}}, [], "scan.mean_rate"),
+        ({"source": {"n_windows": 1e20}}, [], "source.n_windows"),
+        (None, ["--theta", "1e306"], "theta_list"),
+        ({"theta_list": [0.0, 2147483.6475]}, [], "theta_list"),
+        ({"target_theta": -1e306}, [], "target_theta"),
+        ({"drift": {"step_sigma_x": 1e308}}, [], "drift.step_sigma_x"),
     ],
 )
 def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, doc, flags, key):

@@ -1,11 +1,16 @@
 """Counting layer: scan statistics, drift runs, heralded g2."""
 
+import dataclasses
+import math
+import time
+
 import numpy as np
 import pytest
 
 from mzweak import detection as det
 from mzweak import pointer as ptr
 from mzweak import quantum as qm
+from mzweak import rng as rngmod
 from mzweak.errors import ZeroDenominator
 from mzweak.rng import stream
 
@@ -215,6 +220,13 @@ def test_scan_csv_mixed_theta_or_axis_rejected(tmp_path, column, value):
         det.ScanRecord.load_csv(path)
 
 
+def test_scan_csv_angle_without_stream_key_rejected(tmp_path):
+    path, lines = _saved_scan_lines(tmp_path)
+    path.write_text("".join(lines[:2] + [line.replace("0.0,x,", "1e306,x,", 1) for line in lines[2:]]))
+    with pytest.raises(ValueError, match="scan.csv: theta must be in"):
+        det.ScanRecord.load_csv(path)
+
+
 def _swap_blocks_10_and_11(blocks):
     blocks[10], blocks[11] = blocks[11], blocks[10]
 
@@ -318,6 +330,18 @@ def test_scan_config_validation():
             det.ScanConfig(**grid)
 
 
+def test_theta_key_is_a_signed_32_bit_millidegree_count():
+    limit = 2147483.647  # (2**31 - 1) millidegrees
+    assert rngmod.theta_key(45.0) == 45_000
+    assert rngmod.theta_key(-0.001) == 2**32 - 1
+    assert rngmod.theta_key(limit) == 2**31 - 1
+    assert rngmod.theta_key(-limit) == 2**31 + 1
+    # 2147483.6475 would round to 2**31 and alias -2**31
+    for bad in (2147483.6475, -2147483.6475, 1e306, np.inf, np.nan):
+        with pytest.raises(ValueError, match="theta must be in"):
+            rngmod.theta_key(bad)
+
+
 def test_scan_default_grid_spans_3mm_centered():
     cfg = det.ScanConfig()
     assert cfg.positions[0] == -1500.0
@@ -333,6 +357,10 @@ def test_drift_model_validation_and_offsets():
         det.DriftModel(kind="brownian")
     with pytest.raises(ValueError):
         det.DriftModel(step_sigma=-1.0)
+    with pytest.raises(ValueError, match=r"step_sigma must be in \[0, 1e\+288\] um: a walk"):
+        det.DriftModel("random-walk", step_sigma=1e289)
+    widest = det.DriftModel("random-walk", step_sigma=1e288, initial_offset=-1e300)
+    assert np.all(np.isfinite(widest.offsets(10_000, stream(0, 97))))
     none = det.DriftModel()
     assert np.all(none.offsets(5, stream(0, 99)) == 0.0)
     walk = det.DriftModel("random-walk", 2.0, initial_offset=3.0)
@@ -439,6 +467,10 @@ def test_source_model_validation():
         det.SourceModel(window=0.0)
     with pytest.raises(ValueError, match="pair_rate must be in"):
         det.SourceModel(pair_rate=1e19, multi_pair_prob=None)
+    with pytest.raises(ValueError, match="n_windows must be in"):
+        det.SourceModel(n_windows=2**63)
+    with pytest.raises(ValueError, match="n_windows must be in"):
+        det.SourceModel(n_windows=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -489,3 +521,89 @@ def test_g2_simulation_determinism():
     assert a == b
     c = det.simulate_heralded_counts(source, seed=10)
     assert a != c
+
+
+def _window_by_window_counts(source, seed):
+    """The earlier event simulator, kept as an oracle: every window draws its
+    pair number, herald and split, in chunks of 10^6 windows."""
+    n_ref = c1 = c2 = triple = 0
+    remaining = source.n_windows
+    chunk_idx = 0
+    eta = source.heralding_efficiency
+    q = source.split_ratio
+    while remaining > 0:
+        m = min(remaining, 1_000_000)
+        gen = stream(seed, rngmod.G2, chunk_idx)
+        if source.multi_pair_prob is None:
+            n = gen.poisson(source.pair_rate, size=m)
+            herald = gen.random(m) < -np.expm1(-eta * source.pair_rate)
+        else:
+            p2 = source.multi_pair_prob
+            p1 = source.pair_rate - 2.0 * p2
+            u = gen.random(m)
+            n = np.where(u < p2, 2, np.where(u < p2 + p1, 1, 0)).astype(np.int64)
+            herald = gen.random(m) < (1.0 - (1.0 - eta) ** n)
+        k1 = gen.binomial(n, q)
+        s1 = k1 >= 1
+        s2 = (n - k1) >= 1
+        n_ref += int(np.count_nonzero(herald))
+        c1 += int(np.count_nonzero(herald & s1))
+        c2 += int(np.count_nonzero(herald & s2))
+        triple += int(np.count_nonzero(herald & s1 & s2))
+        remaining -= m
+        chunk_idx += 1
+    return det.G2Counts(n_ref, c1, c2, triple)
+
+
+def _tally_probabilities(source):
+    """Per-window probability of each tally (n_reference, c1, c2, triple),
+    summed over the pair number n and the split k1 ~ Bin(n, q)."""
+    eta, q, lam = source.heralding_efficiency, source.split_ratio, source.pair_rate
+    if source.multi_pair_prob is None:
+        # Poisson photon number; the herald is an independent tap
+        herald = 1.0 - math.exp(-eta * lam)
+        pairs = [(math.exp(-lam) * lam**n / math.factorial(n), herald) for n in range(60)]
+    else:
+        p2 = source.multi_pair_prob
+        p1 = lam - 2.0 * p2
+        pairs = [(1.0 - p1 - p2, 0.0), (p1, eta), (p2, 1.0 - (1.0 - eta) ** 2)]
+    tally = np.zeros(4)
+    for n, (p_n, herald) in enumerate(pairs):
+        for k1 in range(n + 1):
+            p = p_n * herald * math.comb(n, k1) * q**k1 * (1.0 - q) ** (n - k1)
+            tally += p * np.array([1, k1 >= 1, n - k1 >= 1, k1 >= 1 and n - k1 >= 1])
+    return tally
+
+
+G2_SOURCES = {
+    "pair-default": det.SourceModel(n_windows=2000),
+    "coherent": det.SourceModel(pair_rate=0.2, multi_pair_prob=None, n_windows=2000),
+    "pair-lossy": det.SourceModel(
+        pair_rate=0.3, multi_pair_prob=0.1, heralding_efficiency=0.3, split_ratio=0.3, n_windows=2000
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(G2_SOURCES))
+def test_g2_draw_matches_window_by_window_simulation(name):
+    # the multinomial draw (4000 seeds) and the window loop (800 seeds) both
+    # follow the enumerated law: every tally's mean is within 4 SE of N p and
+    # its variance within 25 % of N p (1 - p)
+    source = G2_SOURCES[name]
+    n = source.n_windows
+    p = _tally_probabilities(source)
+    variance = n * p * (1.0 - p)
+    for simulate, n_seeds in ((det.simulate_heralded_counts, 4000), (_window_by_window_counts, 800)):
+        tallies = np.array([dataclasses.astuple(simulate(source, seed)) for seed in range(n_seeds)], dtype=float)
+        assert np.all(np.abs(tallies.mean(axis=0) - n * p) <= 4.0 * np.sqrt(variance / n_seeds))
+        assert np.all(np.abs(tallies.var(axis=0, ddof=1) / variance - 1.0) <= 0.25)
+
+
+@pytest.mark.parametrize("n_windows", [10**15, 2**63 - 1])
+def test_g2_cost_does_not_grow_with_windows(n_windows):
+    source = det.SourceModel(n_windows=n_windows)
+    start = time.perf_counter()
+    counts = det.simulate_heralded_counts(source, seed=4)
+    assert time.perf_counter() - start < 1.0
+    p_ref, p1, p2, p12 = _tally_probabilities(source)
+    assert det.g2_statistic(counts) == pytest.approx(p_ref * p12 / (p1 * p2), rel=1e-4)
