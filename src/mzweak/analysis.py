@@ -33,6 +33,7 @@ _FTOL = 1e-10
 _GTOL = 1e-8
 _MAX_ITER = 200
 _CHUNK_ROWS = 1024
+_MAX_DROPPED = 0.01  # share of bootstrap fits that may fail before the distribution is rejected
 
 
 @dataclass(frozen=True)
@@ -241,23 +242,21 @@ def fit_gaussian(positions, counts, max_iter: int = _MAX_ITER, raise_on_failure:
     )
 
 
-def bootstrap_centers(record, n_bootstrap: int = 10_000, seed: int = 0, max_dropped: float = 0.01) -> CenterDistribution:
+def bootstrap_centers(record, n_bootstrap: int = 10_000, seed: int = 0) -> CenterDistribution:
     """Bootstrap the profile center by resampling one repeat per position.
 
     Each draw builds a profile by picking, independently per position, one of
     the available repeat readings (uniformly), and fits it. Draws that fail
-    to converge are dropped; more than ``max_dropped`` dropped raises.
+    to converge are dropped; more than ``_MAX_DROPPED`` dropped raises
+    NonConvergence. A record with fewer than 2 repeats raises ValueError: its
+    draws would all be one profile, with a zero spread.
     """
     counts = record.counts
     n_points, repeats = counts.shape
     tkey = rngmod.theta_key(record.theta)
     akey = rngmod.AXIS_KEY[record.axis]
-
-    if repeats == 1:
-        # only one possible profile: fit once, every draw is identical
-        fit = fit_gaussian(record.positions, counts[:, 0])
-        centers = np.full(n_bootstrap, fit.center)
-        return CenterDistribution(centers, record.theta, record.axis)
+    if repeats < 2:
+        raise ValueError(f"the bootstrap needs at least 2 repeats per position, got {repeats}")
 
     # draw-major: the first k draws are the same for any n_bootstrap >= k
     gen = rngmod.stream(seed, rngmod.BOOTSTRAP, tkey, akey)
@@ -266,54 +265,40 @@ def bootstrap_centers(record, n_bootstrap: int = 10_000, seed: int = 0, max_drop
 
     params, _, converged, _ = _lm_gaussian_batch(record.positions, profiles)
     dropped = int(np.count_nonzero(~converged))
-    if dropped > max_dropped * n_bootstrap:
+    if dropped > _MAX_DROPPED * n_bootstrap:
         raise NonConvergence(
-            f"{dropped}/{n_bootstrap} bootstrap fits failed to converge (> {max_dropped:.0%})"
+            f"{dropped}/{n_bootstrap} bootstrap fits failed to converge (> {_MAX_DROPPED:.0%})"
         )
     return CenterDistribution(params[converged, 1], record.theta, record.axis, np.flatnonzero(converged))
 
 
-def _paired_centers(*dists):
-    """Sorted draw indices kept by every distribution, and each one's centers on them."""
+def weak_value_draws(target: CenterDistribution, ref0: CenterDistribution, ref1: CenterDistribution):
+    """Paired weak-value draws (X - X0) / <X1 - X0>.
+
+    Draws pair on the bootstrap draws all three distributions kept, and the
+    scale is the mean displacement between the unit and zero references on
+    those same draws. Returns (draw_idx, draws, scale in um); |scale| < 1 um
+    raises ZeroScale.
+    """
+    dists = (target, ref0, ref1)
     idx = functools.reduce(functools.partial(np.intersect1d, assume_unique=True), [d.draw_idx for d in dists])
     if idx.size == 0:
         raise ValueError("the center distributions share no bootstrap draw")
-    return idx, [d.centers[np.isin(d.draw_idx, idx, assume_unique=True)] for d in dists]
-
-
-def weak_value_draws(target: CenterDistribution, ref0: CenterDistribution, ref1: CenterDistribution) -> np.ndarray:
-    """Paired weak-value draws (X - X0) / <X1 - X0>.
-
-    Draws pair on the bootstrap draws all three distributions kept; the scale
-    is the mean displacement between the unit and zero references on them.
-    """
-    _, (x, x0, x1) = _paired_centers(target, ref0, ref1)
+    x, x0, x1 = (d.centers[np.isin(d.draw_idx, idx, assume_unique=True)] for d in dists)
     scale = float(np.mean(x1 - x0))
     if abs(scale) < 1.0:
         raise ZeroScale(f"|<X1 - X0>| = {abs(scale):.3g} um < 1 um")
-    return (x - x0) / scale
+    return idx, (x - x0) / scale, scale
 
 
-def weak_value_estimate(
-    target: CenterDistribution,
-    ref0: CenterDistribution,
-    ref1: CenterDistribution,
-    sys_band: float = 0.0,
-) -> WeakValueEstimate:
-    """Mean and statistical sigma of the paired weak-value draws."""
-    draws = weak_value_draws(target, ref0, ref1)
+def weak_value_estimate(draws: np.ndarray, sys_band: float = 0.0) -> WeakValueEstimate:
+    """Mean and statistical sigma of paired weak-value draws."""
     return WeakValueEstimate(
         mean=float(np.mean(draws)),
         stat_sigma=float(np.std(draws)),
         sys_band=float(sys_band),
         n_samples=int(draws.size),
     )
-
-
-def reference_scale(ref0: CenterDistribution, ref1: CenterDistribution) -> float:
-    """Mean pointer displacement between the unit and zero references (um), paired by draw."""
-    _, (x0, x1) = _paired_centers(ref0, ref1)
-    return float(np.mean(x1 - x0))
 
 
 def systematic_band(drift_records, scale: float) -> float:
@@ -349,8 +334,8 @@ def export_results(
 ) -> dict:
     """Write the results dataset: center draws, weak-value draws, JSON summary.
 
-    ``estimates`` maps axis -> WeakValueEstimate; ``weak_draws`` maps axis -> draws
-    paired on the draw indices that axis's ``distributions`` share. Floats are
+    ``estimates`` maps axis -> WeakValueEstimate; ``weak_draws`` maps axis ->
+    (draw_idx, draws) of ``weak_value_draws``. Floats are
     serialized with repr so a re-parse reproduces them bit-exactly. Returns the summary dict.
     """
     out = Path(out_dir)
@@ -365,9 +350,8 @@ def export_results(
 
     with open(out / "weak_values.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("axis,draw_idx,weak_value\n")
-        for axis in sorted(weak_draws):
-            idx = _paired_centers(*(d for d in distributions if d.axis == axis))[0]
-            rows = zip(idx.tolist(), np.asarray(weak_draws[axis], dtype=float).tolist(), strict=True)
+        for axis, (idx, draws) in sorted(weak_draws.items()):
+            rows = zip(idx.tolist(), draws.tolist(), strict=True)
             fh.write("".join(f"{axis},{i},{w!r}\n" for i, w in rows))
 
     summary = {

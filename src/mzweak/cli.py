@@ -146,37 +146,36 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _load_record(out_dir: Path, theta: float, axis: str) -> det.ScanRecord:
+def _bootstrap_file(config: ExperimentConfig, out_dir: Path, theta: float, axis: str) -> ana.CenterDistribution:
+    """Bootstrap distribution of one scan file. A damaged file, or one with
+    too few positions or repeats to bootstrap, is unreadable input."""
     path = out_dir / scan_filename(theta, axis)
     if not path.exists():
         raise MissingReference(f"missing scan file: {path}")
     try:
-        return det.ScanRecord.load_csv(path)
+        record = det.ScanRecord.load_csv(path)
     except ValueError as exc:
         raise UnreadableInput(str(exc)) from None
+    try:
+        return ana.bootstrap_centers(record, config.analysis["n_bootstrap"], config.seed)
+    except ValueError as exc:
+        raise UnreadableInput(f"{path}: {exc}") from None
 
 
 def cmd_analyze(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     """Bootstrap centers, weak-value estimates and systematic bands."""
-    n_boot = config.analysis["n_bootstrap"]
     target = config.target_theta
-    distributions = []
-    dists = {}
-    for theta in (target, 45.0, 90.0):
-        for axis in ("x", "y"):
-            record = _load_record(out_dir, theta, axis)
-            dist = ana.bootstrap_centers(record, n_boot, config.seed)
-            dists[(theta, axis)] = dist
-            distributions.append(dist)
+    dists = {
+        (theta, axis): _bootstrap_file(config, out_dir, theta, axis)
+        for theta in (target, 45.0, 90.0)
+        for axis in ("x", "y")
+    }
 
     estimates = {}
     draws = {}
     for axis in ("x", "y"):
-        ref0 = dists[(45.0, axis)]
-        ref1 = dists[(90.0, axis)]
-        # first, so coinciding references raise ZeroScale (exit 4) before systematic_band rejects scale 0
-        draws[axis] = ana.weak_value_draws(dists[(target, axis)], ref0, ref1)
-        scale = abs(ana.reference_scale(ref0, ref1))
+        idx, values, scale = ana.weak_value_draws(dists[(target, axis)], dists[(45.0, axis)], dists[(90.0, axis)])
+        draws[axis] = idx, values
         drift_records = det.simulate_drift_run(
             config.drift_scan_config(),
             config.drift_model(axis),
@@ -185,10 +184,11 @@ def cmd_analyze(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
             axis=axis,
             sigma=config.sigma,
         )
-        band = ana.systematic_band(drift_records, scale)
-        estimates[axis] = ana.weak_value_estimate(dists[(target, axis)], ref0, ref1, sys_band=band)
+        band = ana.systematic_band(drift_records, abs(scale))
+        estimates[axis] = ana.weak_value_estimate(values, sys_band=band)
 
-    ana.export_results(out_dir, estimates, distributions, draws, config.seed, n_boot, target)
+    n_boot = config.analysis["n_bootstrap"]
+    ana.export_results(out_dir, estimates, list(dists.values()), draws, config.seed, n_boot, target)
     for axis in ("x", "y"):
         est = estimates[axis]
         _say(

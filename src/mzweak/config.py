@@ -33,6 +33,10 @@ from .rng import theta_key
 CALIBRATED_STEP_SIGMA_X = 1.02
 CALIBRATED_STEP_SIGMA_Y = 1.21
 
+# Bound (um) on the sum of the lengths on the beam path: far above any optics,
+# and small enough that every square the pointer and the profile fit form stays finite.
+MAX_LENGTH_UM = 1e30
+
 
 def _field_defaults(model, *skip) -> dict:
     return {f.name: f.default for f in fields(model) if f.name not in skip}
@@ -66,8 +70,9 @@ DEFAULTS = {
 
 # Section values that may be null: a centered grid, the coherent source.
 _NULLABLE = ("scan.start", "source.multi_pair_prob")
-# Lower bounds of the section keys that no model owns.
-_MINIMUM = {"scan.reference_repeats": 1, "drift.n_profiles": 10, "analysis.n_bootstrap": 1}
+# Lower bounds of the section keys that no model owns, and of the scan repeats
+# the bootstrap resamples (ScanConfig allows 1, for the drift-run scans).
+_MINIMUM = {"scan.repeats": 2, "scan.reference_repeats": 2, "drift.n_profiles": 10, "analysis.n_bootstrap": 1}
 
 
 def _type_name(v):
@@ -129,6 +134,28 @@ def _build(build, section: str, **renamed):
     except ValueError as exc:
         field, _, message = str(exc).partition(" ")
         raise ConfigError(f"{renamed.get(field, f'{section}.{field}')}: {message}") from None
+
+
+def _check_lengths(config) -> None:
+    """The lengths on the beam path (um) add up to at most MAX_LENGTH_UM; a
+    larger sum names the key of its largest term. The drift walk's bound is
+    14 step_sigma per step, more than numpy's normal sampler ever draws."""
+    scan, drift = config.scan, config.drift
+    grid = config.scan_config(config.target_theta).positions
+    axis = max("xy", key=lambda a: drift[f"step_sigma_{a}"])
+    steps = 0 if drift["kind"] == "none" else max(drift["n_profiles"], scan["repeats"], scan["reference_repeats"])
+    lengths = {
+        "sigma": config.sigma,
+        "g_x": config.g_x,
+        "g_y": config.g_y,
+        "scan.fiber_core": scan["fiber_core"],
+        "scan.step" if scan["start"] is None else "scan.start": float(max(abs(grid[0]), abs(grid[-1]))),
+        "drift.initial_offset": abs(drift["initial_offset"]),
+        f"drift.step_sigma_{axis}": 14.0 * steps * drift[f"step_sigma_{axis}"],
+    }
+    total = sum(lengths.values())
+    key = max(lengths, key=lengths.get)
+    _require(total <= MAX_LENGTH_UM, key, f"the lengths on the beam path sum to {total:g} um, over {MAX_LENGTH_UM:g}")
 
 
 def read_json(path):
@@ -210,6 +237,7 @@ class ExperimentConfig:
         for axis in ("x", "y"):
             _build(lambda: config.drift_model(axis), "drift", step_sigma=f"drift.step_sigma_{axis}")
         _build(config.source_model, "source")
+        _check_lengths(config)
         return config
 
     @classmethod

@@ -25,7 +25,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +37,7 @@ ARM_INDICES = {"A": (0, 1), "B": (2, 3)}
 
 ORTHOGONALITY_TOL = 1e-9
 EIGENVALUE_TOL = 1e-9
+MATRIX_TOL = 1e-12  # largest entry of A - A^dagger (Hermitian) or A^2 - A (projector)
 
 _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -84,16 +85,28 @@ class SystemOperator:
     def __array__(self, dtype=None):
         return np.asarray(self.matrix, dtype=dtype)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= MATRIX_TOL)
 
-    def is_projector(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.matrix @ self.matrix - self.matrix)) <= tol)
+    def is_projector(self) -> bool:
+        return bool(np.max(np.abs(self.matrix @ self.matrix - self.matrix)) <= MATRIX_TOL)
 
     @cached_property
     def spectrum(self) -> tuple:
-        """``eigen_projectors`` at the default tolerance, computed once."""
-        return _spectral_groups(self.matrix, EIGENVALUE_TOL)
+        """``eigen_projectors`` of this operator, computed once."""
+        if not self.is_hermitian():
+            raise ValueError("projective outcomes need a Hermitian operator")
+        vals, vecs = np.linalg.eigh(self.matrix)
+        groups = []
+        start = 0
+        for k in range(1, len(vals) + 1):
+            if k == len(vals) or vals[k] - vals[start] > EIGENVALUE_TOL:
+                sub = vecs[:, start:k]
+                proj = sub @ sub.conj().T
+                proj.setflags(write=False)
+                groups.append((float(np.mean(vals[start:k])), proj))
+                start = k
+        return tuple(groups)
 
 
 def inner(bra: SystemState, ket: SystemState) -> complex:
@@ -107,19 +120,15 @@ class PrePostPair:
 
     pre: SystemState
     post: SystemState
-    overlap: complex | None = None
+    overlap: complex = field(init=False)
 
     def __post_init__(self):
-        ov = inner(self.post, self.pre)
-        if self.overlap is None:
-            object.__setattr__(self, "overlap", ov)
-        elif abs(self.overlap - ov) > 1e-12:
-            raise ValueError("cached overlap disagrees with stored states")
+        object.__setattr__(self, "overlap", inner(self.post, self.pre))
 
-    def require_nonorthogonal(self, tol: float = ORTHOGONALITY_TOL) -> None:
-        if abs(self.overlap) <= tol:
+    def require_nonorthogonal(self) -> None:
+        if abs(self.overlap) <= ORTHOGONALITY_TOL:
             raise OrthogonalPostSelection(
-                f"|<post|pre>| = {abs(self.overlap):.3e} <= tolerance {tol:.1e}"
+                f"|<post|pre>| = {abs(self.overlap):.3e} <= tolerance {ORTHOGONALITY_TOL:.1e}"
             )
 
 
@@ -199,69 +208,47 @@ def pair(theta_deg: float) -> PrePostPair:
     return PrePostPair(pre_state(), post_state(theta_deg))
 
 
-def weak_value(op: SystemOperator, pp: PrePostPair, tol: float = ORTHOGONALITY_TOL) -> complex:
-    """<post|op|pre> / <post|pre>; raises OrthogonalPostSelection below tol."""
-    pp.require_nonorthogonal(tol)
+def weak_value(op: SystemOperator, pp: PrePostPair) -> complex:
+    """<post|op|pre> / <post|pre>; raises OrthogonalPostSelection below ORTHOGONALITY_TOL."""
+    pp.require_nonorthogonal()
     num = np.vdot(np.asarray(pp.post), np.asarray(op) @ np.asarray(pp.pre))
     return complex(num / pp.overlap)
 
 
-def eigen_projectors(op: SystemOperator, tol: float = EIGENVALUE_TOL):
+def eigen_projectors(op: SystemOperator):
     """Spectral decomposition ((eigenvalue, projector), ...), degeneracies merged.
 
-    Eigenvalues closer than ``tol`` are treated as one outcome; requires a
-    Hermitian operator. The projectors are read-only; at the default ``tol``
-    the decomposition is computed once per operator and cached on it.
+    Eigenvalues closer than EIGENVALUE_TOL are treated as one outcome;
+    requires a Hermitian operator. The projectors are read-only; the
+    decomposition is computed once per operator and cached on it.
     """
-    if tol == EIGENVALUE_TOL:
-        return op.spectrum
-    return _spectral_groups(np.asarray(op), tol)
+    return op.spectrum
 
 
-def _spectral_groups(mat: np.ndarray, tol: float) -> tuple:
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-        raise ValueError("projective outcomes need a Hermitian operator")
-    vals, vecs = np.linalg.eigh(mat)
-    groups = []
-    start = 0
-    for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k] - vals[start] > tol:
-            sub = vecs[:, start:k]
-            proj = sub @ sub.conj().T
-            proj.setflags(write=False)
-            groups.append((float(np.mean(vals[start:k])), proj))
-            start = k
-    return tuple(groups)
-
-
-def abl_conditional(
-    op: SystemOperator,
-    eigenvalue: float,
-    pp: PrePostPair,
-    tol: float = ORTHOGONALITY_TOL,
-) -> float:
+def abl_conditional(op: SystemOperator, eigenvalue: float, pp: PrePostPair) -> float:
     """Conditional probability of an intermediate projective outcome.
 
     Computed as P(outcome) * P(post | outcome) / P(post) with
     P(post) = |<post|pre>|^2, i.e. the event yield relative to the
     undisturbed post-selection rate. Equals |<post|P_k|pre>|^2 / |<post|pre>|^2.
     """
-    pp.require_nonorthogonal(tol)
+    pp.require_nonorthogonal()
     for lam, proj in eigen_projectors(op):
         if abs(lam - eigenvalue) <= EIGENVALUE_TOL:
-            amp = np.vdot(np.asarray(pp.post), proj @ np.asarray(pp.pre))
-            return float(abs(amp) ** 2 / abs(pp.overlap) ** 2)
+            return _born_ratio(proj, pp)
     raise NotAnEigenvalue(f"{eigenvalue!r} not in spectrum of operator")
 
 
 def abl_distribution(op: SystemOperator, pp: PrePostPair) -> tuple:
     """(eigenvalue, conditional probability) for the full spectrum of ``op``."""
     pp.require_nonorthogonal()
-    out = []
-    for lam, proj in eigen_projectors(op):
-        amp = np.vdot(np.asarray(pp.post), proj @ np.asarray(pp.pre))
-        out.append((lam, float(abs(amp) ** 2 / abs(pp.overlap) ** 2)))
-    return tuple(out)
+    return tuple((lam, _born_ratio(proj, pp)) for lam, proj in eigen_projectors(op))
+
+
+def _born_ratio(proj: np.ndarray, pp: PrePostPair) -> float:
+    """|<post|P|pre>|^2 / |<post|pre>|^2 of one outcome projector P."""
+    amp = np.vdot(pp.post.amplitudes, proj @ pp.pre.amplitudes)
+    return float(abs(amp) ** 2 / abs(pp.overlap) ** 2)
 
 
 def sample_measure_postselect(op: SystemOperator, pp: PrePostPair, n_trials: int, rng):

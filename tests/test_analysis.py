@@ -4,13 +4,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from mzweak import analysis as ana
 from mzweak import detection as det
 from mzweak import pointer as ptr
 from mzweak import quantum as qm
-from mzweak.cli import build_state
+from mzweak.cli import build_state, cmd_analyze, cmd_simulate, main, scan_filename
 from mzweak.config import ExperimentConfig
 from mzweak.errors import DegenerateProfile, NonConvergence, ZeroScale
 
@@ -212,12 +212,17 @@ def test_fit_rows_do_not_depend_on_chunking():
 # --------------------------------------------------------------- bootstrap
 
 
-def test_bootstrap_single_repeat_all_identical():
+def test_bootstrap_single_repeat_is_unreadable_input(tmp_path, capsys):
+    # one repeat gives one possible profile, so every draw would agree: a zero spread
     cfg = det.ScanConfig(mean_rate=1000.0, repeats=1)
     rec = det.simulate_scan(det.single_beam_state(SIGMA), cfg, "x", det.DriftModel(), seed=2)
-    dist = ana.bootstrap_centers(rec, n_bootstrap=500, seed=3)
-    assert dist.centers.size == 500
-    assert np.all(dist.centers == dist.centers[0])
+    with pytest.raises(ValueError, match="at least 2 repeats per position, got 1"):
+        ana.bootstrap_centers(rec, n_bootstrap=500, seed=3)
+    path = tmp_path / scan_filename(0.0, "x")
+    rec.save_csv(path)
+    assert main(["--quiet", "--out", str(tmp_path), "analyze"]) == 3
+    message = "the bootstrap needs at least 2 repeats per position, got 1"
+    assert capsys.readouterr().err == f"unreadable input: {path}: {message}\n"
 
 
 def test_bootstrap_deterministic_under_seed():
@@ -310,8 +315,8 @@ def test_weak_value_zero_and_unit_anchors():
     rng = np.random.default_rng(0)
     ref0 = make_dist(rng.normal(0.0, 3.0, 1000), theta=45.0)
     ref1 = make_dist(ref0.centers + 49.7, theta=90.0)
-    zero = ana.weak_value_estimate(make_dist(ref0.centers), ref0, ref1)
-    unit = ana.weak_value_estimate(make_dist(ref1.centers), ref0, ref1)
+    zero = ana.weak_value_estimate(ana.weak_value_draws(make_dist(ref0.centers), ref0, ref1)[1])
+    unit = ana.weak_value_estimate(ana.weak_value_draws(make_dist(ref1.centers), ref0, ref1)[1])
     assert abs(zero.mean) < 1e-12
     assert abs(unit.mean - 1.0) < 1e-12
     assert zero.stat_sigma == 0.0
@@ -327,7 +332,7 @@ def test_weak_value_translation_invariance(shift):
     moved = ana.weak_value_draws(
         make_dist(x + shift), make_dist(x0 + shift), make_dist(x1 + shift)
     )
-    assert np.allclose(base, moved, atol=1e-9)
+    assert np.allclose(base[1], moved[1], atol=1e-9)
 
 
 def test_weak_value_reported_shift_and_scale():
@@ -337,7 +342,7 @@ def test_weak_value_reported_shift_and_scale():
     target = make_dist(x0 + 53.468)
     ref0 = make_dist(x0, theta=45.0)
     ref1 = make_dist(x0 + 60.08, theta=90.0)
-    est = ana.weak_value_estimate(target, ref0, ref1)
+    est = ana.weak_value_estimate(ana.weak_value_draws(target, ref0, ref1)[1])
     assert abs(est.mean - 53.468 / 60.08) < 1e-9
     assert abs(est.mean - 0.890) < 1e-3
 
@@ -348,6 +353,30 @@ def test_weak_value_zero_scale_raises():
     ref1 = make_dist(ref0.centers + 0.5)  # scale below 1 um
     with pytest.raises(ZeroScale):
         ana.weak_value_draws(make_dist(ref0.centers), ref0, ref1)
+
+
+@given(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=40))
+def test_weak_value_draws_match_per_draw_loop(kept):
+    # target, ref0 and ref1 each keep a random subset of the draws
+    masks = np.array(kept).T
+    assume(masks.any(axis=1).all())
+    rng = np.random.default_rng(len(kept))
+    x, x0 = rng.normal(50.0, 3.0, len(kept)), rng.normal(0.0, 3.0, len(kept))
+    x1 = x0 + rng.normal(49.0, 3.0, len(kept))
+    target, ref0, ref1 = (
+        ana.CenterDistribution(c[m], theta, "x", np.flatnonzero(m))
+        for c, m, theta in zip((x, x0, x1), masks, (0.0, 45.0, 90.0))
+    )
+    shared = [i for i, flags in enumerate(kept) if all(flags)]
+    if not shared:
+        with pytest.raises(ValueError, match="share no bootstrap draw"):
+            ana.weak_value_draws(target, ref0, ref1)
+        return
+    scale = float(np.mean([x1[i] - x0[i] for i in shared]))
+    idx, draws, paired_scale = ana.weak_value_draws(target, ref0, ref1)
+    assert idx.tolist() == shared
+    assert paired_scale == scale
+    assert draws.tolist() == [(x[i] - x0[i]) / scale for i in shared]
 
 
 def test_weak_values_pair_on_draw_idx(tmp_path, monkeypatch):
@@ -363,15 +392,48 @@ def test_weak_values_pair_on_draw_idx(tmp_path, monkeypatch):
     keep = np.arange(300) != 17
     x, x0, x1 = target.centers[keep], ref0.centers[keep], full[90.0].centers[keep]
     scale = float(np.mean(x1 - x0))
-    assert ana.reference_scale(ref0, ref1) == scale
-    draws = ana.weak_value_draws(target, ref0, ref1)
+    idx, draws, paired_scale = ana.weak_value_draws(target, ref0, ref1)
+    assert paired_scale == scale
+    assert np.array_equal(idx, np.flatnonzero(keep))
     assert np.array_equal(draws, (x - x0) / scale)
 
-    ana.export_results(tmp_path, {}, [target, ref0, ref1], {"x": draws}, seed=4, n_bootstrap=300)
+    ana.export_results(tmp_path, {}, [target, ref0, ref1], {"x": (idx, draws)}, seed=4, n_bootstrap=300)
     rows = (tmp_path / "weak_values.csv").read_text().strip().splitlines()[1:]
     assert [int(r.split(",")[1]) for r in rows] == list(range(17)) + list(range(18, 300))
     with pytest.raises(ValueError):  # pairing needs each distribution's draws in order
         ana.CenterDistribution(np.array([1.0, 2.0]), 0.0, "x", np.array([3, 1]))
+
+    # the target drops draw 17 while both references keep it: the sys band
+    # divides by the same 299-draw scale as the weak values
+    monkeypatch.undo()
+    out = tmp_path / "run"
+    config = ExperimentConfig.from_dict({"analysis": {"n_bootstrap": 300}, "drift": {"n_profiles": 10}})
+    cmd_simulate(config, out, quiet=True)
+    boot, band = ana.bootstrap_centers, ana.systematic_band
+    dists, scales = {}, []
+
+    def target_drops_17(record, n_bootstrap, seed):
+        dist = boot(record, n_bootstrap, seed)
+        if record.theta == config.target_theta:
+            dist = ana.CenterDistribution(dist.centers[keep], dist.theta, dist.axis, dist.draw_idx[keep])
+        dists[(record.theta, record.axis)] = dist
+        return dist
+
+    def recorded_band(records, scale):
+        scales.append(scale)
+        return band(records, scale)
+
+    monkeypatch.setattr(ana, "bootstrap_centers", target_drops_17)
+    monkeypatch.setattr(ana, "systematic_band", recorded_band)
+    cmd_analyze(config, out, quiet=True)
+    summary = ana.load_summary(out / "summary.json")
+    assert len(scales) == 2
+    for axis, scale in zip("xy", scales):
+        x0, x1 = dists[(45.0, axis)].centers, dists[(90.0, axis)].centers
+        assert x0.size == x1.size == 300
+        assert scale == abs(float(np.mean(x1[keep] - x0[keep])))
+        assert scale != abs(float(np.mean(x1 - x0)))  # the 300-draw scale differs
+        assert summary["results"][axis]["n_samples"] == 299
 
 
 @pytest.mark.parametrize(
@@ -404,7 +466,7 @@ def test_stat_sigma_shrinks_with_rate():
             cfg = det.ScanConfig(mean_rate=rate, repeats=repeats, theta=theta)
             rec = det.simulate_scan(paper_state(theta), cfg, "x", det.DriftModel(), seed=60)
             dists[theta] = ana.bootstrap_centers(rec, n_bootstrap=1200, seed=61)
-        est = ana.weak_value_estimate(dists[0.0], dists[45.0], dists[90.0])
+        est = ana.weak_value_estimate(ana.weak_value_draws(dists[0.0], dists[45.0], dists[90.0])[1])
         sigmas.append(est.stat_sigma)
     assert sigmas[0] > sigmas[1] > sigmas[2]
     # quadrupled rate should halve sigma, allow a generous window
@@ -468,10 +530,10 @@ def test_export_roundtrip_bit_exact(tmp_path):
     dist = make_dist(centers, theta=0.0, axis="x")
     ref0 = make_dist(rng.normal(0.0, 3.0, 50), theta=45.0, axis="x")
     ref1 = make_dist(rng.normal(49.0, 3.0, 50), theta=90.0, axis="x")
-    draws = ana.weak_value_draws(dist, ref0, ref1)
-    est = ana.weak_value_estimate(dist, ref0, ref1, sys_band=0.07)
+    idx, draws, _ = ana.weak_value_draws(dist, ref0, ref1)
+    est = ana.weak_value_estimate(draws, sys_band=0.07)
     summary = ana.export_results(
-        tmp_path, {"x": est}, [dist, ref0, ref1], {"x": draws}, seed=9, n_bootstrap=50
+        tmp_path, {"x": est}, [dist, ref0, ref1], {"x": (idx, draws)}, seed=9, n_bootstrap=50
     )
     loaded = ana.load_summary(tmp_path / "summary.json")
     assert loaded["results"]["x"]["weak_value_mean"] == est.mean  # bit-exact
@@ -496,8 +558,9 @@ def test_export_contains_both_axes(tmp_path):
         ref0 = make_dist(rng.normal(0, 3, 40), 45.0, axis)
         ref1 = make_dist(rng.normal(49, 3, 40), 90.0, axis)
         tgt = make_dist(rng.normal(49, 3, 40), 0.0, axis)
-        draws[axis] = ana.weak_value_draws(tgt, ref0, ref1)
-        ests[axis] = ana.weak_value_estimate(tgt, ref0, ref1)
+        idx, values, _ = ana.weak_value_draws(tgt, ref0, ref1)
+        draws[axis] = idx, values
+        ests[axis] = ana.weak_value_estimate(values)
         dists[axis] = tgt
     summary = ana.export_results(
         tmp_path, ests, list(dists.values()), draws, seed=1, n_bootstrap=40

@@ -227,7 +227,12 @@ def _cut_at_row_boundary(data):
     return data[: data.rindex(b"\n", 0, 2000) + 1]
 
 
-@pytest.mark.parametrize("cut", [_cut_at_2000_bytes, _cut_at_row_boundary])
+def _keep_three_positions(data):
+    # a well-formed file (seed line, header, 3 positions x 6 repeats), too short for the profile fit
+    return b"".join(data.splitlines(keepends=True)[: 2 + 3 * 6])
+
+
+@pytest.mark.parametrize("cut", [_cut_at_2000_bytes, _cut_at_row_boundary, _keep_three_positions])
 def test_cli_analyze_damaged_scan_is_unreadable_input(tmp_path, capsys, cut):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -358,6 +363,16 @@ def test_cli_bad_config_exit_code(tmp_path):
         ({"theta_list": [0.0, 2147483.6475]}, [], "theta_list"),
         ({"target_theta": -1e306}, [], "target_theta"),
         ({"drift": {"step_sigma_x": 1e308}}, [], "drift.step_sigma_x"),
+        # lengths whose squares would overflow
+        ({"drift": {"initial_offset": 1e308}, "scan": {"start": -1e308, "step": 1e304}}, [], "scan.start"),
+        ({"drift": {"initial_offset": 1e308}}, [], "drift.initial_offset"),
+        ({"scan": {"start": -1e160, "step": 1e156}}, [], "scan.start"),
+        ({"scan": {"fiber_core": 1e31}}, [], "scan.fiber_core"),
+        ({"sigma": 1e200}, [], "sigma"),
+        ({"g_x": 1e200}, [], "g_x"),
+        # the bootstrap needs two repeats per position
+        ({"scan": {"reference_repeats": 1}}, [], "scan.reference_repeats"),
+        ({"scan": {"repeats": 1}}, [], "scan.repeats"),
     ],
 )
 def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, doc, flags, key):

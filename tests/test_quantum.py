@@ -114,9 +114,9 @@ def test_spatial_projectors_complete():
 def test_observables_hermitian_and_projector_property():
     for kind in ("spatial", "diagonal"):
         for arm in ("A", "B"):
-            assert qm.observable(kind, arm).is_hermitian(1e-12)
-    assert qm.observable("spatial", "A").is_projector(1e-12)
-    assert qm.observable("spatial", "B").is_projector(1e-12)
+            assert qm.observable(kind, arm).is_hermitian()
+    assert qm.observable("spatial", "A").is_projector()
+    assert qm.observable("spatial", "B").is_projector()
 
 
 def test_diagonal_swaps_h_and_v():
@@ -242,7 +242,8 @@ def test_spectrum_cached_read_only_and_fresh(kind, arm):
     op = qm.observable(kind, arm)
     spectrum = qm.eigen_projectors(op)
     assert qm.eigen_projectors(op) is spectrum
-    fresh = qm.eigen_projectors(op, tol=0.5)  # a non-default tol bypasses the cache
+    fresh = qm.eigen_projectors(qm.observable(kind, arm))  # the cache is per operator
+    assert fresh is not spectrum
     assert [lam for lam, _ in spectrum] == [lam for lam, _ in fresh]
     for (_, cached), (_, rebuilt) in zip(spectrum, fresh):
         np.testing.assert_array_equal(cached, rebuilt)
@@ -441,10 +442,3 @@ def test_outcome_distribution_validation():
 def test_outcome_distribution_rejects_nan(probs):
     with pytest.raises(ValueError, match="probabilities"):
         qm.OutcomeDistribution(tuple(zip("ab", probs)), kind="unconditional")
-
-
-def test_pre_post_pair_overlap_cache_checked():
-    with pytest.raises(ValueError):
-        qm.PrePostPair(qm.pre_state(), qm.post_state(0.0), overlap=0.9)
-    pp = qm.PrePostPair(qm.pre_state(), qm.post_state(0.0), overlap=0.5)
-    assert abs(pp.overlap - qm.inner(pp.post, pp.pre)) < 1e-12
