@@ -48,8 +48,7 @@ from .pointer import (
     BranchState,
     CouplerSpec,
     DEFAULT_SIGMA_UM,
-    GaussianMode,
-    build_coupler,
+    apply_coupler,
     centroid_exact,
     diagonal_coupler_composite,
     evolve,

@@ -293,7 +293,7 @@ def simulate_scan(state: BranchState, config: ScanConfig, axis: str, drift: Drif
 
 def single_beam_state(sigma: float = DEFAULT_SIGMA_UM) -> BranchState:
     """A plain Gaussian beam (one arm open, no couplers): the drift-run probe."""
-    return BranchState((Branch(1.0 + 0.0j, None, 0.0, 0.0),), sigma, 0.0, True)
+    return BranchState((Branch(1.0 + 0.0j, None, 0.0, 0.0),), sigma)
 
 
 def simulate_drift_run(

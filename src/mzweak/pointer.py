@@ -38,14 +38,19 @@ COLLIMATION_SIGMA_UM = 375.0
 
 COEFF_PRUNE_TOL = 1e-15
 
-_KIND_AXIS = {"spatial": "y", "diagonal": "x"}
-
 # 2x2 polarization matrices on an arm's (H, V) labels
-_IDENTITY = np.eye(2)
 _P_H = np.diag([1.0, 0.0])
 _P_V = np.diag([0.0, 1.0])
 _P_DIAG = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
 _P_ANTI = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+# Each coupler kind: the pointer axis it moves, and the spectral form of its
+# observable (``quantum.observable``) on the target arm's (H, V) labels, as
+# (projector, eigenvalue) pairs. The observable is zero on the other arm.
+_COUPLERS = {
+    "spatial": ("y", ((np.eye(2), 1.0),)),
+    "diagonal": ("x", ((_P_DIAG, 1.0), (_P_ANTI, -1.0))),
+}
 
 
 def gaussian_amplitude(u, center: float, sigma: float):
@@ -68,23 +73,6 @@ def first_moment(a: float, b: float, sigma: float) -> float:
     return 0.5 * (a + b) * mode_overlap(a, b, sigma)
 
 
-@dataclass(frozen=True)
-class GaussianMode:
-    """A single displaced pointer mode (center and rms intensity width, um)."""
-
-    center: float
-    sigma: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.center):
-            raise ValueError("center must be finite")
-        if not 0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
-
-    def amplitude(self, u):
-        return gaussian_amplitude(u, self.center, self.sigma)
-
-
 class Branch(NamedTuple):
     """One term of the joint superposition, plain data.
 
@@ -104,16 +92,12 @@ class BranchState:
     """Finite superposition of Gaussian pointer branches.
 
     The state holds the invariant, checked once here: sigma is positive and
-    finite, and every branch's |coeff|, dx and dy are finite.
-    ``arm_phase`` records the relative A/B phase that was applied before
-    post-selection (radians); ``postselected`` marks states whose system part
-    has been projected out (labels None, generally un-normalized).
+    finite, and every branch's |coeff|, dx and dy are finite. A post-selected
+    state has label-free branches and is generally un-normalized.
     """
 
     branches: tuple
     sigma: float
-    arm_phase: float = 0.0
-    postselected: bool = False
 
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
@@ -129,15 +113,11 @@ class BranchState:
         return float(np.sum(_mixture(self, "x")[1]))
 
     @cached_property
-    def _mixture_x(self):
-        return _build_mixture(self.branches, self.sigma, "x")
-
-    @cached_property
-    def _mixture_y(self):
-        return _build_mixture(self.branches, self.sigma, "y")
+    def _mixtures(self):
+        return _build_mixtures(self.branches, self.sigma)
 
 
-def _merged(terms, sigma, arm_phase, postselected) -> BranchState:
+def _merged(terms, sigma) -> BranchState:
     """One branch per distinct (label, dx, dy) of the (coeff, label, dx, dy)
     terms, coefficients summed in term order; sums below COEFF_PRUNE_TOL drop, NaN stays."""
     acc = {}
@@ -145,7 +125,7 @@ def _merged(terms, sigma, arm_phase, postselected) -> BranchState:
         key = (label, dx, dy)
         acc[key] = acc.get(key, 0.0) + coeff
     kept = tuple(Branch(c, *key) for key, c in acc.items() if not abs(c) < COEFF_PRUNE_TOL)
-    return BranchState(kept, sigma, arm_phase, postselected)
+    return BranchState(kept, sigma)
 
 
 @dataclass(frozen=True)
@@ -158,20 +138,12 @@ class CouplerSpec:
     g: float
 
     def __post_init__(self):
-        if self.kind not in _KIND_AXIS:
+        if self.kind not in _COUPLERS:
             raise ValueError(f"kind must be 'spatial' or 'diagonal', got {self.kind!r}")
         if self.arm not in ARM_INDICES:
             raise ValueError(f"arm must be 'A' or 'B', got {self.arm!r}")
         if not 0 <= self.g < math.inf:
             raise ValueError("g must be non-negative and finite")
-
-    @property
-    def axis(self) -> str:
-        return _KIND_AXIS[self.kind]
-
-    def is_weak(self, sigma: float) -> bool:
-        """Diagnostic only: g below a third of the beam width."""
-        return self.g < sigma / 3.0
 
 
 def initial_branch_state(state: SystemState, sigma: float = DEFAULT_SIGMA_UM) -> BranchState:
@@ -181,7 +153,7 @@ def initial_branch_state(state: SystemState, sigma: float = DEFAULT_SIGMA_UM) ->
         for j, amp in enumerate(np.asarray(state))
         if abs(amp) >= COEFF_PRUNE_TOL
     ]
-    return _merged(terms, sigma, 0.0, False)
+    return _merged(terms, sigma)
 
 
 def _apply_on_arm(state: BranchState, arm: str, axis: str, terms) -> BranchState:
@@ -201,25 +173,15 @@ def _apply_on_arm(state: BranchState, arm: str, axis: str, terms) -> BranchState
         for m, shift in terms:
             dx, dy = (b.dx + shift, b.dy) if axis == "x" else (b.dx, b.dy + shift)
             out.extend((b.coeff * m[row, col], lab, dx, dy) for row, lab in enumerate(idx))
-    return _merged(out, state.sigma, state.arm_phase, state.postselected)
+    return _merged(out, state.sigma)
 
 
-def apply_spatial_coupler(state: BranchState, arm: str, g: float) -> BranchState:
-    """exp(-i g Y_arm P_y): shifts the target arm's branches by g along y."""
-    return _apply_on_arm(state, arm, "y", [(_IDENTITY, g)])
-
-
-def apply_diagonal_coupler(state: BranchState, arm: str, g: float) -> BranchState:
-    """exp(-i g X_arm P_x): splits the target arm into +g diagonal and -g
-    anti-diagonal components along x (the spectral form of the exponential)."""
-    return _apply_on_arm(state, arm, "x", [(_P_DIAG, g), (_P_ANTI, -g)])
-
-
-def build_coupler(spec: CouplerSpec):
-    """Return the branch transformation for a coupler spec."""
-    if spec.kind == "spatial":
-        return lambda st: apply_spatial_coupler(st, spec.arm, spec.g)
-    return lambda st: apply_diagonal_coupler(st, spec.arm, spec.g)
+def apply_coupler(state: BranchState, spec: CouplerSpec) -> BranchState:
+    """exp(-i g S P_axis) in its spectral form: each eigenspace of the kind's
+    observable S on the target arm moves by eigenvalue * g along the kind's
+    axis (see ``_COUPLERS``); the other arm passes through."""
+    axis, spectrum = _COUPLERS[spec.kind]
+    return _apply_on_arm(state, spec.arm, axis, [(proj, value * spec.g) for proj, value in spectrum])
 
 
 def apply_jones(state: BranchState, arm: str, jones: np.ndarray) -> BranchState:
@@ -265,7 +227,7 @@ def block_arm(state: BranchState, arm: str) -> BranchState:
     kept = [b for b in state.branches if b.label not in idx]
     if not kept:
         raise EmptyState("blocking removed every branch")
-    return _merged(kept, state.sigma, state.arm_phase, state.postselected)
+    return _merged(kept, state.sigma)
 
 
 def apply_arm_phase(state: BranchState, phase: float) -> BranchState:
@@ -275,7 +237,7 @@ def apply_arm_phase(state: BranchState, phase: float) -> BranchState:
     factor = np.exp(1j * phase)
     idx = ARM_INDICES["B"]
     out = [b._replace(coeff=b.coeff * factor) if b.label in idx else b for b in state.branches]
-    return _merged(out, state.sigma, phase, state.postselected)
+    return _merged(out, state.sigma)
 
 
 def postselect(state: BranchState, post: SystemState) -> BranchState:
@@ -283,7 +245,7 @@ def postselect(state: BranchState, post: SystemState) -> BranchState:
     carries pointer-only branches (label None)."""
     phi = np.asarray(post)
     terms = [(b.coeff * np.conj(phi[b.label]), None, b.dx, b.dy) for b in state.branches]
-    return _merged(terms, state.sigma, state.arm_phase, True)
+    return _merged(terms, state.sigma)
 
 
 def evolve(
@@ -305,7 +267,7 @@ def evolve(
     if blocked_arm is not None:
         state = block_arm(state, blocked_arm)
     for spec in couplers:
-        state = build_coupler(spec)(state)
+        state = apply_coupler(state, spec)
     return apply_arm_phase(state, arm_phase)
 
 
@@ -331,32 +293,36 @@ def _mixture(state: BranchState, axis: str):
     sorted distinct pair midpoints; weight[m] sums, in k-major pair order,
     Re(c_k conj(c_l)) times the exact overlaps of the two modes across and
     along ``axis`` over the label-matched pairs (k, l) at mids[m] (distinct
-    system labels do not interfere). The table is built once per state and
-    axis; its arrays are read-only.
+    system labels do not interfere). Both axes' tables are built in one pass
+    per state; their arrays are read-only.
     """
-    if axis == "x":
-        return state._mixture_x
-    if axis == "y":
-        return state._mixture_y
-    raise ValueError("axis must be 'x' or 'y'")
+    if axis not in ("x", "y"):
+        raise ValueError("axis must be 'x' or 'y'")
+    return state._mixtures[axis]
 
 
-def _build_mixture(branches, sigma: float, axis: str):
+def _build_mixtures(branches, sigma: float) -> dict:
+    """The (mids, weight) table of each axis, from one set of label-matched pairs."""
     labels = np.array([b.label for b in branches], dtype=object)
     k, l = np.nonzero(labels[:, None] == labels[None, :])
     coeff = np.array([b.coeff for b in branches], dtype=complex)
     dx = np.array([b.dx for b in branches], dtype=float)
     dy = np.array([b.dy for b in branches], dtype=float)
-    along, across = (dx, dy) if axis == "x" else (dy, dx)
     # Re(c_k conj(c_l)) spelled out: numpy's array complex product may fuse
     # multiply-adds and round differently from the scalar product
     re, im = coeff.real, coeff.imag
-    pair_weight = (
-        (re[k] * re[l] + im[k] * im[l])
-        * _overlap(across[k], across[l], sigma)
-        * _overlap(along[k], along[l], sigma)
-    )
-    mid = 0.5 * (along[k] + along[l])
+    real = re[k] * re[l] + im[k] * im[l]
+    over_x = _overlap(dx[k], dx[l], sigma)
+    over_y = _overlap(dy[k], dy[l], sigma)
+    # each axis multiplies the overlap across it first, then the one along it
+    return {
+        "x": _table(0.5 * (dx[k] + dx[l]), real * over_y * over_x),
+        "y": _table(0.5 * (dy[k] + dy[l]), real * over_x * over_y),
+    }
+
+
+def _table(mid, pair_weight):
+    """Pair weights summed per distinct midpoint, sorted by midpoint, read-only."""
     mids = np.array(sorted(set(mid.tolist())), dtype=float)
     weight = np.bincount(np.searchsorted(mids, mid), pair_weight, mids.size)
     mids.setflags(write=False)

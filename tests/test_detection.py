@@ -87,7 +87,7 @@ def test_expected_rate_equals_two_call_form(axis, cfg):
 def test_expected_rate_propagates_empty_state():
     from mzweak.errors import EmptyState
 
-    empty = ptr.BranchState((), SIGMA, 0.0, True)
+    empty = ptr.BranchState((), SIGMA)
     with pytest.raises(EmptyState):
         det.expected_rate(empty, "x", 0.0, det.ScanConfig())
 

@@ -65,30 +65,22 @@ def test_first_moment_matches_quadrature(a, b, sigma):
     assert abs(numeric - ptr.first_moment(a, b, sigma)) < 1e-9
 
 
-def test_gaussian_mode_validation():
-    for sigma in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="sigma must be positive and finite"):
-            ptr.GaussianMode(0.0, sigma)
-    with pytest.raises(ValueError, match="center must be finite"):
-        ptr.GaussianMode(np.nan, 1.0)
-
-
 # --------------------------------------------------------------- couplers
 
 
 def test_spatial_coupler_shifts_target_arm_only():
     base = ptr.initial_branch_state(qm.SystemState([1, 0, 0, 0]), SIGMA)
-    out = ptr.build_coupler(ptr.CouplerSpec("spatial", "A", 50.0))(base)
+    out = ptr.apply_coupler(base, ptr.CouplerSpec("spatial", "A", 50.0))
     assert branch_map(out) == {(0, 0.0, 50.0): pytest.approx(1.0)}
 
     base_b = ptr.initial_branch_state(qm.SystemState([0, 0, 0, 1]), SIGMA)
-    out_b = ptr.build_coupler(ptr.CouplerSpec("spatial", "A", 50.0))(base_b)
+    out_b = ptr.apply_coupler(base_b, ptr.CouplerSpec("spatial", "A", 50.0))
     assert branch_map(out_b) == {(3, 0.0, 0.0): pytest.approx(1.0)}
 
 
 def test_diagonal_coupler_zero_is_identity():
     state = ptr.initial_branch_state(qm.pre_state(), SIGMA)
-    out = ptr.build_coupler(ptr.CouplerSpec("diagonal", "B", 0.0))(state)
+    out = ptr.apply_coupler(state, ptr.CouplerSpec("diagonal", "B", 0.0))
     assert branch_map(out) == pytest.approx(branch_map(state))
 
 
@@ -98,14 +90,30 @@ def test_composite_stack_equals_direct_exponential(arm, basis_index):
     amps = np.zeros(4, dtype=complex)
     amps[basis_index] = 1.0
     base = ptr.initial_branch_state(qm.SystemState(amps), SIGMA)
-    direct = ptr.build_coupler(ptr.CouplerSpec("diagonal", arm, 50.0))(base)
+    direct = ptr.apply_coupler(base, ptr.CouplerSpec("diagonal", arm, 50.0))
     stack = ptr.diagonal_coupler_composite(arm, 50.0)(base)
     da, db = branch_map(direct), branch_map(stack)
     for key in set(da) | set(db):
         assert abs(da.get(key, 0.0) - db.get(key, 0.0)) < 1e-12
 
 
-def test_coupler_spec_validation_and_weak_flag():
+@pytest.mark.parametrize("arm", ["A", "B"])
+@pytest.mark.parametrize("kind", ["spatial", "diagonal"])
+def test_coupler_spectrum_is_the_reported_observable(kind, arm):
+    # the pointer moves by the same observable whose weak value is reported
+    _, spectrum = ptr._COUPLERS[kind]
+    op = np.asarray(qm.observable(kind, arm))
+    idx = list(qm.ARM_INDICES[arm])
+    block = np.zeros_like(op)
+    block[np.ix_(idx, idx)] = op[np.ix_(idx, idx)]
+    np.testing.assert_array_equal(op, block)  # zero off the target arm
+    np.testing.assert_array_equal(sum(value * proj for proj, value in spectrum), op[np.ix_(idx, idx)])
+    np.testing.assert_array_equal(sum(proj for proj, _ in spectrum), np.eye(2))
+    for proj, _ in spectrum:
+        np.testing.assert_array_equal(proj @ proj, proj)
+
+
+def test_coupler_spec_validation():
     with pytest.raises(ValueError):
         ptr.CouplerSpec("spatial", "C", 1.0)
     with pytest.raises(ValueError):
@@ -114,8 +122,6 @@ def test_coupler_spec_validation_and_weak_flag():
     for g in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="g must be non-negative and finite"):
             ptr.CouplerSpec("spatial", "A", g)
-    assert ptr.CouplerSpec("spatial", "A", 50.0).is_weak(475.0)
-    assert not ptr.CouplerSpec("spatial", "A", 200.0).is_weak(475.0)
 
 
 def test_conflicting_couplers_rejected():
@@ -216,7 +222,7 @@ def test_both_arms_open_orthogonal_theta_diagonal_pattern():
 
 
 def test_marginal_single_branch_is_gaussian():
-    state = ptr.BranchState((ptr.Branch(1.0, None, 0.0, 0.0),), SIGMA, 0.0, True)
+    state = ptr.BranchState((ptr.Branch(1.0, None, 0.0, 0.0),), SIGMA)
     grid = np.linspace(-1000, 1000, 101)
     profile = ptr.marginal_intensity(state, "x", grid)
     expected = ptr.gaussian_amplitude(grid, 0.0, SIGMA) ** 2
@@ -224,7 +230,7 @@ def test_marginal_single_branch_is_gaussian():
 
 
 def test_marginal_requires_branches():
-    empty = ptr.BranchState((), SIGMA, 0.0, True)
+    empty = ptr.BranchState((), SIGMA)
     with pytest.raises(EmptyState):
         ptr.marginal_intensity(empty, "x", [0.0])
 
@@ -534,7 +540,7 @@ def test_pair_tables_cached_read_only_and_fresh(state):
     for axis in ("x", "y"):
         table = ptr._mixture(state, axis)
         assert ptr._mixture(state, axis) is table
-        fresh = ptr._build_mixture(state.branches, state.sigma, axis)
+        fresh = ptr._build_mixtures(state.branches, state.sigma)[axis]
         for cached, rebuilt in zip(table, fresh):
             np.testing.assert_array_equal(cached, rebuilt)
             with pytest.raises(ValueError):
@@ -561,7 +567,7 @@ def test_nan_arm_phase_rejected_not_pruned():
     with pytest.raises(ValueError, match="branch fields must be finite"):
         ptr.evolve(qm.pre_state(), [], sigma=SIGMA, arm_phase=float("nan"))
     with pytest.raises(ValueError, match="branch fields must be finite"):
-        ptr._merged([(complex("nan"), 0, 0.0, 0.0)], SIGMA, 0.0, False)
+        ptr._merged([(complex("nan"), 0, 0.0, 0.0)], SIGMA)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
