@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -48,22 +49,20 @@ def scan_filename(theta: float, axis: str) -> str:
     return f"scan_theta{_theta_tag(theta)}_{axis}.csv"
 
 
-def build_couplers(config: ExperimentConfig, g_x=None, g_y=None):
-    gx = config.g_x if g_x is None else g_x
-    gy = config.g_y if g_y is None else g_y
+def build_couplers(config: ExperimentConfig):
     return [
-        ptr.CouplerSpec("spatial", "A", gy),
-        ptr.CouplerSpec("diagonal", "B", gx),
+        ptr.CouplerSpec("spatial", "A", config.g_y),
+        ptr.CouplerSpec("diagonal", "B", config.g_x),
     ]
 
 
-def build_state(config: ExperimentConfig, theta: float, *, g_x=None, g_y=None, sigma=None):
+def build_state(config: ExperimentConfig, theta: float):
     """Post-selected pointer state for one post-selection angle."""
     return ptr.evolve_and_postselect(
         qm.pre_state(),
-        build_couplers(config, g_x, g_y),
+        build_couplers(config),
         qm.post_state(theta),
-        sigma=config.sigma if sigma is None else sigma,
+        sigma=config.sigma,
         blocked_arm=config.blocked_arm,
         arm_phase=config.arm_phase,
     )
@@ -231,10 +230,24 @@ def cmd_g2(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _sweep_values(args) -> np.ndarray:
+# The config keys each sweep parameter replaces
+_SWEPT_KEYS = {"theta": ("target_theta",), "g": ("g_x", "g_y"), "sigma": ("sigma",)}
+
+
+def _sweep_points(config: ExperimentConfig, args) -> list:
+    """(value, config) per sweep point: the loaded config with the swept keys
+    replaced by the value, validated like a config file, so a value that no
+    config may hold is a config error before any point runs."""
     if args.stop <= args.start or args.num < 2:
         raise ConfigError("sweep range: need stop > start and at least 2 points")
-    return np.linspace(args.start, args.stop, args.num)
+    raw = {f.name: getattr(config, f.name) for f in fields(config)} | {"theta_list": list(config.theta_list)}
+    points = []
+    for v in np.linspace(args.start, args.stop, args.num).tolist():
+        try:
+            points.append((v, ExperimentConfig.from_dict(raw | dict.fromkeys(_SWEPT_KEYS[args.parameter], v))))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep {args.parameter} = {v!r}: {exc}") from None
+    return points
 
 
 def cmd_sweep(config: ExperimentConfig, out_dir: Path, quiet: bool, args) -> int:
@@ -244,25 +257,20 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path, quiet: bool, args) -> int
     arm B), exact x centroid, first-order shift g * Re(w). Undefined weak
     values (orthogonal post-selection) are written as nan.
     """
-    values = _sweep_values(args)
     x_b = qm.observable("diagonal", "B")
     rows = []
-    for v in values:
-        theta = v if args.parameter == "theta" else config.target_theta
-        g_x = v if args.parameter == "g" else config.g_x
-        g_y = v if args.parameter == "g" else config.g_y
-        sigma = v if args.parameter == "sigma" else config.sigma
-        pp = qm.pair(theta)
+    for v, point in _sweep_points(config, args):
+        pp = qm.pair(point.target_theta)
         try:
             wv = qm.weak_value(x_b, pp)
-            first = ptr.first_order_shift(wv, g_x)
+            first = ptr.first_order_shift(wv, point.g_x)
             wv_re = wv.real
         except OrthogonalPostSelection:
             wv_re = float("nan")
             first = float("nan")
-        state = build_state(config, theta, g_x=g_x, g_y=g_y, sigma=sigma)
+        state = build_state(point, point.target_theta)
         centroid = ptr.centroid_exact(state, "x")
-        rows.append((float(v), wv_re, centroid, first))
+        rows.append((v, wv_re, centroid, first))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"sweep_{args.parameter}.csv"

@@ -36,6 +36,9 @@ CALIBRATED_STEP_SIGMA_Y = 1.21
 # Bound (um) on the sum of the lengths on the beam path: far above any optics,
 # and small enough that every square the pointer and the profile fit form stays finite.
 MAX_LENGTH_UM = 1e30
+# Narrowest beam (um), the reciprocal of MAX_LENGTH_UM: sigma^2 stays a normal
+# float, and every (length / sigma)^2 the pointer forms stays finite.
+MIN_SIGMA_UM = 1e-30
 
 
 def _field_defaults(model, *skip) -> dict:
@@ -206,8 +209,7 @@ class ExperimentConfig:
         target_theta = _check_angle(raw.get("target_theta", DEFAULTS["target_theta"]), "target_theta")
         g_x = _check_number(raw.get("g_x", DEFAULTS["g_x"]), "g_x", minimum=0.0)
         g_y = _check_number(raw.get("g_y", DEFAULTS["g_y"]), "g_y", minimum=0.0)
-        sigma = _check_number(raw.get("sigma", DEFAULTS["sigma"]), "sigma")
-        _require(sigma > 0, "sigma", "must be > 0")
+        sigma = _check_number(raw.get("sigma", DEFAULTS["sigma"]), "sigma", minimum=MIN_SIGMA_UM)
         arm_phase = _check_number(raw.get("arm_phase", DEFAULTS["arm_phase"]), "arm_phase")
         blocked = raw.get("blocked_arm", DEFAULTS["blocked_arm"])
         if blocked is not None and blocked not in ("A", "B"):

@@ -334,6 +334,28 @@ def test_cli_sweep_invalid_range_is_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "parameter,start,stop,key",
+    [
+        ("g", "-5", "10", "g_x"),
+        ("sigma", "0", "10", "sigma"),
+        ("sigma", "1e-200", "1e-199", "sigma"),
+        ("g", "1", "1e200", "g_x"),
+        ("theta", "0", "1e306", "target_theta"),
+    ],
+)
+def test_cli_sweep_values_pass_the_config_checks(tmp_path, capsys, parameter, start, stop, key):
+    # each swept value replaces its config key(s) and is checked like a file value
+    out = tmp_path / "out"
+    rc = main(["--quiet", "--out", str(out), "sweep",
+               "--parameter", parameter, "--start", start, "--stop", stop])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: sweep {parameter} = ") and f": {key}: " in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_bad_config_exit_code(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"unknown_key": 1}))
@@ -373,6 +395,9 @@ def test_cli_bad_config_exit_code(tmp_path):
         # the bootstrap needs two repeats per position
         ({"scan": {"reference_repeats": 1}}, [], "scan.reference_repeats"),
         ({"scan": {"repeats": 1}}, [], "scan.repeats"),
+        # a beam so narrow that sigma^2 underflows or (length / sigma)^2 overflows
+        ({"sigma": 1e-200}, [], "sigma"),
+        ({"sigma": 1e-160}, [], "sigma"),
     ],
 )
 def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, doc, flags, key):
