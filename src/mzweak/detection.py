@@ -132,18 +132,14 @@ class ScanRecord:
         return self.counts.shape[1]
 
     def save_csv(self, path) -> None:
-        """Columns: theta_deg, axis, position_um, repeat_idx, counts."""
+        """Columns: theta_deg, axis, position_um, repeat_idx, counts; LF line ends."""
+        head = f"{float(self.theta)!r},{self.axis},"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             if self.seed is not None:
                 fh.write(f"# seed={int(self.seed)}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["theta_deg", "axis", "position_um", "repeat_idx", "counts"])
-            for i, u in enumerate(self.positions):
-                for r in range(self.repeats):
-                    writer.writerow(
-                        [repr(float(self.theta)), self.axis, repr(float(u)), r,
-                         int(self.counts[i, r])]
-                    )
+            fh.write(",".join(_SCAN_COLUMNS) + "\n")
+            for u, row in zip(self.positions.tolist(), self.counts.tolist()):
+                fh.write("".join(f"{head}{u!r},{r},{n}\n" for r, n in enumerate(row)))
 
     @classmethod
     def load_csv(cls, path) -> "ScanRecord":

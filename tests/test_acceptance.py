@@ -263,12 +263,12 @@ def test_criterion_10_byte_determinism(tmp_path):
 GOLDEN_DIGESTS = {
     "centers.csv": "4609be54e527c688912560780babef73c82a96645858112072ea8b5d2605391d",
     "g2.json": "9d66a3a6cbd4326d733137a78530d07242b0f155eac9eb16ece06d5407fb122c",
-    "scan_theta0_x.csv": "8db049fd0ff250db4d93f051be8bfc29d5b079bf935024024191cdc633a52227",
-    "scan_theta0_y.csv": "4875048b03bf80d97be6570e0720e4060cebde98a7ae920acaad6e105a5f0a6f",
-    "scan_theta45_x.csv": "fc73d4c74f0e8cc3b87a7307edf77b863512a191b5073a1f6bd964aca646032e",
-    "scan_theta45_y.csv": "c5dee7b39fa8a3fc6d9c7b2594b631ece740dae47844472290e4ca3513d33c1e",
-    "scan_theta90_x.csv": "1e8bc113d142c7c155ad3a4a5c1105935c3665e8ba0e62c5f94d4fa5e3b5bf54",
-    "scan_theta90_y.csv": "65942c8ee81caa23d403c916351b7fde6142cb8b148ee04d71288a1960de0404",
+    "scan_theta0_x.csv": "17c3c1e65495993a2074f0daa5dddf81a445075b4f45c4b537ede7124cca698b",
+    "scan_theta0_y.csv": "266356962c2203addb1b1afd0d3d2bf880d38aa348754901be1930a1edd8eb3c",
+    "scan_theta45_x.csv": "996ae213a05b95fbad717b85f249d1001454e85eb8be933a5e75d22d2fcb7436",
+    "scan_theta45_y.csv": "8ba0c8b327c16d602b31d01708d276d3ebda1babec25fee8ca8af76070b7bf93",
+    "scan_theta90_x.csv": "f55543fe3f88fb7c206eb6afa76166b4f4d319e4610819c6106840bc17d0babe",
+    "scan_theta90_y.csv": "a8c7d5fc0ca22746be93a31e7838373f399489fa9c24430c22d5c0cbaade89eb",
     "summary.json": "7503143433acc9241615db75124a9db628b683e87b2be941b71b642ef54ff7d2",
     "sweep_g.csv": "24787fc338148b9238f77ab9f6a962f2ba25cc82a5a725f51d3d0aa2cecd0c69",
     "weak_values.csv": "a84afab61e8777d086955ceda30300ac720ea1042254860223bb1671f0faaea4",

@@ -1,5 +1,6 @@
 """Counting layer: scan statistics, drift runs, heralded g2."""
 
+import csv
 import dataclasses
 import math
 import time
@@ -149,6 +150,28 @@ def test_scan_csv_roundtrip(tmp_path):
     assert back.theta == rec.theta
     assert back.axis == rec.axis
     assert back.seed == rec.seed
+    assert np.array_equal(back.positions, rec.positions)
+    assert np.array_equal(back.counts, rec.counts)
+
+
+def test_scan_csv_lines_end_in_lf_and_old_crlf_files_load(tmp_path):
+    cfg = det.ScanConfig(mean_rate=900.0, repeats=3, theta=45.0)
+    rec = det.simulate_scan(paper_state(45.0), cfg, "y", det.DriftModel(), seed=5)
+    path = tmp_path / "scan.csv"
+    rec.save_csv(path)
+    # the rows as csv.writer wrote them before, CRLF-terminated
+    old = tmp_path / "crlf.csv"
+    with open(old, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# seed={rec.seed}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["theta_deg", "axis", "position_um", "repeat_idx", "counts"])
+        for i, u in enumerate(rec.positions):
+            for r in range(rec.repeats):
+                writer.writerow([repr(float(rec.theta)), rec.axis, repr(float(u)), r, int(rec.counts[i, r])])
+    assert b"\r\n" in old.read_bytes()
+    assert path.read_bytes() == old.read_bytes().replace(b"\r\n", b"\n")
+    back = det.ScanRecord.load_csv(old)
+    assert (back.theta, back.axis, back.seed) == (rec.theta, rec.axis, rec.seed)
     assert np.array_equal(back.positions, rec.positions)
     assert np.array_equal(back.counts, rec.counts)
 
