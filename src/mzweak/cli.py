@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -240,11 +239,10 @@ def _sweep_points(config: ExperimentConfig, args) -> list:
     config may hold is a config error before any point runs."""
     if args.stop <= args.start or args.num < 2:
         raise ConfigError("sweep range: need stop > start and at least 2 points")
-    raw = {f.name: getattr(config, f.name) for f in fields(config)} | {"theta_list": list(config.theta_list)}
     points = []
     for v in np.linspace(args.start, args.stop, args.num).tolist():
         try:
-            points.append((v, ExperimentConfig.from_dict(raw | dict.fromkeys(_SWEPT_KEYS[args.parameter], v))))
+            points.append((v, config.replaced(**dict.fromkeys(_SWEPT_KEYS[args.parameter], v))))
         except ConfigError as exc:
             raise ConfigError(f"sweep {args.parameter} = {v!r}: {exc}") from None
     return points

@@ -246,6 +246,11 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_dict(read_json(path))
 
+    def replaced(self, **changes) -> "ExperimentConfig":
+        """This config with some top-level keys changed, validated like a config file."""
+        raw = {f.name: getattr(self, f.name) for f in fields(self)} | {"theta_list": list(self.theta_list)}
+        return self.from_dict(raw | changes)
+
     def scan_config(self, theta: float) -> ScanConfig:
         """ScanConfig for one post-selection angle (target vs reference repeats)."""
         scan = dict(self.scan, theta=theta)

@@ -157,6 +157,8 @@ def test_config_that_loads_builds_every_model(scan, drift, source):
         config.drift_model(axis)
         config.scan_drift_model(axis)
     config.source_model()
+    # what loads, loads again unchanged: the sweep re-validates configs this way
+    assert config.replaced() == config
 
 
 # --------------------------------------------------------------------- cli
