@@ -231,14 +231,16 @@ def cmd_g2(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
 
 # The config keys each sweep parameter replaces
 _SWEPT_KEYS = {"theta": ("target_theta",), "g": ("g_x", "g_y"), "sigma": ("sigma",)}
+# Most sweep points: each costs about 0.6 ms, so a full sweep runs for about a minute
+MAX_SWEEP_POINTS = 100_000
 
 
 def _sweep_points(config: ExperimentConfig, args) -> list:
     """(value, config) per sweep point: the loaded config with the swept keys
     replaced by the value, validated like a config file, so a value that no
     config may hold is a config error before any point runs."""
-    if args.stop <= args.start or args.num < 2:
-        raise ConfigError("sweep range: need stop > start and at least 2 points")
+    if args.stop <= args.start or not 2 <= args.num <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep range: need stop > start and 2 to {MAX_SWEEP_POINTS} points")
     points = []
     for v in np.linspace(args.start, args.stop, args.num).tolist():
         try:

@@ -131,15 +131,29 @@ class ScanRecord:
     def repeats(self) -> int:
         return self.counts.shape[1]
 
+    def repeat_records(self) -> list:
+        """One single-repeat record per repeat, in repeat order.
+
+        Each holds a read-only (n_points, 1) view of this record's counts and
+        shares its positions. The columns of a checked record need no check
+        of their own, so ``__post_init__`` does not run again."""
+        records = []
+        for column in self.counts.T[:, :, None]:
+            record = object.__new__(type(self))
+            record.__dict__.update(vars(self), counts=column)
+            records.append(record)
+        return records
+
     def save_csv(self, path) -> None:
         """Columns: theta_deg, axis, position_um, repeat_idx, counts; LF line ends."""
-        head = f"{float(self.theta)!r},{self.axis},"
+        # one %-template per position, its repr prefix once before each
+        # "repeat,%d" cell; one formatting pass fills in every count
+        head = f"{float(self.theta)!r},{self.axis},".replace("%", "%%")
+        cells = [""] + [f"{r},%d\n" for r in range(self.repeats)]
+        template = "".join(f"{head}{u!r},".join(cells) for u in self.positions.tolist())
+        seed = "" if self.seed is None else f"# seed={int(self.seed)}\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            if self.seed is not None:
-                fh.write(f"# seed={int(self.seed)}\n")
-            fh.write(",".join(_SCAN_COLUMNS) + "\n")
-            for u, row in zip(self.positions.tolist(), self.counts.tolist()):
-                fh.write("".join(f"{head}{u!r},{r},{n}\n" for r, n in enumerate(row)))
+            fh.write(seed + ",".join(_SCAN_COLUMNS) + "\n" + template % tuple(self.counts.ravel().tolist()))
 
     @classmethod
     def load_csv(cls, path) -> "ScanRecord":
@@ -149,39 +163,14 @@ class ScanRecord:
         malformed row: a short or long row, a non-numeric or non-finite
         field, mixed theta/axis, an angle without a stream key
         (``rng.theta_key``), an uneven grid, a missing or duplicate cell.
+
+        The columns are split from the whole text at once. A file that split
+        refuses is read again row by row with ``csv.reader``, which names the
+        bad line; both reads load the same values.
         """
-        seed = None
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            try:
-                first = fh.readline()
-                if first.startswith("# seed="):
-                    seed = int(_parse_column(path, 1, "seed", [first.strip().split("=", 1)[1]], np.int64)[0])
-                else:
-                    fh.seek(0)
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                rows = list(reader)
-            except (csv.Error, UnicodeDecodeError) as exc:
-                raise ValueError(f"{path}: not a scan CSV ({exc})") from None
-        if not rows:
-            raise ValueError(f"{path}: empty scan file")
-        line0 = 2 if seed is None else 3  # the file line of rows[0]
-        if sorted(header) != sorted(_SCAN_COLUMNS):
-            raise ValueError(f"{path}, line {line0 - 1}: the header must name {', '.join(_SCAN_COLUMNS)}")
-        widths = list(map(len, rows))
-        if widths.count(len(header)) < len(rows):
-            bad = next(i for i, w in enumerate(widths) if w != len(header))
-            raise ValueError(f"{path}, line {line0 + bad}: expected {len(header)} fields, got {widths[bad]}")
-        fields = dict(zip(header, zip(*rows)))
-        theta = _parse_column(path, line0, "theta_deg", fields["theta_deg"], float)
-        u = _parse_column(path, line0, "position_um", fields["position_um"], float)
-        rep = _parse_column(path, line0, "repeat_idx", fields["repeat_idx"], np.int64)
-        n = _parse_column(path, line0, "counts", fields["counts"], np.int64)
-        axis = fields["axis"][0]
-        if np.any(theta != theta[0]) or fields["axis"].count(axis) < len(rows):
-            raise ValueError(f"{path}: mixed theta/axis values")
+        seed, theta, axis, u, rep, n = _split_scan_columns(path) or _read_scan_rows(path)
         try:
-            rngmod.theta_key(theta[0])
+            rngmod.theta_key(theta)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         if rep.min() < 0:
@@ -199,10 +188,96 @@ class ScanRecord:
         if cells.size < counts.size:
             raise ValueError(f"{path}: {counts.size - cells.size} missing (position, repeat) cells")
         counts.flat[cell] = n
-        return cls(float(theta[0]), axis, positions, counts, seed)
+        return cls(theta, axis, positions, counts, seed)
 
 
 _SCAN_COLUMNS = ("theta_deg", "axis", "position_um", "repeat_idx", "counts")
+# The separator after each of a row's five fields: four commas, then a newline.
+_ROW_ENDS = (False, False, False, False, True)
+
+
+def _parse_seed(path, first_line: str) -> int:
+    return int(_parse_column(path, 1, "seed", [first_line.strip().split("=", 1)[1]], np.int64)[0])
+
+
+def _split_scan_columns(path):
+    """(seed, theta, axis, position_um, repeat_idx, counts) of a scan CSV split
+    from its whole text, or None for a file only ``csv.reader`` reads as it
+    should: undecodable bytes, a quote or a CR, a header that is not the five
+    columns, no rows, a row that is not five fields, a field longer than the
+    csv field limit, or theta or axis spelled in more than one way."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\r" in text:
+        return None
+    seed, line0 = None, 2  # line0: the file line of the first row
+    if text.startswith("# seed="):
+        first, _, text = text.partition("\n")
+        seed, line0 = _parse_seed(path, first), 3
+    header, _, body = text.partition("\n")
+    header = header.split(",")
+    if sorted(header) != sorted(_SCAN_COLUMNS) or not body:
+        return None
+    if not body.endswith("\n"):
+        body += "\n"
+    raw = np.frombuffer(body.encode(), dtype=np.uint8)
+    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    newline = raw[ends] == ord("\n")
+    if newline.size % 5 or not np.all(newline.reshape(-1, 5) == _ROW_ENDS):
+        return None
+    # a field has at least as many UTF-8 bytes as characters, so none over the limit passes
+    if np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
+        return None
+    fields = body[:-1].replace("\n", ",").split(",")
+    columns = dict(zip(header, (fields[i::5] for i in range(5))))
+    thetas, axes = set(columns["theta_deg"]), set(columns["axis"])
+    if len(thetas) > 1 or len(axes) > 1:
+        return None
+    theta = _parse_column(path, line0, "theta_deg", list(thetas), float)
+    u = _parse_column(path, line0, "position_um", columns["position_um"], float)
+    rep = _parse_column(path, line0, "repeat_idx", columns["repeat_idx"], np.int64)
+    n = _parse_column(path, line0, "counts", columns["counts"], np.int64)
+    return seed, float(theta[0]), axes.pop(), u, rep, n
+
+
+def _read_scan_rows(path):
+    """(seed, theta, axis, position_um, repeat_idx, counts) of a scan CSV read
+    row by row with ``csv.reader``; any malformed row raises ValueError
+    naming its line."""
+    seed = None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            first = fh.readline()
+            if first.startswith("# seed="):
+                seed = _parse_seed(path, first)
+            else:
+                fh.seek(0)
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not a scan CSV ({exc})") from None
+    if not rows:
+        raise ValueError(f"{path}: empty scan file")
+    line0 = 2 if seed is None else 3  # the file line of rows[0]
+    if sorted(header) != sorted(_SCAN_COLUMNS):
+        raise ValueError(f"{path}, line {line0 - 1}: the header must name {', '.join(_SCAN_COLUMNS)}")
+    widths = list(map(len, rows))
+    if widths.count(len(header)) < len(rows):
+        bad = next(i for i, w in enumerate(widths) if w != len(header))
+        raise ValueError(f"{path}, line {line0 + bad}: expected {len(header)} fields, got {widths[bad]}")
+    fields = dict(zip(header, zip(*rows)))
+    theta = _parse_column(path, line0, "theta_deg", fields["theta_deg"], float)
+    u = _parse_column(path, line0, "position_um", fields["position_um"], float)
+    rep = _parse_column(path, line0, "repeat_idx", fields["repeat_idx"], np.int64)
+    n = _parse_column(path, line0, "counts", fields["counts"], np.int64)
+    axis = fields["axis"][0]
+    if np.any(theta != theta[0]) or fields["axis"].count(axis) < len(rows):
+        raise ValueError(f"{path}: mixed theta/axis values")
+    return seed, float(theta[0]), axis, u, rep, n
 
 
 def _parse_column(path, line0: int, name: str, texts, dtype) -> np.ndarray:
@@ -301,14 +376,17 @@ def simulate_drift_run(
     axis: str = "x",
     sigma: float = DEFAULT_SIGMA_UM,
 ) -> list:
-    """Single-repeat scans of a single-arm beam with accumulating drift, drawn profile-major."""
+    """Single-repeat scans of a single-arm beam with accumulating drift, drawn
+    profile-major: the repeats of one checked record, as ``repeat_records``
+    hands them out."""
     state = single_beam_state(sigma)
     akey = rngmod.AXIS_KEY[axis]
     walk = rngmod.stream(seed, rngmod.DRIFT_WALK, akey)
     offsets = drift.offsets(n_profiles, walk)
-    rates = expected_rate(state, axis, config.positions - offsets[:, None], config)
+    positions = config.positions
+    rates = expected_rate(state, axis, positions - offsets[:, None], config)
     counts = rngmod.stream(seed, rngmod.DRIFT_RUN, akey).poisson(rates)
-    return [ScanRecord(config.theta, axis, config.positions, row[:, None], seed) for row in counts]
+    return ScanRecord(config.theta, axis, positions, counts.T, seed).repeat_records()
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mzweak
-from mzweak.cli import main, scan_filename
+from mzweak.cli import MAX_SWEEP_POINTS, main, scan_filename
 from mzweak.config import DEFAULTS, ExperimentConfig
 from mzweak.detection import ScanConfig, SourceModel
 from mzweak.errors import ConfigError
@@ -334,6 +334,18 @@ def test_cli_sweep_invalid_range_is_config_error(tmp_path):
          "--parameter", "g", "--start", "100", "--stop", "10", "--num", "5"]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("num", ["1", str(MAX_SWEEP_POINTS + 1), "1000000000000000"])
+def test_cli_sweep_point_count_is_bounded(tmp_path, capsys, num):
+    # the count is checked before the points are built, so none is allocated
+    out = tmp_path / "out"
+    rc = main(["--quiet", "--out", str(out), "sweep",
+               "--parameter", "g", "--start", "1", "--stop", "2", "--num", num])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: sweep range: need stop > start and 2 to {MAX_SWEEP_POINTS} points\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,87 @@ def test_scan_csv_malformed_row_names_file_and_line(tmp_path, last_line, message
         det.ScanRecord.load_csv(path)
 
 
+_LAST_ROW = "0.0,x,1500.0,2,17\n"
+
+
+@pytest.mark.parametrize(
+    "last_row,count",
+    [
+        ('0.0,x,1500.0,2," 17"\n', 17),
+        ("0.0,x,1500.0,2, 17\n", 17),
+        ("0.0,x,1500.0,2,+17\n", 17),
+        ("0.0,x,1500.0,2,1_7\n", 17),
+        ('0.0,x,1500.0,2,"17"\n', 17),
+        ('"0.0",x,1500.0,2,17\n', 17),
+        ("0.0,x,1_500.0,2,17\n", 17),
+        ("0.0,x,1500.0,2,١٧\n", 17),  # Arabic-Indic digits
+        ("0.0,x,1500.0,2,-0\n", 0),
+        ("0.0,x,1500.0,2,17\r\n", 17),
+        ("0.0,x,1500.0,2,17", 17),  # no final newline
+    ],
+)
+def test_scan_csv_field_spellings_load_as_before(tmp_path, last_row, count):
+    # every spelling Python's float() and int() take loads; the file's other
+    # rows keep the record otherwise equal to the saved one
+    path, lines = _saved_scan_lines(tmp_path)
+    saved = det.ScanRecord.load_csv(path)
+    path.write_text("".join(lines[:-1]) + last_row, encoding="utf-8", newline="")
+    back = det.ScanRecord.load_csv(path)
+    counts = saved.counts.copy()
+    counts[-1, -1] = count
+    assert (back.theta, back.axis, back.seed) == (0.0, "x", saved.seed)
+    assert type(back.theta) is float and type(back.axis) is str and type(back.seed) is int
+    assert back.positions.tobytes() == saved.positions.tobytes()
+    assert back.counts.dtype == np.int64 and np.array_equal(back.counts, counts)
+
+
+def test_scan_csv_reordered_header_loads_as_before(tmp_path):
+    path, lines = _saved_scan_lines(tmp_path)
+    saved = det.ScanRecord.load_csv(path)
+    order = [4, 2, 0, 3, 1]
+    rows = [line.rstrip("\n").split(",") for line in lines[1:]]
+    path.write_text(lines[0] + "".join(",".join(row[i] for i in order) + "\n" for row in rows))
+    back = det.ScanRecord.load_csv(path)
+    assert (back.theta, back.axis, back.seed) == (saved.theta, saved.axis, saved.seed)
+    assert type(back.axis) is str
+    assert back.positions.tobytes() == saved.positions.tobytes()
+    assert np.array_equal(back.counts, saved.counts)
+
+
+@pytest.mark.parametrize("seed", [5, None])
+def test_scan_csv_bulk_split_equals_row_reader(tmp_path, seed):
+    # a file save_csv writes takes the bulk split, and the csv.reader path
+    # (the reference) reads the same values from it
+    cfg = det.ScanConfig(mean_rate=900.0, repeats=4, theta=-12.5)
+    rec = det.simulate_scan(paper_state(-12.5), cfg, "y", det.DriftModel(), seed=5)
+    path = tmp_path / "scan.csv"
+    dataclasses.replace(rec, seed=seed).save_csv(path)
+    bulk, rows = det._split_scan_columns(path), det._read_scan_rows(path)
+    assert bulk is not None
+    assert bulk[:3] == rows[:3] == (seed, -12.5, "y")
+    for a, b in zip(bulk[3:], rows[3:]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "last_row,message",
+    [
+        ("0.0,x,1500.0,2,17.0\n", r"scan.csv, line 185: counts '17.0' is not a finite int"),
+        ("0.0,x,1500.0,2,17,\n", r"scan.csv, line 185: expected 5 fields, got 6"),
+        ("0.0,x ,1500.0,2,17\n", r"scan.csv: mixed theta/axis values"),
+        ("0.0,x,1500.0,2,0x10\n", r"scan.csv, line 185: counts '0x10' is not a finite int"),
+        (_LAST_ROW + "\n", r"scan.csv, line 186: expected 5 fields, got 0"),  # a trailing blank line
+        ("#c\n", r"scan.csv, line 185: expected 5 fields, got 1"),  # not a comment
+        ("0.0,x,1500.0,2," + "0" * 131072 + "17\n", r"scan.csv: not a scan CSV \(field larger than field limit"),
+    ],
+)
+def test_scan_csv_field_spellings_rejected_as_before(tmp_path, last_row, message):
+    path, lines = _saved_scan_lines(tmp_path)
+    path.write_text("".join(lines[:-1]) + last_row, encoding="utf-8", newline="")
+    with pytest.raises(ValueError, match=message):
+        det.ScanRecord.load_csv(path)
+
+
 def test_scan_csv_undecodable_file_rejected(tmp_path):
     path = tmp_path / "scan.csv"
     path.write_bytes(b"\xff\xfe\x00 not text")
@@ -433,6 +514,33 @@ def test_drift_run_profiles_are_prefix_stable():
     for a, b in zip(short, long[:20]):
         assert np.array_equal(a.counts, b.counts)
     assert not np.array_equal(long[0].counts, long[1].counts)
+
+
+def test_drift_run_records_are_frozen_single_repeat_records():
+    # each profile equals the record built from its own row of the run's
+    # draw, and no array it holds, nor any array under it, is writable
+    cfg = det.ScanConfig(mean_rate=2000.0, repeats=1, theta=10.0)
+    walk = det.DriftModel("random-walk", step_sigma=2.0)
+    records = det.simulate_drift_run(cfg, walk, 30, seed=4, axis="y")
+    akey = rngmod.AXIS_KEY["y"]
+    offsets = walk.offsets(30, stream(4, rngmod.DRIFT_WALK, akey))
+    rates = det.expected_rate(det.single_beam_state(), "y", cfg.positions - offsets[:, None], cfg)
+    rows = stream(4, rngmod.DRIFT_RUN, akey).poisson(rates)
+    assert len(records) == 30
+    for record, row in zip(records, rows):
+        expected = det.ScanRecord(cfg.theta, "y", cfg.positions, row[:, None], 4)
+        assert type(record) is det.ScanRecord
+        assert (record.theta, record.axis, record.seed) == (expected.theta, expected.axis, expected.seed)
+        for name in ("positions", "counts"):
+            got, want = getattr(record, name), getattr(expected, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            array = got
+            while array is not None:
+                assert isinstance(array, np.ndarray) and not array.flags.writeable
+                array = array.base
+        with pytest.raises(ValueError):
+            record.counts[0, 0] = 1
 
 
 def test_strong_regime_scan_frequencies_match_joint_distribution():
