@@ -1,12 +1,15 @@
 """From raw scan counts to weak values with error bars.
 
 Pipeline: fit Gaussian profiles (moment-form variable projection, Golub &
-Pereyra 1973: each Gauss-Newton step on center and width comes from row
-sums, and a closed-form cost small enough to lose digits to cancellation is
-recomputed from the explicit residual), bootstrap the profile centers by
-drawing one repeat per position (the 16^61 construction, 10^4 draws by
-default), scale the target centers against the 45 deg (zero) and 90 deg
-(unit) reference distributions,
+Pereyra 1973: each trial center and width is evaluated once, into the row
+sums its Gauss-Newton step needs, and a closed-form cost small enough to
+lose digits to cancellation is recomputed from the explicit residual),
+bootstrap the profile centers by drawing one repeat per position (the
+16^61 construction, 10^4 draws by default; the draws are made and fitted
+one chunk at a time, and each fit starts one linearized Gauss-Newton step
+away from the fit of the repeat-mean profile, or from its own moments when
+that fit is unconverged or off the grid), scale the target centers against
+the 45 deg (zero) and 90 deg (unit) reference distributions,
 
     w_i = (X_i - X0_i) / <X1 - X0>,
 
@@ -88,44 +91,76 @@ class WeakValueEstimate:
 
 
 _dot = functools.partial(np.einsum, "ij,ij->i")  # row-wise dot products
+_rowsum = functools.partial(np.einsum, "ij->i")
+_matvec = functools.partial(np.einsum, "ij,j->i")
 
 # a closed-form cost below this fraction of ||yc||^2 is recomputed from the
 # explicit residual: its cancellation error ~eps ||yc||^2 / cost stays ~2e-12
 _GUARD = 1e-4
 
 
-def _sums(e, yc):
-    """Sum e, squared norm of e - <e> (inf if e is constant, so A reads 0) and <e, yc>, per row."""
-    se = e.sum(axis=1)
-    see = _dot(e, e) - se * se / e.shape[1]
-    return se, np.where(see > 0, see, np.inf), _dot(e, yc)
+def _evaluate(u, mu, s, yc, ycn, work):
+    """Everything a Gauss-Newton step needs at (mu, s), per row of the centred
+    profiles yc: (A, sum e, projected gradient g_mu, g_s, projected Gram
+    G_mm, G_ss, G_ms, least-squares cost), as one (8, rows) array.
 
-
-def _cost(yc, ycn, e, se, see, eyc):
-    """Least-squares cost ||yc - A (e - <e>)||^2 = ||yc||^2 - <e, yc>^2 / see of
-    the centred rows yc; rows under the cancellation guard use the residual."""
-    cost = ycn - eyc * eyc / see
+    With e = exp(-z^2/2), z = (u - mu) / s, the amplitude is
+    A = <e, yc> / see, see = ||e - <e>||^2 (inf when e is constant, so A
+    reads 0). The Jacobian columns of (mu, s) are (A/s) e z and (A/s) e z^2;
+    projected off span{e, 1}, their Gram matrix is (A/s)^2 G and the
+    gradient (A/s) g, with G_ab = <a, b> - sum a sum b / n - c_a c_b / see,
+    c_a = <a, e - <e>> and g_a = <a, yc> - A c_a. The cost
+    ||yc||^2 - A <e, yc> falls back to the explicit residual below
+    _GUARD ||yc||^2, where its cancellation would reach ftol. z, e, e z and
+    e z^2 are written into the first rows of the four ``work`` arrays."""
+    n = u.size
+    z, e, ez, ez2 = work[:, : mu.size]
+    np.divide(np.subtract(u, mu[:, None], out=z), s[:, None], out=z)
+    np.exp(np.multiply(np.multiply(z, z, out=e), -0.5, out=e), out=e)
+    np.multiply(e, z, out=ez)
+    np.multiply(ez, z, out=ez2)
+    se, s1, s2 = _rowsum(e), _rowsum(ez), _rowsum(ez2)
+    q2 = _dot(ez, ez)  # <ez, ez> = <e, ez^2>
+    see = _dot(e, e) - se * se / n
+    see = np.where(see > 0, see, np.inf)
+    ey = _dot(e, yc)
+    amp = ey / see
+    c1 = _dot(e, ez) - se * s1 / n
+    c2 = q2 - se * s2 / n
+    cost = ycn - amp * ey
     low = np.flatnonzero(cost < _GUARD * ycn)
     if low.size:
-        r = yc[low] - (eyc[low] / see[low])[:, None] * (e[low] - (se[low] / e.shape[1])[:, None])
+        r = yc[low] - amp[low, None] * (e[low] - (se[low] / n)[:, None])
         cost[low] = _dot(r, r)
-    return cost
+    return np.stack([
+        amp,
+        se,
+        _dot(ez, yc) - amp * c1,
+        _dot(ez2, yc) - amp * c2,
+        q2 - s1 * s1 / n - c1 * c1 / see,
+        _dot(ez2, ez2) - s2 * s2 / n - c2 * c2 / see,
+        _dot(ez, ez2) - s1 * s2 / n - c1 * c2 / see,
+        cost,
+    ])
 
 
-def _lm_gaussian_batch(u, profiles, max_iter=_MAX_ITER, ftol=_FTOL, gtol=_GTOL):
+def _lm_gaussian_batch(u, profiles, max_iter=_MAX_ITER, ftol=_FTOL, gtol=_GTOL, start=None):
     """Moment-form variable projection (Golub & Pereyra 1973) for a batch of
     profiles A exp(-z^2/2) + b, z = (u - mu) / s: A and b are solved in closed
     form for each (mu, s), and damped Gauss-Newton steps move (mu, s) alone.
-    Each step is built from row sums of e = exp(-z^2/2), e z and e z^2 against
-    each other and the centred profile; an accepted trial carries its sums,
-    so an iteration runs one exp. The closed-form cost ||yc||^2 - <e, yc>^2 / see
-    falls back to the explicit residual below _GUARD ||yc||^2, where its
-    cancellation would reach ftol. Rows are fitted in chunks of _CHUNK_ROWS,
-    each on its own arrays, to keep them in cache.
+    Each trial (mu, s) is evaluated once, by _evaluate: one exp and the row
+    sums of e = exp(-z^2/2), e z and e z^2 against each other and the
+    centred profile. An accepted trial carries those sums, so the next step
+    recomputes nothing. Rows are fitted in chunks of _CHUNK_ROWS, each on
+    its own arrays, to keep them in cache.
+
+    ``start`` is None (each row starts from its moments above the row
+    minimum: centroid and rms width) or a (mu, s) pair of per-row arrays.
 
     Returns (params (B,4) = (A, mu, |s|, b), residual_norm (B,), converged (B,),
-    n_iter (B,)). Rows without shape information (flat profiles) come back
-    unconverged; fewer than 5 positions raise ValueError.
+    n_iter (B,)). Rows without shape information (flat profiles), and rows
+    whose steps find no finite lower cost, come back unconverged; fewer than
+    5 positions raise ValueError.
     """
     u = np.asarray(u, dtype=float)
     y = np.atleast_2d(np.asarray(profiles, dtype=float))
@@ -138,84 +173,79 @@ def _lm_gaussian_batch(u, profiles, max_iter=_MAX_ITER, ftol=_FTOL, gtol=_GTOL):
     n_iter = np.zeros(nbatch, dtype=int)
     for lo in range(0, nbatch, _CHUNK_ROWS):
         sl = slice(lo, lo + _CHUNK_ROWS)
-        params[sl], resnorm[sl], converged[sl], n_iter[sl] = _fit_chunk(u, y[sl], max_iter, ftol, gtol)
+        chunk_start = None if start is None else (start[0][sl], start[1][sl])
+        params[sl], resnorm[sl], converged[sl], n_iter[sl] = _fit_chunk(u, y[sl], max_iter, ftol, gtol, chunk_start)
     return params, resnorm, converged, n_iter
 
 
-def _fit_chunk(u, y, max_iter, ftol, gtol):
-    """_lm_gaussian_batch on one chunk of rows."""
+def _fit_chunk(u, y, max_iter, ftol, gtol, start=None):
+    """_lm_gaussian_batch on one chunk of rows. Every (rows, n) array an
+    iteration writes lives in buffers made once per chunk: a fresh array of
+    that size costs page faults that can take longer than the arithmetic."""
     n = u.size
-    # start from the moments above the row minimum: centroid and rms width
-    w = y - y.min(axis=1)[:, None]
-    sw = w.sum(axis=1)
-    informative = sw > 0
-    safe = np.where(informative, sw, 1.0)
-    mu = (w @ u) / safe
-    var = (w * (u[None, :] - mu[:, None]) ** 2).sum(axis=1) / safe
     step = float(np.min(np.diff(u)))
-    s = np.sqrt(np.maximum(var, (0.5 * step) ** 2))
     s_floor = 1e-3 * step
+    work = np.empty((4,) + y.shape)
     ybar = y.mean(axis=1)
     yc = y - ybar[:, None]
     ycn = _dot(yc, yc)
-    e = np.exp(-0.5 * ((u - mu[:, None]) / s[:, None]) ** 2)
-    se, see, eyc = _sums(e, yc)
-    cost = _cost(yc, ycn, e, se, see, eyc)
+    if start is None:  # the moments above the row minimum: centroid and rms width
+        w = y - y.min(axis=1)[:, None]
+        sw = w.sum(axis=1)
+        safe = np.where(sw > 0, sw, 1.0)
+        mu = (w @ u) / safe
+        var = (w * (u[None, :] - mu[:, None]) ** 2).sum(axis=1) / safe
+        s = np.sqrt(np.maximum(var, (0.5 * step) ** 2))
+    else:
+        mu, s = (np.array(a, dtype=float) for a in start)
+    yi = np.empty_like(yc)  # the centred profiles of the rows under evaluation
     lam = np.full(y.shape[0], 1e-3)
     converged = np.zeros(y.shape[0], dtype=bool)
     n_iter = np.zeros(y.shape[0], dtype=int)
+    # Far from the grid's support a step or a trial can overflow or divide
+    # by zero. Those results are not used: a row keeps only points whose
+    # every number is finite, so such a trial is a rejected step, and a row
+    # that never finds a finite lower cost ends unconverged.
+    with np.errstate(all="ignore"):
+        state = _evaluate(u, mu, s, yc, ycn, work)
+        live = (ycn > 0) & np.isfinite(state).all(axis=0)  # shape information, and a finite start
+        for _ in range(max_iter):
+            idx = np.flatnonzero(live & ~converged)
+            if idx.size == 0:
+                break
+            amp, _, g_mu, g_s, h_mm, h_ss, h_ms, ci = state[:, idx]
+            f = amp / s[idx]
+            gsmall = np.maximum(np.abs(f * g_mu), np.abs(f * g_s)) < gtol
+            converged[idx[gsmall]] = True
+            stepped = ~gsmall
+            idx, f, g_mu, g_s, h_mm, h_ss, h_ms, ci = (a[stepped] for a in (idx, f, g_mu, g_s, h_mm, h_ss, h_ms, ci))
+            li = lam[idx]
+            # damped normal equations (H + lam diag H) delta = grad with
+            # H = (A/s)^2 G and grad = (A/s) g: delta = (G + lam diag G)^-1 g / (A/s)
+            h_mm = h_mm * (1.0 + li)
+            h_ss = h_ss * (1.0 + li)
+            fdet = f * (h_mm * h_ss - h_ms * h_ms)
+            mu_t = mu[idx] + (h_ss * g_mu - h_ms * g_s) / fdet
+            s_t = s[idx] + (h_mm * g_s - h_ms * g_mu) / fdet
+            s_t = np.copysign(np.maximum(np.abs(s_t), s_floor), s_t)
+            rows = yc if idx.size == y.shape[0] else np.take(yc, idx, axis=0, out=yi[: idx.size])
+            trial = _evaluate(u, mu_t, s_t, rows, ycn[idx], work)
+            cost_t = trial[7]
 
-    for _ in range(max_iter):
-        idx = np.flatnonzero(informative & ~converged)
-        if idx.size == 0:
-            break
-        yi, ei, mi, si, li, ci = yc[idx], e[idx], mu[idx], s[idx], lam[idx], cost[idx]
-        sei, seei, amp = se[idx], see[idx], eyc[idx] / see[idx]
-        # Jacobian columns A e z / s (mu) and A e z^2 / s (s), projected off
-        # span{e, 1}; the residual is orthogonal to that span, so each
-        # gradient is <column, yc> - A <column, e - <e>>
-        z = (u - mi[:, None]) / si[:, None]
-        ez = ei * z
-        ez2 = ez * z
-        s1, s2 = ez.sum(axis=1), ez2.sum(axis=1)
-        q2 = _dot(ez, ez)  # <ez, ez> = <e, ez^2>
-        c1 = _dot(ei, ez) - sei * s1 / n
-        c2 = q2 - sei * s2 / n
-        f = amp / si
-        grad_mu = f * (_dot(ez, yi) - amp * c1)
-        grad_s = f * (_dot(ez2, yi) - amp * c2)
-        gsmall = np.maximum(np.abs(grad_mu), np.abs(grad_s)) < gtol
+            better = (cost_t < ci) & np.isfinite(trial).all(axis=0)
+            done = better & ((ci - cost_t) / np.maximum(cost_t, 1e-300) < ftol)
+            # a rejected step that leaves the cost unchanged within ftol has
+            # stalled at the minimum: the fit is done, not failed
+            done |= ~better & (np.abs(cost_t - ci) <= ftol * ci)
+            acc = idx[better]
+            mu[acc], s[acc], state[:, acc] = mu_t[better], s_t[better], trial[:, better]
+            lam[idx] = np.where(better, np.maximum(li / 3.0, 1e-12), np.minimum(li * 2.0, 1e12))
+            converged[idx] |= done
+            n_iter[idx] += 1
 
-        # projected Gram H_ab = (A/s)^2 (<a, b> - sum a sum b / n - c_a c_b / see);
-        # damped 2x2 normal equations (H + lam diag H + 1e-12) delta = grad
-        f2 = f * f
-        h_mm = f2 * (q2 - s1 * s1 / n - c1 * c1 / seei) * (1.0 + li) + 1e-12
-        h_ss = f2 * (_dot(ez2, ez2) - s2 * s2 / n - c2 * c2 / seei) * (1.0 + li) + 1e-12
-        h_ms = f2 * (_dot(ez, ez2) - s1 * s2 / n - c1 * c2 / seei)
-        det = h_mm * h_ss - h_ms * h_ms
-        mu_t = mi + (h_ss * grad_mu - h_ms * grad_s) / det
-        s_t = si + (h_mm * grad_s - h_ms * grad_mu) / det
-        s_t = np.copysign(np.maximum(np.abs(s_t), s_floor), s_t)
-        e_t = np.exp(-0.5 * ((u - mu_t[:, None]) / s_t[:, None]) ** 2)
-        se_t, see_t, eyc_t = _sums(e_t, yi)
-        cost_t = _cost(yi, ycn[idx], e_t, se_t, see_t, eyc_t)
-
-        stepped = ~gsmall
-        better = stepped & (cost_t < ci)
-        done = gsmall | better & ((ci - cost_t) / np.maximum(cost_t, 1e-300) < ftol)
-        # a rejected step that leaves the cost unchanged within ftol has
-        # stalled at the minimum: the fit is done, not failed
-        done |= stepped & ~better & (np.abs(cost_t - ci) <= ftol * ci)
-        acc = idx[better]
-        e[acc], mu[acc], s[acc] = e_t[better], mu_t[better], s_t[better]
-        se[acc], see[acc], eyc[acc], cost[acc] = se_t[better], see_t[better], eyc_t[better], cost_t[better]
-        lam[idx] = np.where(better, np.maximum(li / 3.0, 1e-12), np.minimum(li * 2.0, 1e12))
-        converged[idx] |= done
-        n_iter[idx] += stepped
-
-    amp = eyc / see
-    params = np.stack([amp, mu, np.abs(s), ybar - amp * se / n], axis=1)
-    return params, np.sqrt(cost), converged, n_iter
+        amp, se = state[0], state[1]
+        params = np.stack([amp, mu, np.abs(s), ybar - amp * se / n], axis=1)
+        return params, np.sqrt(state[7]), converged, n_iter
 
 
 def fit_gaussian(positions, counts, max_iter: int = _MAX_ITER, raise_on_failure: bool = True) -> FitResult:
@@ -242,14 +272,44 @@ def fit_gaussian(positions, counts, max_iter: int = _MAX_ITER, raise_on_failure:
     )
 
 
+def _linearized_start(u, profile):
+    """Starts for the fits of profiles near ``profile``: a function of a
+    (rows, n) batch y that returns per-row (mu, s), or None for the moment start.
+
+    Fits ``profile`` from its moments. If that fit converged with its center
+    on the grid and its width in [step, span], the start of row y is one
+    fixed-Jacobian Gauss-Newton step from the fit f0,
+    (mu, s) = (mu0, s0) + P (y - f0), P the center and width rows of
+    (J^T J)^-1 J^T at f0, kept inside that same box. Otherwise every row
+    starts from its moments.
+    """
+    params, _, converged, _ = _fit_chunk(u, profile[None, :], _MAX_ITER, _FTOL, _GTOL)
+    amp, mu0, s0, b = params[0]
+    lo, hi = u[0], u[-1]
+    step = float(np.min(np.diff(u)))
+    if not (converged[0] and lo <= mu0 <= hi and step <= s0 <= hi - lo):
+        return lambda y: None
+    z = (u - mu0) / s0
+    e = np.exp(-0.5 * z * z)
+    jac = np.stack([e, amp / s0 * e * z, amp / s0 * e * z * z, np.ones_like(u)], axis=1)
+    p_mu, p_s = np.linalg.pinv(jac)[1:3]
+    f0 = amp * e + b
+    mu_base, s_base = mu0 - p_mu @ f0, s0 - p_s @ f0
+    return lambda y: (np.clip(mu_base + _matvec(y, p_mu), lo, hi), np.clip(s_base + _matvec(y, p_s), step, hi - lo))
+
+
 def bootstrap_centers(record, n_bootstrap: int = 10_000, seed: int = 0) -> CenterDistribution:
     """Bootstrap the profile center by resampling one repeat per position.
 
     Each draw builds a profile by picking, independently per position, one of
-    the available repeat readings (uniformly), and fits it. Draws that fail
-    to converge are dropped; more than ``_MAX_DROPPED`` dropped raises
-    NonConvergence. A record with fewer than 2 repeats raises ValueError: its
-    draws would all be one profile, with a zero spread.
+    the available repeat readings (uniformly), and fits it. The draws are
+    made and fitted one chunk of _CHUNK_ROWS at a time, so memory grows with
+    n_bootstrap, not n_bootstrap x positions; each fit starts one linearized
+    Gauss-Newton step away from the fit of the repeat-mean profile
+    (_linearized_start). Draws that fail to converge are dropped; more than
+    ``_MAX_DROPPED`` dropped raises NonConvergence. A record with fewer than
+    2 repeats raises ValueError: its draws would all be one profile, with a
+    zero spread.
     """
     counts = record.counts
     n_points, repeats = counts.shape
@@ -258,18 +318,25 @@ def bootstrap_centers(record, n_bootstrap: int = 10_000, seed: int = 0) -> Cente
     if repeats < 2:
         raise ValueError(f"the bootstrap needs at least 2 repeats per position, got {repeats}")
 
-    # draw-major: the first k draws are the same for any n_bootstrap >= k
+    table = counts.astype(float)
+    start = _linearized_start(record.positions, table.mean(axis=1))
+    # draw-major: the first k draws are the same for any n_bootstrap >= k,
+    # and drawing them chunk by chunk continues one stream
     gen = rngmod.stream(seed, rngmod.BOOTSTRAP, tkey, akey)
     rows = np.arange(n_points)
-    profiles = counts.astype(float)[rows, gen.integers(0, repeats, size=(n_bootstrap, n_points))]
-
-    params, _, converged, _ = _lm_gaussian_batch(record.positions, profiles)
+    centers = np.empty(n_bootstrap)
+    converged = np.empty(n_bootstrap, dtype=bool)
+    for lo in range(0, n_bootstrap, _CHUNK_ROWS):
+        sl = slice(lo, min(lo + _CHUNK_ROWS, n_bootstrap))
+        profiles = table[rows, gen.integers(0, repeats, size=(sl.stop - lo, n_points))]
+        params, _, converged[sl], _ = _lm_gaussian_batch(record.positions, profiles, start=start(profiles))
+        centers[sl] = params[:, 1]
     dropped = int(np.count_nonzero(~converged))
     if dropped > _MAX_DROPPED * n_bootstrap:
         raise NonConvergence(
             f"{dropped}/{n_bootstrap} bootstrap fits failed to converge (> {_MAX_DROPPED:.0%})"
         )
-    return CenterDistribution(params[converged, 1], record.theta, record.axis, np.flatnonzero(converged))
+    return CenterDistribution(centers[converged], record.theta, record.axis, np.flatnonzero(converged))
 
 
 def weak_value_draws(target: CenterDistribution, ref0: CenterDistribution, ref1: CenterDistribution):

@@ -145,8 +145,9 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
 
 
 def _bootstrap_file(config: ExperimentConfig, out_dir: Path, theta: float, axis: str) -> ana.CenterDistribution:
-    """Bootstrap distribution of one scan file. A damaged file, or one with
-    too few positions or repeats to bootstrap, is unreadable input."""
+    """Bootstrap distribution of one scan file. A damaged file, one whose
+    rows name another angle or axis than its file name, or one with too few
+    positions or repeats to bootstrap, is unreadable input."""
     path = out_dir / scan_filename(theta, axis)
     if not path.exists():
         raise MissingReference(f"missing scan file: {path}")
@@ -154,6 +155,10 @@ def _bootstrap_file(config: ExperimentConfig, out_dir: Path, theta: float, axis:
         record = det.ScanRecord.load_csv(path)
     except ValueError as exc:
         raise UnreadableInput(str(exc)) from None
+    if (record.theta, record.axis) != (theta, axis):
+        raise UnreadableInput(
+            f"{path}: holds theta {record.theta!r} deg on axis {record.axis!r}, not theta {theta!r} deg on axis {axis!r}"
+        )
     try:
         return ana.bootstrap_centers(record, config.analysis["n_bootstrap"], config.seed)
     except ValueError as exc:

@@ -76,6 +76,10 @@ _NULLABLE = ("scan.start", "source.multi_pair_prob")
 # Lower bounds of the section keys that no model owns, and of the scan repeats
 # the bootstrap resamples (ScanConfig allows 1, for the drift-run scans).
 _MINIMUM = {"scan.repeats": 2, "scan.reference_repeats": 2, "drift.n_profiles": 10, "analysis.n_bootstrap": 1}
+# Most bootstrap draws: analyze keeps O(n_bootstrap) numbers per record
+# (README: time and memory at this bound)
+MAX_BOOTSTRAP = 1_000_000
+_MAXIMUM = {"analysis.n_bootstrap": MAX_BOOTSTRAP}
 
 
 def _type_name(v):
@@ -87,7 +91,7 @@ def _require(cond, key, message):
         raise ConfigError(f"{key}: {message}")
 
 
-def _check_number(value, key, *, minimum=None, integer=False):
+def _check_number(value, key, *, minimum=None, maximum=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {_type_name(value)}")
     # NaN, the infinities and JSON integers beyond the float range
@@ -96,6 +100,8 @@ def _check_number(value, key, *, minimum=None, integer=False):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
     if minimum is not None:
         _require(value >= minimum, key, f"must be >= {minimum}")
+    if maximum is not None:
+        _require(value <= maximum, key, f"must be <= {maximum}")
     return int(value) if integer else float(value)
 
 
@@ -124,7 +130,9 @@ def _section(raw: dict, name: str) -> dict:
         if isinstance(default, bool):
             _require(isinstance(value, bool), path, "expected true or false")
         elif not isinstance(default, str) and not (value is None and path in _NULLABLE):
-            section[key] = _check_number(value, path, minimum=_MINIMUM.get(path), integer=isinstance(default, int))
+            section[key] = _check_number(
+                value, path, minimum=_MINIMUM.get(path), maximum=_MAXIMUM.get(path), integer=isinstance(default, int)
+            )
     return section
 
 

@@ -261,7 +261,7 @@ def test_criterion_10_byte_determinism(tmp_path):
 # random draw layout, to the fitter's arithmetic or to serialization moves
 # these on purpose: re-pin them in the same change.
 GOLDEN_DIGESTS = {
-    "centers.csv": "4609be54e527c688912560780babef73c82a96645858112072ea8b5d2605391d",
+    "centers.csv": "426b34258d343675d3585066dd9074bbf14023b052ac230be58b2ba332413871",
     "g2.json": "9d66a3a6cbd4326d733137a78530d07242b0f155eac9eb16ece06d5407fb122c",
     "scan_theta0_x.csv": "17c3c1e65495993a2074f0daa5dddf81a445075b4f45c4b537ede7124cca698b",
     "scan_theta0_y.csv": "266356962c2203addb1b1afd0d3d2bf880d38aa348754901be1930a1edd8eb3c",
@@ -269,9 +269,9 @@ GOLDEN_DIGESTS = {
     "scan_theta45_y.csv": "8ba0c8b327c16d602b31d01708d276d3ebda1babec25fee8ca8af76070b7bf93",
     "scan_theta90_x.csv": "f55543fe3f88fb7c206eb6afa76166b4f4d319e4610819c6106840bc17d0babe",
     "scan_theta90_y.csv": "a8c7d5fc0ca22746be93a31e7838373f399489fa9c24430c22d5c0cbaade89eb",
-    "summary.json": "7503143433acc9241615db75124a9db628b683e87b2be941b71b642ef54ff7d2",
+    "summary.json": "0e9ac478d2507782104e13c45e8b9488eb12850c999428a130aa35903cf8176b",
     "sweep_g.csv": "24787fc338148b9238f77ab9f6a962f2ba25cc82a5a725f51d3d0aa2cecd0c69",
-    "weak_values.csv": "a84afab61e8777d086955ceda30300ac720ea1042254860223bb1671f0faaea4",
+    "weak_values.csv": "3266e13e76881a914087d4202fd06a22100daa7216b3f772d0c843f26db0ead7",
     "weakvalues.json": "adf439289a012691e0ebbc9b1489f6fd974d2abdd094153ce74d4b2e07cf74bf",
 }
 

@@ -10,6 +10,7 @@ from mzweak import analysis as ana
 from mzweak import detection as det
 from mzweak import pointer as ptr
 from mzweak import quantum as qm
+from mzweak import rng as rngmod
 from mzweak.cli import build_state, cmd_analyze, cmd_simulate, main, scan_filename
 from mzweak.config import ExperimentConfig
 from mzweak.errors import DegenerateProfile, NonConvergence, ZeroScale
@@ -260,6 +261,76 @@ def test_bootstrap_draws_are_prefix_stable():
     long = ana.bootstrap_centers(rec, n_bootstrap=1000, seed=6)
     assert np.array_equal(short.centers, long.centers[:200])
     assert np.array_equal(short.draw_idx, long.draw_idx[:200])
+
+
+def record_fits(monkeypatch):
+    """Make _lm_gaussian_batch record each call's profiles and n_iter."""
+    lm, calls = ana._lm_gaussian_batch, []
+
+    def recorded(u, profiles, **kwargs):
+        result = lm(u, profiles, **kwargs)
+        calls.append((profiles.copy(), result[3]))
+        return result
+
+    monkeypatch.setattr(ana, "_lm_gaussian_batch", recorded)
+    return calls
+
+
+def resampled_profiles(record, n_bootstrap, seed):
+    """The bootstrap profiles of ``record``, drawn in one call from a fresh stream."""
+    gen = rngmod.stream(seed, rngmod.BOOTSTRAP, rngmod.theta_key(record.theta), rngmod.AXIS_KEY[record.axis])
+    draws = gen.integers(0, record.repeats, size=(n_bootstrap, record.positions.size))
+    return record.counts[np.arange(record.positions.size), draws].astype(float)
+
+
+def default_records():
+    """The default run's 16-repeat target and 3-repeat reference x scans."""
+    config = ExperimentConfig.from_dict({})
+    return [
+        det.simulate_scan(build_state(config, theta), config.scan_config(theta), "x", det.DriftModel(), config.seed)
+        for theta in (0.0, 45.0)
+    ]
+
+
+def test_bootstrap_draws_stream_chunk_by_chunk(monkeypatch):
+    # each chunk is drawn and fitted on its own, and together they are the
+    # one-shot draw: the fits see the same profiles in the same order
+    cfg = det.ScanConfig(mean_rate=1000.0, repeats=3)
+    rec = det.simulate_scan(det.single_beam_state(SIGMA), cfg, "x", det.DriftModel(), seed=2)
+    n = 2 * ana._CHUNK_ROWS + 40
+    calls = record_fits(monkeypatch)
+    ana.bootstrap_centers(rec, n_bootstrap=n, seed=9)
+    assert [len(p) for p, _ in calls] == [ana._CHUNK_ROWS, ana._CHUNK_ROWS, 40]
+    assert np.array_equal(np.concatenate([p for p, _ in calls]), resampled_profiles(rec, n, seed=9))
+
+
+def test_bootstrap_warm_start_matches_cold_fits(monkeypatch):
+    # the linearized start from the repeat-mean fit lands every draw on the
+    # cold fit's center, converges the same rows, and takes fewer steps
+    for rec in default_records():
+        assert rec.repeats in (16, 3)
+        profiles = resampled_profiles(rec, 3000, seed=5)
+        params, _, converged, cold_iter = ana._lm_gaussian_batch(rec.positions, profiles)
+        calls = record_fits(monkeypatch)
+        dist = ana.bootstrap_centers(rec, n_bootstrap=3000, seed=5)
+        monkeypatch.undo()
+        assert np.array_equal(dist.draw_idx, np.flatnonzero(converged))
+        assert np.abs(dist.centers - params[converged, 1]).max() < 1e-4
+        warm_iter = np.concatenate([n_iter for _, n_iter in calls])
+        assert cold_iter.mean() > 3.5
+        assert warm_iter.mean() <= 3.2
+
+
+def test_bootstrap_falls_back_to_moment_start_off_grid():
+    # a repeat-mean fit narrower than the grid step is no place to linearize
+    counts = np.full((61, 4), 10)
+    counts[30] += [900, 1000, 1100, 950]
+    rec = det.ScanRecord(0.0, "x", GRID, counts, seed=0)
+    assert ana._linearized_start(GRID, rec.counts.mean(axis=1))(np.zeros((2, 61))) is None
+    profiles = resampled_profiles(rec, 200, seed=3)
+    cold = ana._lm_gaussian_batch(GRID, profiles)
+    dist = ana.bootstrap_centers(rec, n_bootstrap=200, seed=3)
+    assert np.array_equal(dist.centers, cold[0][cold[2], 1])
 
 
 def test_bootstrap_dropped_draw_keeps_later_draw_idx(tmp_path, monkeypatch):

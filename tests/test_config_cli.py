@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import mzweak
 from mzweak.cli import MAX_SWEEP_POINTS, main, scan_filename
-from mzweak.config import DEFAULTS, ExperimentConfig
+from mzweak.config import DEFAULTS, MAX_BOOTSTRAP, ExperimentConfig
 from mzweak.detection import ScanConfig, SourceModel
 from mzweak.errors import ConfigError
 
@@ -259,6 +261,44 @@ def test_cli_analyze_coinciding_references_is_numerical_failure(tmp_path, capsys
     assert capsys.readouterr().err.startswith("numerical failure: |<X1 - X0>| = 0 um")
 
 
+def test_cli_analyze_narrow_scan_is_numerical_failure_without_warnings(tmp_path, capsys):
+    # a 60 um scan of a 475 um beam is nearly flat: many bootstrap fits wander
+    # off the grid, where a step overflows; those rows end unconverged, and
+    # any RuntimeWarning would fail this test
+    cfg = write_config(tmp_path, {"scan": {"step": 1}})
+    out = tmp_path / "run"
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "simulate"]) == 0
+    capsys.readouterr()
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "analyze"]) == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical failure: \d+/10000 bootstrap fits failed to converge \(> 1%\)\n", err)
+
+
+def test_cli_analyze_mislabeled_scan_is_unreadable_input(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "simulate"]) == 0
+    path = out / scan_filename(90.0, "y")
+    path.write_text(path.read_text().replace(",y,", ",x,"))
+    capsys.readouterr()
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "analyze"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"unreadable input: {path}: holds theta 90.0 deg on axis 'x', not theta 90.0 deg on axis 'y'\n"
+
+
+def test_cli_n_bootstrap_bound_is_checked_before_any_allocation(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"analysis": {"n_bootstrap": 1e12}})
+    tracemalloc.start()
+    try:
+        assert main(["--quiet", "--config", cfg, "--out", str(tmp_path / "run"), "analyze"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert capsys.readouterr().err == f"config error: analysis.n_bootstrap: must be <= {MAX_BOOTSTRAP}\n"
+    assert ExperimentConfig.from_dict({"analysis": {"n_bootstrap": MAX_BOOTSTRAP}}).analysis["n_bootstrap"] == MAX_BOOTSTRAP
+
+
 def test_cli_simulate_then_analyze(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -409,6 +449,7 @@ def test_cli_bad_config_exit_code(tmp_path):
         # the bootstrap needs two repeats per position
         ({"scan": {"reference_repeats": 1}}, [], "scan.reference_repeats"),
         ({"scan": {"repeats": 1}}, [], "scan.repeats"),
+        ({"analysis": {"n_bootstrap": 1e12}}, [], "analysis.n_bootstrap"),
         # a beam so narrow that sigma^2 underflows or (length / sigma)^2 overflows
         ({"sigma": 1e-200}, [], "sigma"),
         ({"sigma": 1e-160}, [], "sigma"),
