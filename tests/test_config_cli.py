@@ -449,10 +449,10 @@ def test_cli_bad_config_exit_code(tmp_path):
         # the bootstrap needs two repeats per position
         ({"scan": {"reference_repeats": 1}}, [], "scan.reference_repeats"),
         ({"scan": {"repeats": 1}}, [], "scan.repeats"),
-        ({"analysis": {"n_bootstrap": 1e12}}, [], "analysis.n_bootstrap"),
         # a beam so narrow that sigma^2 underflows or (length / sigma)^2 overflows
         ({"sigma": 1e-200}, [], "sigma"),
         ({"sigma": 1e-160}, [], "sigma"),
+        ({"analysis": {"n_bootstrap": 1e12}}, [], "analysis.n_bootstrap"),
     ],
 )
 def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, doc, flags, key):
