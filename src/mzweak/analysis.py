@@ -36,6 +36,7 @@ _FTOL = 1e-10
 _GTOL = 1e-8
 _MAX_ITER = 200
 _CHUNK_ROWS = 1024
+_EXPORT_ROWS = 1 << 16  # CSV rows formatted per write; above the default 10^4 draws
 _MAX_DROPPED = 0.01  # share of bootstrap fits that may fail before the distribution is rejected
 
 
@@ -111,7 +112,7 @@ def _evaluate(u, mu, s, yc, ycn, work):
     gradient (A/s) g, with G_ab = <a, b> - sum a sum b / n - c_a c_b / see,
     c_a = <a, e - <e>> and g_a = <a, yc> - A c_a. The cost
     ||yc||^2 - A <e, yc> falls back to the explicit residual below
-    _GUARD ||yc||^2, where its cancellation would reach ftol. z, e, e z and
+    _GUARD ||yc||^2, where its cancellation would reach _FTOL. z, e, e z and
     e z^2 are written into the first rows of the four ``work`` arrays."""
     n = u.size
     z, e, ez, ez2 = work[:, : mu.size]
@@ -144,7 +145,7 @@ def _evaluate(u, mu, s, yc, ycn, work):
     ])
 
 
-def _lm_gaussian_batch(u, profiles, max_iter=_MAX_ITER, ftol=_FTOL, gtol=_GTOL, start=None):
+def _lm_gaussian_batch(u, profiles, max_iter=_MAX_ITER, start=None):
     """Moment-form variable projection (Golub & Pereyra 1973) for a batch of
     profiles A exp(-z^2/2) + b, z = (u - mu) / s: A and b are solved in closed
     form for each (mu, s), and damped Gauss-Newton steps move (mu, s) alone.
@@ -174,11 +175,11 @@ def _lm_gaussian_batch(u, profiles, max_iter=_MAX_ITER, ftol=_FTOL, gtol=_GTOL, 
     for lo in range(0, nbatch, _CHUNK_ROWS):
         sl = slice(lo, lo + _CHUNK_ROWS)
         chunk_start = None if start is None else (start[0][sl], start[1][sl])
-        params[sl], resnorm[sl], converged[sl], n_iter[sl] = _fit_chunk(u, y[sl], max_iter, ftol, gtol, chunk_start)
+        params[sl], resnorm[sl], converged[sl], n_iter[sl] = _fit_chunk(u, y[sl], max_iter, chunk_start)
     return params, resnorm, converged, n_iter
 
 
-def _fit_chunk(u, y, max_iter, ftol, gtol, start=None):
+def _fit_chunk(u, y, max_iter, start=None):
     """_lm_gaussian_batch on one chunk of rows. Every (rows, n) array an
     iteration writes lives in buffers made once per chunk: a fresh array of
     that size costs page faults that can take longer than the arithmetic."""
@@ -215,7 +216,7 @@ def _fit_chunk(u, y, max_iter, ftol, gtol, start=None):
                 break
             amp, _, g_mu, g_s, h_mm, h_ss, h_ms, ci = state[:, idx]
             f = amp / s[idx]
-            gsmall = np.maximum(np.abs(f * g_mu), np.abs(f * g_s)) < gtol
+            gsmall = np.maximum(np.abs(f * g_mu), np.abs(f * g_s)) < _GTOL
             converged[idx[gsmall]] = True
             stepped = ~gsmall
             idx, f, g_mu, g_s, h_mm, h_ss, h_ms, ci = (a[stepped] for a in (idx, f, g_mu, g_s, h_mm, h_ss, h_ms, ci))
@@ -233,10 +234,10 @@ def _fit_chunk(u, y, max_iter, ftol, gtol, start=None):
             cost_t = trial[7]
 
             better = (cost_t < ci) & np.isfinite(trial).all(axis=0)
-            done = better & ((ci - cost_t) / np.maximum(cost_t, 1e-300) < ftol)
-            # a rejected step that leaves the cost unchanged within ftol has
+            done = better & ((ci - cost_t) / np.maximum(cost_t, 1e-300) < _FTOL)
+            # a rejected step that leaves the cost unchanged within _FTOL has
             # stalled at the minimum: the fit is done, not failed
-            done |= ~better & (np.abs(cost_t - ci) <= ftol * ci)
+            done |= ~better & (np.abs(cost_t - ci) <= _FTOL * ci)
             acc = idx[better]
             mu[acc], s[acc], state[:, acc] = mu_t[better], s_t[better], trial[:, better]
             lam[idx] = np.where(better, np.maximum(li / 3.0, 1e-12), np.minimum(li * 2.0, 1e12))
@@ -283,7 +284,7 @@ def _linearized_start(u, profile):
     (J^T J)^-1 J^T at f0, kept inside that same box. Otherwise every row
     starts from its moments.
     """
-    params, _, converged, _ = _fit_chunk(u, profile[None, :], _MAX_ITER, _FTOL, _GTOL)
+    params, _, converged, _ = _fit_chunk(u, profile[None, :], _MAX_ITER)
     amp, mu0, s0, b = params[0]
     lo, hi = u[0], u[-1]
     step = float(np.min(np.diff(u)))
@@ -390,6 +391,13 @@ def systematic_band(drift_records, scale: float) -> float:
     return float(np.std(params[:, 1]) / scale)
 
 
+def _row_blocks(*columns):
+    """The rows of equal-length array columns as strict zips of Python
+    values, _EXPORT_ROWS rows at a time, so export holds one block's text."""
+    for lo in range(0, max(len(c) for c in columns), _EXPORT_ROWS):
+        yield zip(*(c[lo : lo + _EXPORT_ROWS].tolist() for c in columns), strict=True)
+
+
 def export_results(
     out_dir,
     estimates: dict,
@@ -412,14 +420,14 @@ def export_results(
         fh.write("theta_deg,axis,draw_idx,center_um\n")
         for dist in distributions:
             head = f"{float(dist.theta)!r},{dist.axis},"
-            rows = zip(dist.draw_idx.tolist(), dist.centers.tolist())
-            fh.write("".join(f"{head}{i},{c!r}\n" for i, c in rows))
+            for rows in _row_blocks(dist.draw_idx, dist.centers):
+                fh.write("".join(f"{head}{i},{c!r}\n" for i, c in rows))
 
     with open(out / "weak_values.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("axis,draw_idx,weak_value\n")
         for axis, (idx, draws) in sorted(weak_draws.items()):
-            rows = zip(idx.tolist(), draws.tolist(), strict=True)
-            fh.write("".join(f"{axis},{i},{w!r}\n" for i, w in rows))
+            for rows in _row_blocks(idx, draws):
+                fh.write("".join(f"{axis},{i},{w!r}\n" for i, w in rows))
 
     summary = {
         "schema_version": RESULTS_SCHEMA_VERSION,

@@ -41,7 +41,10 @@ EXIT_NUMERIC = 4
 
 
 def _theta_tag(theta: float) -> str:
-    return f"{theta:g}"
+    """The angle as %g (0, 45, -12.5) when that reads back as the same float,
+    else its repr, so that no two angles share a file name."""
+    tag = f"{theta:g}"
+    return tag if float(tag) == theta else repr(theta)
 
 
 def scan_filename(theta: float, axis: str) -> str:
@@ -240,31 +243,25 @@ _SWEPT_KEYS = {"theta": ("target_theta",), "g": ("g_x", "g_y"), "sigma": ("sigma
 MAX_SWEEP_POINTS = 100_000
 
 
-def _sweep_points(config: ExperimentConfig, args) -> list:
-    """(value, config) per sweep point: the loaded config with the swept keys
-    replaced by the value, validated like a config file, so a value that no
-    config may hold is a config error before any point runs."""
-    if args.stop <= args.start or not 2 <= args.num <= MAX_SWEEP_POINTS:
-        raise ConfigError(f"sweep range: need stop > start and 2 to {MAX_SWEEP_POINTS} points")
-    points = []
-    for v in np.linspace(args.start, args.stop, args.num).tolist():
-        try:
-            points.append((v, config.replaced(**dict.fromkeys(_SWEPT_KEYS[args.parameter], v))))
-        except ConfigError as exc:
-            raise ConfigError(f"sweep {args.parameter} = {v!r}: {exc}") from None
-    return points
-
-
-def cmd_sweep(config: ExperimentConfig, out_dir: Path, quiet: bool, args) -> int:
+def cmd_sweep(raw: dict, out_dir: Path, quiet: bool, args) -> int:
     """Sweep theta, g (both couplers) or sigma; report the x-axis pointer.
 
+    Each point is the loaded document ``raw`` with the swept keys set to the
+    value, checked like a config file and run before the next one, so a
+    value no config may hold is a config error and no file is written.
     Columns: parameter value, analytic weak value (diagonal polarization on
     arm B), exact x centroid, first-order shift g * Re(w). Undefined weak
     values (orthogonal post-selection) are written as nan.
     """
+    if args.stop <= args.start or not 2 <= args.num <= MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep range: need stop > start and 2 to {MAX_SWEEP_POINTS} points")
     x_b = qm.observable("diagonal", "B")
     rows = []
-    for v, point in _sweep_points(config, args):
+    for v in np.linspace(args.start, args.stop, args.num).tolist():
+        try:
+            point = ExperimentConfig.from_dict(raw | dict.fromkeys(_SWEPT_KEYS[args.parameter], v))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep {args.parameter} = {v!r}: {exc}") from None
         pp = qm.pair(point.target_theta)
         try:
             wv = qm.weak_value(x_b, pp)
@@ -273,16 +270,14 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path, quiet: bool, args) -> int
         except OrthogonalPostSelection:
             wv_re = float("nan")
             first = float("nan")
-        state = build_state(point, point.target_theta)
-        centroid = ptr.centroid_exact(state, "x")
-        rows.append((v, wv_re, centroid, first))
+        centroid = ptr.centroid_exact(build_state(point, point.target_theta), "x")
+        rows.append(f"{v!r},{wv_re!r},{centroid!r},{first!r}\n")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"sweep_{args.parameter}.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{args.parameter},weak_value,centroid_um,first_order_um\n")
-        for v, w, c, f in rows:
-            fh.write(f"{v!r},{w!r},{c!r},{f!r}\n")
+        fh.writelines(rows)
     _say(quiet, f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -311,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> ExperimentConfig:
-    """The config file (or the defaults) with the command-line overrides
-    merged in, validated once."""
+def _load_config(args):
+    """(document, config): the config file (or the defaults) with the
+    command-line overrides merged in, and that document validated."""
     raw = {} if args.config is None else read_json(args.config)
     overrides = {
         "seed": args.seed,
@@ -322,13 +317,13 @@ def _load_config(args) -> ExperimentConfig:
     }
     if isinstance(raw, dict):
         raw = raw | {key: value for key, value in overrides.items() if value is not None}
-    return ExperimentConfig.from_dict(raw)
+    return raw, ExperimentConfig.from_dict(raw)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
+        raw, config = _load_config(args)
         out_dir = Path(config.output_dir)
         if args.command == "weakvalue":
             return cmd_weakvalue(config, out_dir, args.quiet)
@@ -339,7 +334,7 @@ def main(argv=None) -> int:
         if args.command == "g2":
             return cmd_g2(config, out_dir, args.quiet)
         if args.command == "sweep":
-            return cmd_sweep(config, out_dir, args.quiet, args)
+            return cmd_sweep(raw, out_dir, args.quiet, args)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -31,26 +31,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyState, VanishingPostSelection
-from .quantum import ARM_INDICES, SystemState, hwp_jones
+from .quantum import ARM_INDICES, ARM_SPECTRA, SystemState, hwp_jones
 
 DEFAULT_SIGMA_UM = 475.0
 COLLIMATION_SIGMA_UM = 375.0
 
 COEFF_PRUNE_TOL = 1e-15
 
-# 2x2 polarization matrices on an arm's (H, V) labels
+# The H and V projectors on an arm's (H, V) labels, for the beam displacer
 _P_H = np.diag([1.0, 0.0])
 _P_V = np.diag([0.0, 1.0])
-_P_DIAG = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
-_P_ANTI = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
-# Each coupler kind: the pointer axis it moves, and the spectral form of its
-# observable (``quantum.observable``) on the target arm's (H, V) labels, as
-# (projector, eigenvalue) pairs. The observable is zero on the other arm.
-_COUPLERS = {
-    "spatial": ("y", ((np.eye(2), 1.0),)),
-    "diagonal": ("x", ((_P_DIAG, 1.0), (_P_ANTI, -1.0))),
-}
+# The pointer axis each coupler kind moves; its observable is
+# ``quantum.ARM_SPECTRA[kind]`` on the target arm
+_COUPLER_AXES = {"spatial": "y", "diagonal": "x"}
 
 
 def gaussian_amplitude(u, center: float, sigma: float):
@@ -138,7 +132,7 @@ class CouplerSpec:
     g: float
 
     def __post_init__(self):
-        if self.kind not in _COUPLERS:
+        if self.kind not in _COUPLER_AXES:
             raise ValueError(f"kind must be 'spatial' or 'diagonal', got {self.kind!r}")
         if self.arm not in ARM_INDICES:
             raise ValueError(f"arm must be 'A' or 'B', got {self.arm!r}")
@@ -178,10 +172,10 @@ def _apply_on_arm(state: BranchState, arm: str, axis: str, terms) -> BranchState
 
 def apply_coupler(state: BranchState, spec: CouplerSpec) -> BranchState:
     """exp(-i g S P_axis) in its spectral form: each eigenspace of the kind's
-    observable S on the target arm moves by eigenvalue * g along the kind's
-    axis (see ``_COUPLERS``); the other arm passes through."""
-    axis, spectrum = _COUPLERS[spec.kind]
-    return _apply_on_arm(state, spec.arm, axis, [(proj, value * spec.g) for proj, value in spectrum])
+    observable S on the target arm (``quantum.ARM_SPECTRA``) moves by
+    eigenvalue * g along the kind's axis; the other arm passes through."""
+    terms = [(proj, value * spec.g) for proj, value in ARM_SPECTRA[spec.kind]]
+    return _apply_on_arm(state, spec.arm, _COUPLER_AXES[spec.kind], terms)
 
 
 def apply_jones(state: BranchState, arm: str, jones: np.ndarray) -> BranchState:

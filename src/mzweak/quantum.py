@@ -39,7 +39,17 @@ ORTHOGONALITY_TOL = 1e-9
 EIGENVALUE_TOL = 1e-9
 MATRIX_TOL = 1e-12  # largest entry of A - A^dagger (Hermitian) or A^2 - A (projector)
 
-_SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# The projectors of the observable kinds on one arm's (H, V) labels: the
+# identity, and the diagonal and anti-diagonal polarization projectors
+_ARM_PROJECTORS = 0.5 * np.array([[[2, 0], [0, 2]], [[1, 1], [1, 1]], [[1, -1], [-1, 1]]])
+_ARM_PROJECTORS.setflags(write=False)
+# Each observable kind on one arm in spectral form ((projector, eigenvalue),
+# ...); it is zero on the other arm. ``observable``, the joint-measurement
+# records and the pointer couplers (``pointer.apply_coupler``) all read it.
+ARM_SPECTRA = {
+    "spatial": ((_ARM_PROJECTORS[0], 1.0),),
+    "diagonal": ((_ARM_PROJECTORS[1], 1.0), (_ARM_PROJECTORS[2], -1.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -184,23 +194,28 @@ def identity_operator() -> SystemOperator:
     return SystemOperator(np.eye(4, dtype=complex))
 
 
+def _on_arm(block: np.ndarray, arm: str) -> np.ndarray:
+    """The read-only 4x4 matrix acting as the 2x2 ``block`` on one arm's
+    (H, V) labels and as zero on the other arm."""
+    out = np.zeros((4, 4), dtype=complex)
+    i, j = ARM_INDICES[arm]
+    out[i:j + 1, i:j + 1] = block
+    out.setflags(write=False)
+    return out
+
+
 def observable(kind: str, arm: str) -> SystemOperator:
-    """Path projector (``spatial``) or diagonal polarization (``diagonal``) on one arm.
+    """Path projector (``spatial``) or diagonal polarization (``diagonal``) on
+    one arm: the sum of eigenvalue * projector over ``ARM_SPECTRA[kind]``.
 
     spatial:  |arm><arm| (x) 1, eigenvalues {0, 1}
     diagonal: |arm><arm| (x) sigma_1, eigenvalues {-1, 0, +1}
     """
     if arm not in ARM_INDICES:
         raise ValueError(f"arm must be 'A' or 'B', got {arm!r}")
-    proj = np.zeros((4, 4), dtype=complex)
-    i, j = ARM_INDICES[arm]
-    if kind == "spatial":
-        proj[i, i] = proj[j, j] = 1.0
-    elif kind == "diagonal":
-        proj[i:j + 1, i:j + 1] = _SIGMA1
-    else:
+    if kind not in ARM_SPECTRA:
         raise ValueError(f"kind must be 'spatial' or 'diagonal', got {kind!r}")
-    return SystemOperator(proj)
+    return SystemOperator(_on_arm(sum(value * proj for proj, value in ARM_SPECTRA[kind]), arm))
 
 
 def pair(theta_deg: float) -> PrePostPair:
@@ -283,24 +298,13 @@ def sample_measure_postselect(op: SystemOperator, pp: PrePostPair, n_trials: int
     return joint, int(np.count_nonzero(ref_ok))
 
 
-def _joint_projectors() -> dict:
-    """The three record projectors of the joint measurement: |A><A| (x) 1 and
-    |B><B| (x) |diag><diag|, |B><B| (x) |anti><anti|."""
-    diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    anti = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    b_up = np.kron(np.array([0.0, 1.0]), diag)
-    b_dn = np.kron(np.array([0.0, 1.0]), anti)
-    out = {
-        "A": np.asarray(observable("spatial", "A")),
-        "B+": np.outer(b_up, b_up.conj()),
-        "B-": np.outer(b_dn, b_dn.conj()),
-    }
-    for proj in out.values():
-        proj.setflags(write=False)
-    return out
-
-
-_JOINT_PROJECTORS = _joint_projectors()
+# The three record projectors of the joint measurement: |A><A| (x) 1 and
+# |B><B| (x) |diag><diag|, |B><B| (x) |anti><anti|
+_JOINT_PROJECTORS = {
+    "A": _on_arm(_ARM_PROJECTORS[0], "A"),
+    "B+": _on_arm(_ARM_PROJECTORS[1], "B"),
+    "B-": _on_arm(_ARM_PROJECTORS[2], "B"),
+}
 
 
 def joint_disturbing_distribution(pp: PrePostPair):

@@ -620,6 +620,17 @@ def test_export_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(wparsed, draws)
 
 
+def test_export_in_blocks_writes_the_bytes_of_one_block(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    dists = [make_dist(rng.normal(mu, 3.0, n), theta, "x") for mu, n, theta in ((50, 50, 0.0), (0, 49, 45.0), (49, 50, 90.0))]
+    draws = {"x": (np.arange(50), rng.normal(1.0, 0.1, 50)), "y": (np.arange(49), rng.normal(0.0, 0.1, 49))}
+    ana.export_results(tmp_path / "one", {}, dists, draws, seed=3, n_bootstrap=50)
+    monkeypatch.setattr(ana, "_EXPORT_ROWS", 7)  # 49 rows fill whole blocks, 50 leave one row over
+    ana.export_results(tmp_path / "blocks", {}, dists, draws, seed=3, n_bootstrap=50)
+    for name in ("centers.csv", "weak_values.csv"):
+        assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 def test_export_contains_both_axes(tmp_path):
     rng = np.random.default_rng(6)
     dists = {}
