@@ -41,11 +41,10 @@ with open(OUT / "weak_to_strong.csv", "w", encoding="utf-8") as fh:
 
 # blocked-arm destructive pattern: opposite-sign branches at +/-g
 state = ptr.evolve_and_postselect(
-    qm.pre_state(),
+    qm.pre_state(blocked_arm="A"),
     [ptr.CouplerSpec("diagonal", "B", 50.0)],
     qm.post_state(0.0),
     sigma=SIGMA,
-    blocked_arm="A",
 )
 grid = np.linspace(-2000.0, 2000.0, 801)
 ptr.write_profile_csv(OUT / "destructive_profile.csv", grid, ptr.marginal_intensity(state, "x", grid))

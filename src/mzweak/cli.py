@@ -58,16 +58,17 @@ def build_couplers(config: ExperimentConfig):
     ]
 
 
+def build_pair(config: ExperimentConfig, theta: float) -> qm.PrePostPair:
+    """The configured pre-selected state (arm phase, blocked arm) and the
+    post-selection at one angle: the one pair the weak values and the
+    pointer states of a config both read."""
+    return qm.PrePostPair(qm.pre_state(config.arm_phase, config.blocked_arm), qm.post_state(theta))
+
+
 def build_state(config: ExperimentConfig, theta: float):
     """Post-selected pointer state for one post-selection angle."""
-    return ptr.evolve_and_postselect(
-        qm.pre_state(),
-        build_couplers(config),
-        qm.post_state(theta),
-        sigma=config.sigma,
-        blocked_arm=config.blocked_arm,
-        arm_phase=config.arm_phase,
-    )
+    pp = build_pair(config, theta)
+    return ptr.evolve_and_postselect(pp.pre, build_couplers(config), pp.post, sigma=config.sigma)
 
 
 def _say(quiet: bool, text: str) -> None:
@@ -76,7 +77,8 @@ def _say(quiet: bool, text: str) -> None:
 
 
 def cmd_weakvalue(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
-    """Analytic weak values and conditional outcome probabilities per angle."""
+    """Analytic weak values and conditional outcome probabilities per angle,
+    of the configured pair (``build_pair``)."""
     ops = {
         "Y_A": qm.observable("spatial", "A"),
         "Y_B": qm.observable("spatial", "B"),
@@ -85,7 +87,7 @@ def cmd_weakvalue(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     }
     rows = []
     for theta in config.theta_list:
-        pp = qm.pair(theta)
+        pp = build_pair(config, theta)
         try:
             values = {name: qm.weak_value(op, pp) for name, op in ops.items()}
             entry = {
@@ -147,10 +149,17 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _bootstrap_file(config: ExperimentConfig, out_dir: Path, theta: float, axis: str) -> ana.CenterDistribution:
-    """Bootstrap distribution of one scan file. A damaged file, one whose
-    rows name another angle or axis than its file name, or one with too few
-    positions or repeats to bootstrap, is unreadable input."""
+def _grid_text(positions) -> str:
+    return f"{positions.size} positions from {float(positions[0])!r} to {float(positions[-1])!r} um"
+
+
+def _bootstrap_file(config: ExperimentConfig, out_dir: Path, theta: float, axis: str, first):
+    """(first, bootstrap distribution) of one scan file, where ``first`` is
+    the (path, positions, seed) of the first file read (None before it). A
+    damaged file, one whose rows name another angle or axis than its file
+    name, one from another run than the first file (another position grid or
+    seed), or one with too few positions or repeats to bootstrap, is
+    unreadable input."""
     path = out_dir / scan_filename(theta, axis)
     if not path.exists():
         raise MissingReference(f"missing scan file: {path}")
@@ -162,20 +171,29 @@ def _bootstrap_file(config: ExperimentConfig, out_dir: Path, theta: float, axis:
         raise UnreadableInput(
             f"{path}: holds theta {record.theta!r} deg on axis {record.axis!r}, not theta {theta!r} deg on axis {axis!r}"
         )
+    first_path, positions, seed = first = first or (path, record.positions, record.seed)
+    if record.seed != seed:
+        raise UnreadableInput(f"{path}: seed {record.seed}, but {first_path}: seed {seed}; the scans must come from one run")
+    if not np.array_equal(record.positions, positions):
+        raise UnreadableInput(
+            f"{path}: {_grid_text(record.positions)}, but {first_path}: {_grid_text(positions)}; the scans must share one grid"
+        )
     try:
-        return ana.bootstrap_centers(record, config.analysis["n_bootstrap"], config.seed)
+        return first, ana.bootstrap_centers(record, config.analysis["n_bootstrap"], config.seed)
     except ValueError as exc:
         raise UnreadableInput(f"{path}: {exc}") from None
 
 
 def cmd_analyze(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
-    """Bootstrap centers, weak-value estimates and systematic bands."""
+    """Bootstrap centers, weak-value estimates and systematic bands. The six
+    scan records must come from one run; each is checked against the first
+    as it loads, and bootstrapped before the next one is read."""
     target = config.target_theta
-    dists = {
-        (theta, axis): _bootstrap_file(config, out_dir, theta, axis)
-        for theta in (target, 45.0, 90.0)
-        for axis in ("x", "y")
-    }
+    dists = {}
+    first = None
+    for theta in (target, 45.0, 90.0):
+        for axis in ("x", "y"):
+            first, dists[(theta, axis)] = _bootstrap_file(config, out_dir, theta, axis, first)
 
     estimates = {}
     draws = {}
@@ -250,7 +268,8 @@ def cmd_sweep(raw: dict, out_dir: Path, quiet: bool, args) -> int:
     value, checked like a config file and run before the next one, so a
     value no config may hold is a config error and no file is written.
     Columns: parameter value, analytic weak value (diagonal polarization on
-    arm B), exact x centroid, first-order shift g * Re(w). Undefined weak
+    arm B), exact x centroid, first-order shift g * Re(w); the weak value and
+    the centroid both read the point's pair (``build_pair``). Undefined weak
     values (orthogonal post-selection) are written as nan.
     """
     if args.stop <= args.start or not 2 <= args.num <= MAX_SWEEP_POINTS:
@@ -262,7 +281,7 @@ def cmd_sweep(raw: dict, out_dir: Path, quiet: bool, args) -> int:
             point = ExperimentConfig.from_dict(raw | dict.fromkeys(_SWEPT_KEYS[args.parameter], v))
         except ConfigError as exc:
             raise ConfigError(f"sweep {args.parameter} = {v!r}: {exc}") from None
-        pp = qm.pair(point.target_theta)
+        pp = build_pair(point, point.target_theta)
         try:
             wv = qm.weak_value(x_b, pp)
             first = ptr.first_order_shift(wv, point.g_x)

@@ -80,6 +80,10 @@ _MINIMUM = {"scan.repeats": 2, "scan.reference_repeats": 2, "drift.n_profiles": 
 # (README: time and memory at this bound)
 MAX_BOOTSTRAP = 1_000_000
 _MAXIMUM = {"analysis.n_bootstrap": MAX_BOOTSTRAP}
+# Most count cells in one record: repeats (or drift profiles) x n_points.
+# simulate and analyze hold a few arrays of this size (README: time and
+# memory at this bound)
+MAX_RECORD_CELLS = 1_000_000
 
 
 def _type_name(v):
@@ -145,6 +149,20 @@ def _build(build, section: str, **renamed):
     except ValueError as exc:
         field, _, message = str(exc).partition(" ")
         raise ConfigError(f"{renamed.get(field, f'{section}.{field}')}: {message}") from None
+
+
+def _check_cells(config) -> None:
+    """Each record, a target or reference scan or the drift run, has at most
+    MAX_RECORD_CELLS count cells; a larger one names its repeats key."""
+    n_points = config.scan["n_points"]
+    counts = {
+        "scan.repeats": config.scan["repeats"],
+        "scan.reference_repeats": config.scan["reference_repeats"],
+        "drift.n_profiles": config.drift["n_profiles"],
+    }
+    for key, count in counts.items():
+        cells = count * n_points
+        _require(cells <= MAX_RECORD_CELLS, key, f"{count} x {n_points} positions = {cells} count cells, over {MAX_RECORD_CELLS}")
 
 
 def _check_lengths(config) -> None:
@@ -247,6 +265,7 @@ class ExperimentConfig:
         for axis in ("x", "y"):
             _build(lambda: config.drift_model(axis), "drift", step_sigma=f"drift.step_sigma_{axis}")
         _build(config.source_model, "source")
+        _check_cells(config)
         _check_lengths(config)
         return config
 

@@ -215,25 +215,6 @@ def diagonal_coupler_composite(arm: str, g: float):
     return transform
 
 
-def block_arm(state: BranchState, arm: str) -> BranchState:
-    """Drop every branch on the given arm (state becomes un-normalized)."""
-    idx = ARM_INDICES[arm]
-    kept = [b for b in state.branches if b.label not in idx]
-    if not kept:
-        raise EmptyState("blocking removed every branch")
-    return _merged(kept, state.sigma)
-
-
-def apply_arm_phase(state: BranchState, phase: float) -> BranchState:
-    """Multiply arm-B branches by exp(i phase) (imperfect phase lock)."""
-    if phase == 0.0:
-        return state
-    factor = np.exp(1j * phase)
-    idx = ARM_INDICES["B"]
-    out = [b._replace(coeff=b.coeff * factor) if b.label in idx else b for b in state.branches]
-    return _merged(out, state.sigma)
-
-
 def postselect(state: BranchState, post: SystemState) -> BranchState:
     """Project the system part on <post|; the result is un-normalized and
     carries pointer-only branches (label None)."""
@@ -242,15 +223,10 @@ def postselect(state: BranchState, post: SystemState) -> BranchState:
     return _merged(terms, state.sigma)
 
 
-def evolve(
-    pre: SystemState,
-    couplers,
-    *,
-    sigma: float = DEFAULT_SIGMA_UM,
-    blocked_arm: str | None = None,
-    arm_phase: float = 0.0,
-) -> BranchState:
-    """Run the coupler sequence on the labelled branch state (no post-selection)."""
+def evolve(pre: SystemState, couplers, *, sigma: float = DEFAULT_SIGMA_UM) -> BranchState:
+    """Run the coupler sequence on the labelled branch state (no
+    post-selection). The pointer evolves the pre-selected state it is handed;
+    a blocked arm or an arm phase is part of that state (``quantum.pre_state``)."""
     seen = set()
     for spec in couplers:
         key = (spec.kind, spec.arm)
@@ -258,25 +234,16 @@ def evolve(
             raise ValueError(f"conflicting couplers: duplicate {key}")
         seen.add(key)
     state = initial_branch_state(pre, sigma)
-    if blocked_arm is not None:
-        state = block_arm(state, blocked_arm)
     for spec in couplers:
         state = apply_coupler(state, spec)
-    return apply_arm_phase(state, arm_phase)
+    return state
 
 
 def evolve_and_postselect(
-    pre: SystemState,
-    couplers,
-    post: SystemState,
-    *,
-    sigma: float = DEFAULT_SIGMA_UM,
-    blocked_arm: str | None = None,
-    arm_phase: float = 0.0,
+    pre: SystemState, couplers, post: SystemState, *, sigma: float = DEFAULT_SIGMA_UM
 ) -> BranchState:
     """Coupler evolution followed by post-selection; un-normalized output."""
-    state = evolve(pre, couplers, sigma=sigma, blocked_arm=blocked_arm, arm_phase=arm_phase)
-    return postselect(state, post)
+    return postselect(evolve(pre, couplers, sigma=sigma), post)
 
 
 def _mixture(state: BranchState, axis: str):

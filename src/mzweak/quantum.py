@@ -56,9 +56,10 @@ ARM_SPECTRA = {
 class SystemState:
     """Amplitude vector on the 4-dim path x polarization space.
 
-    ``normalized=False`` flags intentionally un-normalized intermediates
-    (e.g. after blocking an arm); normalized states are checked to unit norm
-    within 1e-12. Every state needs finite amplitudes (a finite norm).
+    ``normalized=False`` flags intentionally un-normalized states (e.g. a
+    pre-selected state with one arm blocked); normalized states are checked
+    to unit norm within 1e-12. Every state needs finite amplitudes (a finite
+    norm).
     """
 
     amplitudes: np.ndarray
@@ -173,9 +174,25 @@ _R = 1.0 / np.sqrt(2.0)
 _PRE_STATE = SystemState(np.array([_R, 0.0, 0.0, _R], dtype=complex))
 
 
-def pre_state() -> SystemState:
-    """(|A,H> + |B,V>)/sqrt(2): the state prepared after the input splitter."""
-    return _PRE_STATE
+def pre_state(arm_phase: float = 0.0, blocked_arm: str | None = None) -> SystemState:
+    """(|A,H> + e^(i arm_phase) |B,V>)/sqrt(2): the state prepared after the
+    input splitter, with the residual A/B phase on arm B.
+
+    A blocked arm's amplitudes are zero, and the state is then un-normalized.
+    Both act inside one arm, so they commute with every coupler: this is the
+    one place the experiment applies them. With the defaults the module's one
+    instance is returned.
+    """
+    if blocked_arm is not None and blocked_arm not in ARM_INDICES:
+        raise ValueError(f"blocked_arm must be None, 'A' or 'B', got {blocked_arm!r}")
+    if arm_phase == 0.0 and blocked_arm is None:
+        return _PRE_STATE
+    amps = _PRE_STATE.amplitudes.copy()
+    amps[2:] *= np.exp(1j * arm_phase)  # arm B: BH, BV
+    if blocked_arm is not None:
+        i, j = ARM_INDICES[blocked_arm]
+        amps[i:j + 1] = 0.0
+    return SystemState(amps, normalized=blocked_arm is None)
 
 
 def post_state(theta_deg: float) -> SystemState:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import mzweak
 from mzweak.cli import MAX_SWEEP_POINTS, main, scan_filename
-from mzweak.config import DEFAULTS, MAX_BOOTSTRAP, ExperimentConfig
+from mzweak.config import DEFAULTS, MAX_BOOTSTRAP, MAX_RECORD_CELLS, ExperimentConfig
 from mzweak.detection import ScanConfig, SourceModel
 from mzweak.errors import ConfigError
 
@@ -185,6 +185,25 @@ def test_cli_weakvalue_orthogonal_theta_is_undefined_row(tmp_path, capsys):
     assert data["rows"][0]["undefined"] == "orthogonal post-selection"
 
 
+def test_cli_weakvalue_reads_the_configured_arm_phase(tmp_path):
+    # the pre-selected state carries the arm phase: X_B,w = e^(i phase) at theta = 0
+    cfg = write_config(tmp_path, {"arm_phase": 0.6})
+    assert main(["--quiet", "--config", cfg, "--out", str(tmp_path), "--theta", "0", "weakvalue"]) == 0
+    row = json.loads((tmp_path / "weakvalues.json").read_text())["rows"][0]
+    assert abs(row["weak_values"]["X_B"]["re"] - np.cos(0.6)) < 1e-12
+    assert abs(row["weak_values"]["X_B"]["im"] - np.sin(0.6)) < 1e-12
+    assert abs(row["weak_values"]["Y_A"]["re"] - 1.0) < 1e-12
+
+
+def test_cli_weakvalue_blocked_arm_a_is_orthogonal_at_zero(tmp_path, capsys):
+    # with arm A blocked only |B,V> is left, orthogonal to the theta = 0 post-selection
+    cfg = write_config(tmp_path, {"blocked_arm": "A"})
+    assert main(["--config", cfg, "--out", str(tmp_path), "--theta", "0", "weakvalue"]) == 0
+    assert "undefined (orthogonal post-selection)" in capsys.readouterr().out
+    data = json.loads((tmp_path / "weakvalues.json").read_text())
+    assert data["rows"][0]["undefined"] == "orthogonal post-selection"
+
+
 def test_cli_simulate_writes_six_files(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -300,6 +319,40 @@ def test_cli_analyze_mislabeled_scan_is_unreadable_input(tmp_path, capsys):
     assert err == f"unreadable input: {path}: holds theta 90.0 deg on axis 'x', not theta 90.0 deg on axis 'y'\n"
 
 
+def test_cli_analyze_scans_of_another_seed_are_unreadable_input(tmp_path, capsys):
+    # a seed-5 run whose 90 degree scans were re-simulated under seed 9
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "--seed", "5", "simulate"]) == 0
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "--seed", "9", "--theta", "90", "simulate"]) == 0
+    capsys.readouterr()
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "--seed", "5", "analyze"]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"unreadable input: {out / scan_filename(90.0, 'x')}: seed 9, but {out / scan_filename(0.0, 'x')}: "
+        "seed 5; the scans must come from one run\n"
+    )
+    assert not (out / "summary.json").exists()
+
+
+def test_cli_analyze_scans_on_another_grid_are_unreadable_input(tmp_path, capsys):
+    # 45 degree scans on a 140 um grid against a target on a 150 um grid
+    doc = dict(SMALL, scan=dict(SMALL["scan"], step=150.0))
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "simulate"]) == 0
+    other = write_config(tmp_path, dict(doc, scan=dict(doc["scan"], step=140.0)), name="other.json")
+    assert main(["--quiet", "--config", other, "--out", str(out), "--theta", "45", "simulate"]) == 0
+    capsys.readouterr()
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "analyze"]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"unreadable input: {out / scan_filename(45.0, 'x')}: 31 positions from -2100.0 to 2100.0 um, "
+        f"but {out / scan_filename(0.0, 'x')}: 31 positions from -2250.0 to 2250.0 um; the scans must share one grid\n"
+    )
+    assert not (out / "summary.json").exists()
+
+
 def test_cli_n_bootstrap_bound_is_checked_before_any_allocation(tmp_path, capsys):
     cfg = write_config(tmp_path, {"analysis": {"n_bootstrap": 1e12}})
     tracemalloc.start()
@@ -364,6 +417,21 @@ def test_cli_sweep_theta_follows_analytic_weak_value(tmp_path):
             assert np.isnan(wv)
         else:
             assert wv == pytest.approx(np.cos(t) / denom, abs=1e-12)
+
+
+def test_cli_sweep_theta_first_order_reads_the_configured_arm_phase(tmp_path):
+    # the weak value and the centroid of a point come from one pair: at
+    # theta = 0 the first-order shift is g Re(e^(0.6 i)) = 41.267 um, next to
+    # the exact centroid 41.039 um
+    cfg = write_config(tmp_path, {"arm_phase": 0.6})
+    assert main(["--quiet", "--config", cfg, "--out", str(tmp_path), "sweep",
+                 "--parameter", "theta", "--start", "0", "--stop", "90", "--num", "7"]) == 0
+    row = (tmp_path / "sweep_theta.csv").read_text().splitlines()[1]
+    theta, wv, centroid, first = (float(v) for v in row.split(","))
+    assert theta == 0.0
+    assert abs(wv - np.cos(0.6)) < 1e-12
+    assert abs(first - 50.0 * np.cos(0.6)) < 1e-9
+    assert abs(centroid - first) <= 0.01 * first
 
 
 def test_cli_sweep_g_shows_weak_to_strong_transition(tmp_path):
@@ -482,6 +550,10 @@ def test_cli_bad_config_exit_code(tmp_path):
         ({"sigma": 1e-200}, [], "sigma"),
         ({"sigma": 1e-160}, [], "sigma"),
         ({"analysis": {"n_bootstrap": 1e12}}, [], "analysis.n_bootstrap"),
+        # records over MAX_RECORD_CELLS count cells, caught before any is allocated
+        ({"scan": {"repeats": 1e12}}, [], "scan.repeats"),
+        ({"scan": {"reference_repeats": 1e12}}, [], "scan.reference_repeats"),
+        ({"drift": {"n_profiles": 1e11}}, [], "drift.n_profiles"),
     ],
 )
 def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, doc, flags, key):
@@ -494,6 +566,19 @@ def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, doc, flags, key):
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key", [("scan", "repeats"), ("scan", "reference_repeats"), ("drift", "n_profiles")])
+def test_record_cell_bound_is_inclusive(section, key):
+    # 61 positions: 16 393 repeats are 999 973 cells, 16 394 are 1 000 034
+    at_bound = MAX_RECORD_CELLS // 61
+    assert getattr(ExperimentConfig.from_dict({section: {key: at_bound}}), section)[key] == at_bound
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: {at_bound + 1} x 61 positions = "):
+        ExperimentConfig.from_dict({section: {key: at_bound + 1}})
+    # the bound is on the product: fewer positions take more repeats
+    doc = {"scan": {"n_points": 31, "step": 100.0}}
+    doc[section] = doc.get(section, {}) | {key: at_bound + 1}
+    assert ExperimentConfig.from_dict(doc)
 
 
 def test_cli_override_replaces_bad_file_seed(tmp_path):

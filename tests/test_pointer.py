@@ -1,5 +1,7 @@
 """Gaussian pointer branch algebra: couplers, profiles, exact centroids."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -19,9 +21,10 @@ def paper_couplers(g=50.0):
     return [ptr.CouplerSpec("spatial", "A", g), ptr.CouplerSpec("diagonal", "B", g)]
 
 
-def paper_state(theta=0.0, g=50.0, sigma=SIGMA, **kw):
+def paper_state(theta=0.0, g=50.0, sigma=SIGMA, **pre):
+    """The paper's couplers on ``qm.pre_state(**pre)``, post-selected at theta."""
     return ptr.evolve_and_postselect(
-        qm.pre_state(), paper_couplers(g), qm.post_state(theta), sigma=sigma, **kw
+        qm.pre_state(**pre), paper_couplers(g), qm.post_state(theta), sigma=sigma
     )
 
 
@@ -169,11 +172,10 @@ def test_blocked_arm_destructive_interference():
     # with arm A blocked the arm-B polarization (V) is orthogonal to the
     # theta=0 post-selection: opposite-sign branches at +/-g, null at center
     state = ptr.evolve_and_postselect(
-        qm.pre_state(),
+        qm.pre_state(blocked_arm="A"),
         [ptr.CouplerSpec("diagonal", "B", 50.0)],
         qm.post_state(0.0),
         sigma=SIGMA,
-        blocked_arm="A",
     )
     bm = branch_map(state)
     assert bm[(None, 50.0, 0.0)] == pytest.approx(0.25, abs=1e-12)
@@ -189,11 +191,10 @@ def test_blocked_arm_parallel_polarization_no_null():
     # at theta=45 the post-selected polarization equals the arm-B input (V):
     # equal-sign branches, centered symmetric bump instead of a null
     state = ptr.evolve_and_postselect(
-        qm.pre_state(),
+        qm.pre_state(blocked_arm="A"),
         [ptr.CouplerSpec("diagonal", "B", 50.0)],
         qm.post_state(45.0),
         sigma=SIGMA,
-        blocked_arm="A",
     )
     bm = branch_map(state)
     assert bm[(None, 50.0, 0.0)] == pytest.approx(0.25, abs=1e-12)
@@ -201,11 +202,6 @@ def test_blocked_arm_parallel_polarization_no_null():
     grid = np.array([0.0])
     assert ptr.marginal_intensity(state, "x", grid)[0] > 1e-6
     assert abs(ptr.centroid_exact(state, "x")) < 1e-12
-
-
-def test_blocked_arm_empties_single_arm_state():
-    with pytest.raises(EmptyState):
-        ptr.evolve(qm.SystemState([1, 0, 0, 0]), [], sigma=SIGMA, blocked_arm="A")
 
 
 def test_both_arms_open_orthogonal_theta_diagonal_pattern():
@@ -335,7 +331,7 @@ def test_first_order_shift_values():
 )
 def test_norm_conserved_before_postselection(theta, gx, gy, phase):
     couplers = [ptr.CouplerSpec("spatial", "A", gy), ptr.CouplerSpec("diagonal", "B", gx)]
-    state = ptr.evolve(qm.pre_state(), couplers, sigma=SIGMA, arm_phase=phase)
+    state = ptr.evolve(qm.pre_state(arm_phase=phase), couplers, sigma=SIGMA)
     assert abs(state.total_norm() - 1.0) < 1e-12
     post = ptr.postselect(state, qm.post_state(theta))
     assert post.total_norm() <= 1.0 + 1e-12
@@ -423,13 +419,12 @@ def branch_states(draw):
         ptr.CouplerSpec("spatial", draw(st.sampled_from("AB")), draw(st.floats(0.0, 600.0))),
         ptr.CouplerSpec("diagonal", draw(st.sampled_from("AB")), draw(st.floats(0.0, 600.0))),
     ]
-    state = ptr.evolve(
-        qm.pre_state(),
-        couplers,
-        sigma=draw(st.floats(100.0, 900.0)),
+    sigma = draw(st.floats(100.0, 900.0))
+    pre = qm.pre_state(
         blocked_arm=draw(st.sampled_from([None, "A", "B"])),
         arm_phase=draw(st.floats(0.0, 2 * np.pi)),
     )
+    state = ptr.evolve(pre, couplers, sigma=sigma)
     if draw(st.booleans()):
         state = ptr.postselect(state, qm.post_state(draw(st.floats(-90.0, 90.0))))
     return state
@@ -478,7 +473,7 @@ EXACTNESS_STATES = [
     paper_state(0.0),
     paper_state(30.0, g=400.0, sigma=375.0),
     paper_state(0.0, blocked_arm="A"),
-    ptr.evolve(qm.pre_state(), paper_couplers(120.0), sigma=SIGMA, arm_phase=0.7),
+    ptr.evolve(qm.pre_state(arm_phase=0.7), paper_couplers(120.0), sigma=SIGMA),
 ]
 
 
@@ -495,10 +490,9 @@ def test_windowed_intensity_equals_per_edge_formula(state, axis, step, width):
         )
 
 
-def seeded_random_state(rng):
-    """A labelled or post-selected state: either coupler arm, blocking, arm
-    phase. Diagonal couplers on both arms give up to 9 distinct midpoints on
-    x; from 8 terms on, numpy's sum order can depend on the array layout."""
+def seeded_evolution(rng):
+    """(couplers, sigma, blocked arm, arm phase) of a random evolution: either
+    coupler arm, and a diagonal coupler on both arms half the time."""
     couplers = [
         ptr.CouplerSpec("spatial", str(rng.choice(["A", "B"])), rng.uniform(0.0, 600.0)),
         ptr.CouplerSpec("diagonal", str(rng.choice(["A", "B"])), rng.uniform(0.0, 600.0)),
@@ -506,13 +500,15 @@ def seeded_random_state(rng):
     if rng.integers(2):
         arm = "A" if couplers[1].arm == "B" else "B"
         couplers.append(ptr.CouplerSpec("diagonal", arm, rng.uniform(0.0, 600.0)))
-    state = ptr.evolve(
-        qm.pre_state(),
-        couplers,
-        sigma=rng.uniform(100.0, 900.0),
-        blocked_arm=[None, "A", "B"][rng.integers(3)],
-        arm_phase=rng.uniform(0.0, 2 * np.pi),
-    )
+    return couplers, rng.uniform(100.0, 900.0), [None, "A", "B"][rng.integers(3)], rng.uniform(0.0, 2 * np.pi)
+
+
+def seeded_random_state(rng):
+    """A labelled or post-selected state of a ``seeded_evolution``. Diagonal
+    couplers on both arms give up to 9 distinct midpoints on x; from 8 terms
+    on, numpy's sum order can depend on the array layout."""
+    couplers, sigma, blocked, phase = seeded_evolution(rng)
+    state = ptr.evolve(qm.pre_state(phase, blocked), couplers, sigma=sigma)
     if rng.integers(2):
         state = ptr.postselect(state, qm.post_state(rng.uniform(-90.0, 90.0)))
     return state
@@ -532,6 +528,50 @@ def test_scalar_center_equals_grid_element_bit_for_bit():
                 c = float(grid[i, j])
                 assert ptr.windowed_intensity(state, axis, c, cfg.fiber_core)[0] == flux[i, j]
                 assert det.expected_rate(state, axis, c, cfg) == rates[i, j]
+
+
+# Oracle: the blocked arm and the arm phase applied to the labelled branch
+# state around the couplers, the blocked arm's branches dropped before them and
+# arm B's coefficients multiplied by exp(i phase) after them. Each coupler acts
+# inside one arm, so both commute with it: ``quantum.pre_state``, which carries
+# them in the pre-selected state, must give the same branches bit for bit.
+
+
+def oracle_evolve(couplers, sigma, blocked, phase):
+    state = ptr.initial_branch_state(qm.pre_state(), sigma)
+    if blocked is not None:
+        open_arm = [b for b in state.branches if b.label not in qm.ARM_INDICES[blocked]]
+        state = ptr._merged(open_arm, sigma)
+    for spec in couplers:
+        state = ptr.apply_coupler(state, spec)
+    if phase == 0.0:
+        return state
+    factor = np.exp(1j * phase)
+    arm_b = qm.ARM_INDICES["B"]
+    return ptr._merged(
+        [b._replace(coeff=b.coeff * factor) if b.label in arm_b else b for b in state.branches], sigma
+    )
+
+
+def branch_bits(state):
+    """The branches' labels and shifts, and their coefficients as raw bytes."""
+    coeffs = np.array([b.coeff for b in state.branches], dtype=complex)
+    return [(b.label, b.dx, b.dy) for b in state.branches], coeffs.tobytes()
+
+
+def test_pre_selected_blocking_and_phase_equal_the_branch_oracle():
+    rng = np.random.default_rng(20261019)
+    for n in range(3000):
+        couplers, sigma, blocked, phase = seeded_evolution(rng)
+        if n % 4 == 0:
+            phase = 0.0
+        if n % 7 == 0:  # a zero coupling merges opposite-shift terms
+            couplers[-1] = dataclasses.replace(couplers[-1], g=0.0)
+        state = ptr.evolve(qm.pre_state(phase, blocked), couplers, sigma=sigma)
+        oracle = oracle_evolve(couplers, sigma, blocked, phase)
+        assert branch_bits(state) == branch_bits(oracle)
+        post = qm.post_state(rng.uniform(-90.0, 90.0))
+        assert branch_bits(ptr.postselect(state, post)) == branch_bits(ptr.postselect(oracle, post))
 
 
 @pytest.mark.parametrize("state", EXACTNESS_STATES)
@@ -564,8 +604,8 @@ def test_moments_reject_unknown_axis(moment, args):
 
 def test_nan_arm_phase_rejected_not_pruned():
     # a NaN coefficient sum must reach the finiteness check, not drop as if zero
-    with pytest.raises(ValueError, match="branch fields must be finite"):
-        ptr.evolve(qm.pre_state(), [], sigma=SIGMA, arm_phase=float("nan"))
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        qm.pre_state(arm_phase=float("nan"))
     with pytest.raises(ValueError, match="branch fields must be finite"):
         ptr._merged([(complex("nan"), 0, 0.0, 0.0)], SIGMA)
 

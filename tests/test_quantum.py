@@ -62,8 +62,37 @@ def test_post_state_45_by_direct_jones_application():
 def test_pre_state_is_one_immutable_instance():
     psi = qm.pre_state()
     assert qm.pre_state() is psi
+    assert qm.pre_state(0.0, None) is psi
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 0.0
+
+
+@pytest.mark.parametrize("phase", [0.6, -2.0, 3 * np.pi])
+def test_pre_state_arm_phase_multiplies_arm_b(phase):
+    psi = qm.pre_state(arm_phase=phase)
+    assert psi.normalized
+    np.testing.assert_allclose(np.asarray(psi), [1 / RT2, 0, 0, np.exp(1j * phase) / RT2], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("blocked,open_index", [("A", 3), ("B", 0)])
+def test_pre_state_blocked_arm_is_zero_and_unnormalized(blocked, open_index):
+    psi = qm.pre_state(arm_phase=0.6, blocked_arm=blocked)
+    assert not psi.normalized
+    amps = np.asarray(psi)
+    assert np.count_nonzero(amps) == 1
+    assert abs(amps[open_index]) == pytest.approx(1 / RT2, abs=1e-15)
+    # the blocked pair: orthogonal at theta = 0 when arm A is blocked, a weak value of 1 otherwise
+    pp = qm.PrePostPair(psi, qm.post_state(0.0))
+    if blocked == "A":
+        with pytest.raises(OrthogonalPostSelection):
+            qm.weak_value(qm.observable("diagonal", "B"), pp)
+    else:
+        assert qm.weak_value(qm.observable("spatial", "A"), pp) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pre_state_rejects_unknown_arm():
+    with pytest.raises(ValueError, match="blocked_arm"):
+        qm.pre_state(blocked_arm="C")
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.0, 22.5, 45.0, 67.5, 90.0, -33.3, 1e-300, 719.9])

@@ -45,3 +45,11 @@ def test_weak_to_strong_script(tmp_path):
     for axis in "xy":
         first = weak[f"first_order_{axis}_um"]
         assert abs(weak[f"centroid_{axis}_um"] - first) <= 0.01 * abs(first)
+    # arm A blocked: opposite-sign branches at +/-g, an exact null at u = 0 in an even profile
+    with open(out / "destructive_profile.csv", encoding="utf-8") as fh:
+        profile = [(float(row["position_um"]), float(row["intensity"])) for row in csv.DictReader(fh)]
+    assert len(profile) == 801
+    u, intensity = zip(*profile)
+    assert u[400] == 0.0 and intensity[400] < 1e-25
+    assert u == tuple(-v for v in reversed(u))
+    assert all(abs(a - b) <= 1e-20 for a, b in zip(intensity, reversed(intensity)))
