@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from mzweak import pointer as ptr
-from mzweak import quantum as qm
+from mzweak.cli import build_state
+from mzweak.config import DEFAULTS, ExperimentConfig
 
-SIGMA = 475.0
+SIGMA = DEFAULTS["sigma"]
 OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out_transition")
 OUT.mkdir(parents=True, exist_ok=True)
 
@@ -23,11 +24,8 @@ ratios = np.geomspace(0.02, 1.2, 13)
 rows = []
 print(f"{'g/sigma':>8} {'g_um':>8} {'x_exact':>9} {'x_lin':>9} {'y_exact':>9} {'y_lin':>9}")
 for r in ratios:
-    g = r * SIGMA
-    couplers = [ptr.CouplerSpec("spatial", "A", g), ptr.CouplerSpec("diagonal", "B", g)]
-    state = ptr.evolve_and_postselect(
-        qm.pre_state(), couplers, qm.post_state(0.0), sigma=SIGMA
-    )
+    g = float(r * SIGMA)
+    state = build_state(ExperimentConfig.from_dict({"g_x": g, "g_y": g}), 0.0)
     cx = ptr.centroid_exact(state, "x")
     cy = ptr.centroid_exact(state, "y")
     lin = ptr.first_order_shift(1.0, g)  # both weak values are 1 at theta=0
@@ -40,12 +38,7 @@ with open(OUT / "weak_to_strong.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 # blocked-arm destructive pattern: opposite-sign branches at +/-g
-state = ptr.evolve_and_postselect(
-    qm.pre_state(blocked_arm="A"),
-    [ptr.CouplerSpec("diagonal", "B", 50.0)],
-    qm.post_state(0.0),
-    sigma=SIGMA,
-)
+state = build_state(ExperimentConfig.from_dict({"blocked_arm": "A", "g_x": 50.0}), 0.0)
 grid = np.linspace(-2000.0, 2000.0, 801)
 ptr.write_profile_csv(OUT / "destructive_profile.csv", grid, ptr.marginal_intensity(state, "x", grid))
 print(f"\nwrote {OUT}/weak_to_strong.csv and {OUT}/destructive_profile.csv")

@@ -42,7 +42,7 @@ _MAX_DROPPED = 0.01  # share of bootstrap fits that may fail before the distribu
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged parameters of A exp(-(u-center)^2 / (2 width^2)) + offset."""
+    """Parameters of A exp(-(u-center)^2 / (2 width^2)) + offset. A returned fit has converged."""
 
     center: float
     width: float
@@ -145,7 +145,7 @@ def _evaluate(u, mu, s, yc, ycn, work):
     ])
 
 
-def _lm_gaussian_batch(u, profiles, max_iter=_MAX_ITER, start=None):
+def _lm_gaussian_batch(u, profiles, start=None):
     """Moment-form variable projection (Golub & Pereyra 1973) for a batch of
     profiles A exp(-z^2/2) + b, z = (u - mu) / s: A and b are solved in closed
     form for each (mu, s), and damped Gauss-Newton steps move (mu, s) alone.
@@ -175,11 +175,11 @@ def _lm_gaussian_batch(u, profiles, max_iter=_MAX_ITER, start=None):
     for lo in range(0, nbatch, _CHUNK_ROWS):
         sl = slice(lo, lo + _CHUNK_ROWS)
         chunk_start = None if start is None else (start[0][sl], start[1][sl])
-        params[sl], resnorm[sl], converged[sl], n_iter[sl] = _fit_chunk(u, y[sl], max_iter, chunk_start)
+        params[sl], resnorm[sl], converged[sl], n_iter[sl] = _fit_chunk(u, y[sl], chunk_start)
     return params, resnorm, converged, n_iter
 
 
-def _fit_chunk(u, y, max_iter, start=None):
+def _fit_chunk(u, y, start=None):
     """_lm_gaussian_batch on one chunk of rows. Every (rows, n) array an
     iteration writes lives in buffers made once per chunk: a fresh array of
     that size costs page faults that can take longer than the arithmetic."""
@@ -210,7 +210,7 @@ def _fit_chunk(u, y, max_iter, start=None):
     with np.errstate(all="ignore"):
         state = _evaluate(u, mu, s, yc, ycn, work)
         live = (ycn > 0) & np.isfinite(state).all(axis=0)  # shape information, and a finite start
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             idx = np.flatnonzero(live & ~converged)
             if idx.size == 0:
                 break
@@ -249,18 +249,18 @@ def _fit_chunk(u, y, max_iter, start=None):
         return params, np.sqrt(state[7]), converged, n_iter
 
 
-def fit_gaussian(positions, counts, max_iter: int = _MAX_ITER, raise_on_failure: bool = True) -> FitResult:
+def fit_gaussian(positions, counts) -> FitResult:
     """Least-squares Gaussian-plus-offset fit of a single profile.
 
-    Raises DegenerateProfile for flat input and, unless
-    ``raise_on_failure=False``, NonConvergence after the iteration budget.
+    Raises DegenerateProfile for flat input and NonConvergence when the fit
+    has not converged within _MAX_ITER steps.
     """
     y = np.asarray(counts, dtype=float)
     if np.all(y == y[0]):
         raise DegenerateProfile("all counts equal")
-    params, resnorm, converged, n_iter = _lm_gaussian_batch(positions, y[None, :], max_iter=max_iter)
-    if not converged[0] and raise_on_failure:
-        raise NonConvergence(f"no convergence within {max_iter} iterations")
+    params, resnorm, converged, n_iter = _lm_gaussian_batch(positions, y[None, :])
+    if not converged[0]:
+        raise NonConvergence(f"no convergence within {_MAX_ITER} iterations")
     amp, mu, s, b = params[0]
     return FitResult(
         center=float(mu),
@@ -284,7 +284,7 @@ def _linearized_start(u, profile):
     (J^T J)^-1 J^T at f0, kept inside that same box. Otherwise every row
     starts from its moments.
     """
-    params, _, converged, _ = _fit_chunk(u, profile[None, :], _MAX_ITER)
+    params, _, converged, _ = _fit_chunk(u, profile[None, :])
     amp, mu0, s0, b = params[0]
     lo, hi = u[0], u[-1]
     step = float(np.min(np.diff(u)))

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .detection import DriftModel, ScanConfig, SourceModel
 from .errors import ConfigError
+from .pointer import DEFAULT_SIGMA_UM
 from .rng import theta_key
 
 # Drift-walk steps calibrated so the default pipeline reproduces systematic
@@ -50,12 +51,11 @@ DEFAULTS = {
     "target_theta": 0.0,
     "g_x": 50.0,
     "g_y": 50.0,
-    "sigma": 475.0,
+    "sigma": DEFAULT_SIGMA_UM,
     "arm_phase": 0.0,
     "blocked_arm": None,
     "scan": _field_defaults(ScanConfig, "theta") | {"reference_repeats": 3},
     "drift": {
-        "kind": "random-walk",
         "step_sigma_x": CALIBRATED_STEP_SIGMA_X,
         "step_sigma_y": CALIBRATED_STEP_SIGMA_Y,
         "initial_offset": 0.0,
@@ -119,7 +119,7 @@ def _check_angle(value, key):
 def _section(raw: dict, name: str) -> dict:
     """One section merged over its defaults. Each number is checked and stored
     as the type of its default (int for counts, float otherwise); the ranges
-    of model fields, and ``drift.kind``, are left to the model."""
+    of model fields are left to the model."""
     given = raw.get(name)
     if given is None:
         given = {}
@@ -133,7 +133,7 @@ def _section(raw: dict, name: str) -> dict:
         value, path = section[key], f"{name}.{key}"
         if isinstance(default, bool):
             _require(isinstance(value, bool), path, "expected true or false")
-        elif not isinstance(default, str) and not (value is None and path in _NULLABLE):
+        elif not (value is None and path in _NULLABLE):
             section[key] = _check_number(
                 value, path, minimum=_MINIMUM.get(path), maximum=_MAXIMUM.get(path), integer=isinstance(default, int)
             )
@@ -172,7 +172,7 @@ def _check_lengths(config) -> None:
     scan, drift = config.scan, config.drift
     grid = config.scan_config(config.target_theta).positions
     axis = max("xy", key=lambda a: drift[f"step_sigma_{a}"])
-    steps = 0 if drift["kind"] == "none" else max(drift["n_profiles"], scan["repeats"], scan["reference_repeats"])
+    steps = max(drift["n_profiles"], scan["repeats"], scan["reference_repeats"])
     lengths = {
         "sigma": config.sigma,
         "g_x": config.g_x,
@@ -283,18 +283,14 @@ class ExperimentConfig:
 
     def scan_drift_model(self, axis: str) -> DriftModel:
         """Drift applied to ordinary scans (none unless configured)."""
-        if not self.drift["apply_to_scans"] or self.drift["kind"] == "none":
-            return DriftModel(kind="none", initial_offset=self.drift["initial_offset"])
+        if not self.drift["apply_to_scans"]:
+            return DriftModel(initial_offset=self.drift["initial_offset"])
         return self.drift_model(axis)
 
     def drift_model(self, axis: str) -> DriftModel:
         """Drift model of the calibration run on one axis."""
         step = self.drift["step_sigma_x"] if axis == "x" else self.drift["step_sigma_y"]
-        return DriftModel(
-            kind=self.drift["kind"],
-            step_sigma=step,
-            initial_offset=self.drift["initial_offset"],
-        )
+        return DriftModel(step_sigma=step, initial_offset=self.drift["initial_offset"])
 
     def drift_scan_config(self) -> ScanConfig:
         """Scan geometry of the drift run (single repeat, boosted rate)."""

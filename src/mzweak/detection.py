@@ -3,9 +3,9 @@
 Count model: each (position, repeat) cell of a scan draws an independent
 Poisson count whose mean is the fiber-core-integrated marginal intensity,
 normalized so the grid peak of the undrifted profile yields
-``ScanConfig.mean_rate`` counts per dwell. Each record draws its whole
-count array from one RNG stream (see :mod:`mzweak.rng`), repeat- or
-profile-major, so a record does not depend on the other records, and its
+``ScanConfig.mean_rate`` counts per position per repeat. Each record draws
+its whole count array from one RNG stream (see :mod:`mzweak.rng`), repeat-
+or profile-major, so a record does not depend on the other records, and its
 first k repeats or profiles do not depend on the total.
 
 The heralded-source event model is per coincidence window: a number of
@@ -58,8 +58,8 @@ class ScanConfig:
 
     Defaults follow the production protocol: 61 positions in 50 um steps
     (3 mm span), 50 um fiber core, 16 repeats for the target angle.
-    ``start=None`` centers the grid on 0. ``mean_rate`` is counts per dwell
-    at the profile peak; ``dwell`` (seconds) is retained as metadata.
+    ``start=None`` centers the grid on 0. ``mean_rate`` is the mean count
+    of one position in one repeat at the profile peak.
     """
 
     start: float | None = None
@@ -69,10 +69,9 @@ class ScanConfig:
     theta: float = 0.0
     fiber_core: float = 50.0
     mean_rate: float = 1000.0
-    dwell: float = 1.0
 
     def __post_init__(self):
-        _require_finite(self, "start", "step", "theta", "fiber_core", "mean_rate", "dwell")
+        _require_finite(self, "start", "step", "theta", "fiber_core", "mean_rate")
         _require_finite(self, "n_points", "repeats", integer=True)
         if not self.step > 0:
             raise ValueError("step must be > 0")
@@ -84,8 +83,6 @@ class ScanConfig:
             raise ValueError("fiber_core must be > 0")
         if not 0 <= self.mean_rate <= _MAX_POISSON_MEAN:
             raise ValueError(f"mean_rate must be in [0, {_MAX_POISSON_MEAN:g}]")
-        if not self.dwell > 0:
-            raise ValueError("dwell must be > 0")
         if self.start is None:
             object.__setattr__(self, "start", -0.5 * self.step * (self.n_points - 1))
         # float64 rounding of the positions then stays < 1.3e-10 step, below the 1e-9 step load_csv allows
@@ -308,15 +305,13 @@ _MAX_STEP_SIGMA = 1e288
 
 @dataclass(frozen=True)
 class DriftModel:
-    """Slow beam-center drift: none, or a Gaussian random walk per profile."""
+    """Slow beam-center drift: a Gaussian random walk of one step per
+    profile from ``initial_offset``; ``step_sigma=0`` is no drift."""
 
-    kind: str = "none"
     step_sigma: float = 0.0
     initial_offset: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "random-walk"):
-            raise ValueError(f"kind must be 'none' or 'random-walk', got {self.kind!r}")
         _require_finite(self, "step_sigma", "initial_offset")
         if not 0 <= self.step_sigma <= _MAX_STEP_SIGMA:
             raise ValueError(
@@ -326,14 +321,14 @@ class DriftModel:
 
     def offsets(self, n: int, rng) -> np.ndarray:
         """Beam-center offset before each of n profiles (um)."""
-        if self.kind == "none" or self.step_sigma == 0.0:
+        if self.step_sigma == 0.0:
             return np.full(n, self.initial_offset)
         steps = rng.normal(0.0, self.step_sigma, size=n)
         return self.initial_offset + np.cumsum(steps)
 
 
 def expected_rate(state: BranchState, axis: str, position, config: ScanConfig):
-    """Mean counts per dwell at a fiber position.
+    """Mean count of one repeat at a fiber position.
 
     Integrates the marginal intensity over the fiber core and scales so the
     peak grid position of the undrifted profile yields ``mean_rate``. The
@@ -393,18 +388,18 @@ def simulate_drift_run(
 class SourceModel:
     """Heralded pair source feeding the 50:50 split to the two scan fibers.
 
-    In the pair model (``multi_pair_prob`` a number) the pair count per
-    window is 0, 1 or 2 with P(2) = multi_pair_prob and mean ``pair_rate``;
-    the reference detector clicks per idler with the heralding efficiency,
-    so the herald is pair-correlated and the heralded g2 is suppressed.
+    ``pair_rate`` is pairs per coincidence window (312.5 ps in the
+    experiment), and ``n_windows`` windows are drawn. In the pair model
+    (``multi_pair_prob`` a number) the pair count per window is 0, 1 or 2
+    with P(2) = multi_pair_prob and mean ``pair_rate``; the reference
+    detector clicks per idler with the heralding efficiency, so the herald
+    is pair-correlated and the heralded g2 is suppressed.
 
     ``multi_pair_prob=None`` selects the coherent (Poissonian) comparison
     source: the signal photon number is Poisson with mean ``pair_rate`` and
     the reference clicks independently of the signal (an uncorrelated tap of
     the same scaled intensity), which makes the heralded g2 exactly 1 in the
     limit of infinite windows.
-
-    ``window`` (seconds) is metadata: the 312.5 ps coincidence window.
     """
 
     pair_rate: float = 0.05
@@ -412,10 +407,9 @@ class SourceModel:
     heralding_efficiency: float = 0.6
     split_ratio: float = 0.5
     n_windows: int = 1_000_000
-    window: float = 312.5e-12
 
     def __post_init__(self):
-        _require_finite(self, "pair_rate", "window")
+        _require_finite(self, "pair_rate")
         _require_finite(self, "n_windows", integer=True)
         if not 0 <= self.pair_rate <= _MAX_POISSON_MEAN:
             raise ValueError(f"pair_rate must be in [0, {_MAX_POISSON_MEAN:g}]")
@@ -425,8 +419,6 @@ class SourceModel:
             raise ValueError("split_ratio must be in [0, 1]")
         if not 1 <= self.n_windows <= _MAX_WINDOWS:
             raise ValueError(f"n_windows must be in [1, {_MAX_WINDOWS}], the int64 range of the multinomial draw")
-        if not self.window > 0:
-            raise ValueError("window must be > 0")
         if self.multi_pair_prob is not None:
             p2 = self.multi_pair_prob
             p1 = self.pair_rate - 2.0 * p2

@@ -18,7 +18,8 @@ element by element (Jones matrices plus single-polarization displacers) and
 must agree with the exponential form; see ``diagonal_coupler_composite``.
 
 Default beam width: sigma = 475 um (a 1.9 mm beam read as 4 sigma full
-width); the alternative collimation reading 1.5 mm gives the 375 um preset.
+width); the alternative collimation reading, a 1.5 mm beam, is the config
+``"sigma": 375``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .errors import EmptyState, VanishingPostSelection
 from .quantum import ARM_INDICES, ARM_SPECTRA, SystemState, hwp_jones
 
 DEFAULT_SIGMA_UM = 475.0
-COLLIMATION_SIGMA_UM = 375.0
 
 COEFF_PRUNE_TOL = 1e-15
 

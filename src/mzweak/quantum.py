@@ -332,18 +332,21 @@ def joint_disturbing_distribution(pp: PrePostPair):
     one of three records occurs per run: the arm-A pointer shifted ("A"), or
     the arm-B pointer shifted up ("B+") or down ("B-").
 
-    Returns (unconditional, conditional-on-postselection) distributions; the
+    Returns (unconditional, conditional-on-postselection) distributions. The
+    unconditional part is each branch's weight relative to <pre|pre>, so a
+    pre-selected state with a blocked arm is measured on its open arm; the
     conditional part projects each orthogonal branch onto the post-selected
     state and renormalizes.
     """
+    pp.require_nonorthogonal()
     psi = np.asarray(pp.pre)
     phi = np.asarray(pp.post)
     branches = {k: proj @ psi for k, proj in _JOINT_PROJECTORS.items()}
+    norm = float(np.real(np.vdot(psi, psi)))
     uncond = OutcomeDistribution(
-        tuple((k, float(np.real(np.vdot(v, v)))) for k, v in branches.items()),
+        tuple((k, float(np.real(np.vdot(v, v))) / norm) for k, v in branches.items()),
         kind="unconditional",
     )
-    pp.require_nonorthogonal()
     weights = {k: abs(np.vdot(phi, v)) ** 2 for k, v in branches.items()}
     total = sum(weights.values())
     if total <= 0.0:

@@ -262,7 +262,7 @@ def test_criterion_10_byte_determinism(tmp_path):
 # these on purpose: re-pin them in the same change.
 GOLDEN_DIGESTS = {
     "centers.csv": "426b34258d343675d3585066dd9074bbf14023b052ac230be58b2ba332413871",
-    "g2.json": "9d66a3a6cbd4326d733137a78530d07242b0f155eac9eb16ece06d5407fb122c",
+    "g2.json": "ebc188ba052cc8fe773160a3514d36334b346f7905b7d3102fafec33140cac66",
     "scan_theta0_x.csv": "17c3c1e65495993a2074f0daa5dddf81a445075b4f45c4b537ede7124cca698b",
     "scan_theta0_y.csv": "266356962c2203addb1b1afd0d3d2bf880d38aa348754901be1930a1edd8eb3c",
     "scan_theta45_x.csv": "996ae213a05b95fbad717b85f249d1001454e85eb8be933a5e75d22d2fcb7436",

@@ -85,15 +85,16 @@ def test_fit_requires_five_points():
         ana.fit_gaussian(np.arange(4.0), np.array([1.0, 2.0, 3.0, 1.0]))
 
 
-def test_fit_nonconvergence_budget():
+def test_fit_nonconvergence_budget(monkeypatch):
     rng = np.random.default_rng(5)
     noisy = rng.poisson(synth_profile(30.0)).astype(float)
-    with pytest.raises(NonConvergence):
-        ana.fit_gaussian(GRID, noisy, max_iter=1)
-    result = ana.fit_gaussian(GRID, noisy, max_iter=1, raise_on_failure=False)
-    assert not result.converged
     full = ana.fit_gaussian(GRID, noisy)
-    assert full.converged
+    assert full.converged and full.n_iterations > 1
+    monkeypatch.setattr(ana, "_MAX_ITER", 1)
+    with pytest.raises(NonConvergence, match="within 1 iterations"):
+        ana.fit_gaussian(GRID, noisy)
+    _, _, converged, n_iter = ana._lm_gaussian_batch(GRID, noisy)
+    assert not converged[0] and n_iter[0] == 1
 
 
 # One drift-run profile (default config, --seed 248, x axis, profile 27) on
@@ -255,7 +256,7 @@ def test_bootstrap_spread_matches_resimulation_scatter():
 def test_bootstrap_draws_are_prefix_stable():
     # draw-major resampling: the first 200 draws do not depend on the total
     cfg = det.ScanConfig(mean_rate=1000.0, repeats=8)
-    walk = det.DriftModel("random-walk", step_sigma=5.0)
+    walk = det.DriftModel(step_sigma=5.0)
     rec = det.simulate_scan(det.single_beam_state(SIGMA), cfg, "x", walk, seed=2)
     short = ana.bootstrap_centers(rec, n_bootstrap=200, seed=6)
     long = ana.bootstrap_centers(rec, n_bootstrap=1000, seed=6)
@@ -561,7 +562,7 @@ def test_systematic_band_monotone_in_step_sigma():
     cfg = det.ScanConfig(mean_rate=20000.0, repeats=1)
     bands = []
     for step in (0.0, 1.0, 2.0):
-        drift = det.DriftModel("random-walk", step) if step else det.DriftModel()
+        drift = det.DriftModel(step_sigma=step)
         recs = det.simulate_drift_run(cfg, drift, 60, seed=71)
         bands.append(ana.systematic_band(recs, 49.7))
     assert bands[0] < bands[1] < bands[2]
@@ -569,7 +570,7 @@ def test_systematic_band_monotone_in_step_sigma():
 
 def test_systematic_band_is_std_of_single_fits():
     cfg = det.ScanConfig(mean_rate=20000.0, repeats=1)
-    recs = det.simulate_drift_run(cfg, det.DriftModel("random-walk", 2.0), 60, seed=72)
+    recs = det.simulate_drift_run(cfg, det.DriftModel(step_sigma=2.0), 60, seed=72)
     single = [ana.fit_gaussian(rec.positions, rec.counts.mean(axis=1)).center for rec in recs]
     assert ana.systematic_band(recs, 49.7) == float(np.std(single) / 49.7)
 

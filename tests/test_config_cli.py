@@ -1,10 +1,15 @@
 """Strict config parsing and the command-line front end."""
 
+import contextlib
+import io
+import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -17,6 +22,7 @@ from mzweak.cli import MAX_SWEEP_POINTS, main, scan_filename
 from mzweak.config import DEFAULTS, MAX_BOOTSTRAP, MAX_RECORD_CELLS, ExperimentConfig
 from mzweak.detection import ScanConfig, SourceModel
 from mzweak.errors import ConfigError
+from test_acceptance import SMALL_CONFIG
 
 SMALL = {
     "scan": {"n_points": 31, "step": 100.0, "repeats": 6,
@@ -132,7 +138,7 @@ def test_defaults_document_complete():
 # JSON values of every type, including 0, negatives, NaN, huge numbers, and
 # integers where floats are expected
 _JSON_VALUES = st.one_of(
-    st.sampled_from([None, True, "none", "random-walk", "brownian"]),
+    st.sampled_from([None, True, "none"]),
     st.integers(-3, 70),
     st.integers(-(10**400), 10**400),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -159,6 +165,158 @@ def test_config_that_loads_builds_every_model(scan, drift, source):
         config.drift_model(axis)
         config.scan_drift_model(axis)
     config.source_model()
+
+
+# ---------------------------------------------------------------- settings
+
+# One changed value per config setting, and the command whose output it
+# changes. A setting that changes no output is one to delete, so a new
+# setting without a row here fails test_setting_table_covers_every_key.
+SETTING_CHANGES = {
+    "theta_list": ([0.0, 30.0], "weakvalue"),
+    "target_theta": (45.0, "simulate"),
+    "g_x": (60.0, "simulate"),
+    "g_y": (60.0, "simulate"),
+    "sigma": (375.0, "simulate"),
+    "arm_phase": (0.6, "weakvalue"),
+    "blocked_arm": ("B", "weakvalue"),
+    "scan.start": (-1000.0, "simulate"),
+    "scan.step": (140.0, "simulate"),
+    "scan.n_points": (19, "simulate"),
+    "scan.repeats": (3, "simulate"),
+    "scan.fiber_core": (80.0, "simulate"),
+    "scan.mean_rate": (500.0, "simulate"),
+    "scan.reference_repeats": (3, "simulate"),
+    "drift.step_sigma_x": (3.0, "analyze"),
+    "drift.step_sigma_y": (3.0, "analyze"),
+    "drift.initial_offset": (20.0, "simulate"),
+    "drift.n_profiles": (11, "analyze"),
+    "drift.mean_rate": (3000.0, "analyze"),
+    "drift.apply_to_scans": (True, "simulate"),
+    "source.pair_rate": (0.08, "g2"),
+    "source.multi_pair_prob": (None, "g2"),
+    "source.heralding_efficiency": (0.5, "g2"),
+    "source.split_ratio": (0.4, "g2"),
+    "source.n_windows": (90_000, "g2"),
+    "analysis.n_bootstrap": (140, "analyze"),
+    "seed": (6, "simulate"),
+}
+
+
+def test_setting_table_covers_every_key():
+    keys = set()
+    for name, value in DEFAULTS.items():
+        keys |= {f"{name}.{key}" for key in value} if isinstance(value, dict) else {name}
+    # output_dir is a path: it moves the outputs, it does not change them
+    assert set(SETTING_CHANGES) == keys - {"output_dir"}
+
+
+@pytest.fixture(scope="module")
+def run_small(tmp_path_factory):
+    """run(command, doc) -> {file name: bytes} of one command run in-process
+    on a config document. analyze reads scans simulated from SMALL_CONFIG;
+    the config echo in g2.json is left out, since an echo is not a result."""
+    root = tmp_path_factory.mktemp("settings")
+    runs = itertools.count()
+
+    def run(command, doc):
+        out = root / f"run{next(runs)}"
+        cfg = out.with_suffix(".json")
+        cfg.write_text(json.dumps(doc))
+        if command == "analyze":
+            shutil.copytree(scans, out)
+        assert main(["--quiet", "--config", str(cfg), "--out", str(out), command]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        if "g2.json" in files:
+            payload = json.loads(files["g2.json"])
+            del payload["source"]
+            files["g2.json"] = json.dumps(payload).encode()
+        return files
+
+    scans = root / "run0"
+    run("simulate", SMALL_CONFIG)
+    return run
+
+
+@pytest.mark.parametrize("key", sorted(SETTING_CHANGES))
+def test_every_setting_changes_an_output(run_small, key):
+    value, command = SETTING_CHANGES[key]
+    section, _, name = key.rpartition(".")
+    changed = dict(SMALL_CONFIG)
+    if section:
+        changed[section] = changed.get(section, {}) | {name: value}
+    else:
+        changed[name] = value
+    assert run_small(command, changed) != run_small(command, SMALL_CONFIG)
+
+
+_SMALL_RUNS = st.fixed_dictionaries({
+    "target_theta": st.sampled_from([0.0, 45.0, 90.0, 67.5]),
+    "g_x": st.sampled_from([50.0, 400.0, 0.0]),
+    "scan": st.fixed_dictionaries({
+        "n_points": st.integers(5, 21),
+        "step": st.sampled_from([150.0, 100.0, 1.0, 1e19]),
+        "repeats": st.integers(2, 4),
+        "reference_repeats": st.integers(2, 4),
+        "mean_rate": st.sampled_from([400.0, 1000.0, 3.0, 0.0]),
+    }),
+    "drift": st.fixed_dictionaries({
+        "n_profiles": st.integers(10, 12),
+        "step_sigma_x": st.sampled_from([0.0, 1.02, 500.0]),
+        "mean_rate": st.sampled_from([2000.0, 500.0, 0.0]),
+        "apply_to_scans": st.booleans(),
+    }),
+    "source": st.fixed_dictionaries({
+        "pair_rate": st.sampled_from([0.05, 0.9, 0.0]),
+        "multi_pair_prob": st.sampled_from([7e-4, None, 0.0]),
+        "n_windows": st.integers(1, 100_000),
+    }),
+    "analysis": st.fixed_dictionaries({"n_bootstrap": st.integers(1, 200)}),
+    "seed": st.integers(0, 2**32),
+})
+
+
+@given(_SMALL_RUNS)
+def test_commands_on_small_configs_exit_with_one_line(doc):
+    # whatever a small config holds, each command ends in an exit code, and a
+    # failure is one stderr line: no exception gets past main
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(doc))
+        for command in ("simulate", "analyze", "g2"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["--quiet", "--config", str(cfg), "--out", str(Path(tmp) / "out"), command])
+            text = err.getvalue()
+            assert rc in (0, 2, 3, 4)
+            assert (text == "") if rc == 0 else (text.count("\n") == 1 and text.endswith("\n"))
+
+
+# 1 GiB of address space: far below what a record or bootstrap over its bound would take
+_RLIMIT_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from mzweak.cli import main
+print([main(["--quiet", "--config", sys.argv[1], "--out", sys.argv[2], c]) for c in ("simulate", "analyze", "g2")])
+"""
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"scan": {"repeats": 1e12}}, {"scan": {"reference_repeats": 1e12}},
+     {"drift": {"n_profiles": 1e11}}, {"analysis": {"n_bootstrap": 1e12}}],
+    ids=["scan.repeats", "scan.reference_repeats", "drift.n_profiles", "analysis.n_bootstrap"],
+)
+def test_bounds_hold_in_a_small_address_space(tmp_path, doc):
+    # each bound is checked at load, so a child process held to 1 GiB exits 2
+    env = dict(os.environ, PYTHONPATH=str(Path(mzweak.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _RLIMIT_CHILD, write_config(tmp_path, doc), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[2, 2, 2]\n"
+    assert proc.stderr.count("\n") == 3
 
 
 # --------------------------------------------------------------------- cli

@@ -361,6 +361,15 @@ def test_joint_disturbing_unconditional():
     assert abs(sum(probs.values()) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("blocked,expected", [("A", {"A": 0.0, "B+": 0.5, "B-": 0.5}), ("B", {"A": 1.0, "B+": 0.0, "B-": 0.0})])
+def test_joint_disturbing_unconditional_of_a_blocked_arm(blocked, expected):
+    # the records of the open arm, relative to <pre|pre> = 1/2
+    uncond, cond = qm.joint_disturbing_distribution(qm.PrePostPair(qm.pre_state(blocked_arm=blocked), qm.post_state(10.0)))
+    for label, p in expected.items():
+        assert abs(uncond.probability(label) - p) < 1e-12
+        assert (cond.probability(label) == 0.0) == (p == 0.0)
+
+
 def test_joint_disturbing_conditional_vs_branch_oracle():
     # oracle: construct each orthogonal branch of the post-coupling state by
     # hand, project on phi, renormalize
