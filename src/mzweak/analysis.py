@@ -372,17 +372,21 @@ def weak_value_estimate(draws: np.ndarray, sys_band: float = 0.0) -> WeakValueEs
 def systematic_band(drift_records, scale: float) -> float:
     """Spread of fitted beam centers over a drift run, in weak-value units.
 
-    Fits the per-record mean profiles in one batch and returns std(centers) / scale;
-    a flat mean profile raises DegenerateProfile, an unconverged fit NonConvergence.
+    ``drift_records`` are single-repeat scans on one grid, one per profile,
+    as ``simulate_drift_run`` returns them. Fits the profiles in one batch
+    and returns std(centers) / scale; a flat profile raises DegenerateProfile,
+    an unconverged fit NonConvergence.
     """
     if len(drift_records) < 10:
         raise ValueError("need at least 10 drift profiles")
     if not scale > 0:
         raise ValueError("scale must be > 0")
+    if any(rec.repeats != 1 for rec in drift_records):
+        raise ValueError("drift records must be single-repeat scans, one per profile")
     u = drift_records[0].positions
-    if any(not np.array_equal(rec.positions, u) for rec in drift_records):
+    if any(rec.positions is not u and not np.array_equal(rec.positions, u) for rec in drift_records):
         raise ValueError("drift records must share one position grid")
-    profiles = np.stack([rec.counts.mean(axis=1) for rec in drift_records])
+    profiles = np.concatenate([rec.counts.T for rec in drift_records], dtype=float)
     if np.any(np.all(profiles == profiles[:, :1], axis=1)):
         raise DegenerateProfile("flat drift-run mean profile")
     params, _, converged, _ = _lm_gaussian_batch(u, profiles)

@@ -75,7 +75,7 @@ DEFAULTS = {
 _NULLABLE = ("scan.start", "source.multi_pair_prob")
 # Lower bounds of the section keys that no model owns, and of the scan repeats
 # the bootstrap resamples (ScanConfig allows 1, for the drift-run scans).
-_MINIMUM = {"scan.repeats": 2, "scan.reference_repeats": 2, "drift.n_profiles": 10, "analysis.n_bootstrap": 1}
+_MINIMUM = {"scan.repeats": 2, "scan.reference_repeats": 2, "drift.n_profiles": 10, "analysis.n_bootstrap": 2}
 # Most bootstrap draws: analyze keeps O(n_bootstrap) numbers per record
 # (README: time and memory at this bound)
 MAX_BOOTSTRAP = 1_000_000

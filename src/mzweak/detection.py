@@ -21,6 +21,7 @@ regime); sub-Poissonian timing structure only matters for the g2 estimate.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -161,9 +162,11 @@ class ScanRecord:
         field, mixed theta/axis, an angle without a stream key
         (``rng.theta_key``), an uneven grid, a missing or duplicate cell.
 
-        The columns are split from the whole text at once. A file that split
-        refuses is read again row by row with ``csv.reader``, which names the
-        bad line; both reads load the same values.
+        A file as ``save_csv`` writes it is read at once: a byte scan checks
+        the row shape and one ``np.loadtxt`` call parses the three numeric
+        columns. A file that read refuses is read again row by row with
+        ``csv.reader``, which names the bad line; both reads load the same
+        values.
         """
         seed, theta, axis, u, rep, n = _split_scan_columns(path) or _read_scan_rows(path)
         try:
@@ -191,6 +194,8 @@ class ScanRecord:
 _SCAN_COLUMNS = ("theta_deg", "axis", "position_um", "repeat_idx", "counts")
 # The separator after each of a row's five fields: four commas, then a newline.
 _ROW_ENDS = (False, False, False, False, True)
+# position_um, repeat_idx and counts of one row, as the bulk read parses them
+_NUMERIC_ROW = np.dtype([("u", np.float64), ("rep", np.int64), ("n", np.int64)])
 
 
 def _parse_seed(path, first_line: str) -> int:
@@ -198,46 +203,54 @@ def _parse_seed(path, first_line: str) -> int:
 
 
 def _split_scan_columns(path):
-    """(seed, theta, axis, position_um, repeat_idx, counts) of a scan CSV split
-    from its whole text, or None for a file only ``csv.reader`` reads as it
-    should: undecodable bytes, a quote or a CR, a header that is not the five
-    columns, no rows, a row that is not five fields, a field longer than the
-    csv field limit, or theta or axis spelled in more than one way."""
+    """(seed, theta, axis, position_um, repeat_idx, counts) of a scan CSV read
+    from its whole text at once, or None for a file only ``csv.reader`` reads
+    as it should: undecodable bytes, a quote or a CR, a header that is not
+    the five columns in ``save_csv`` order, no rows, a row that is not five
+    fields, a field longer than the csv field limit, theta or axis spelled in
+    more than one way, or a numeric field that numpy's tokenizer does not
+    read as a finite number."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        raw.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    if '"' in text or "\r" in text:
+    if b'"' in raw or b"\r" in raw:
         return None
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    lines = io.BytesIO(raw)
     seed, line0 = None, 2  # line0: the file line of the first row
-    if text.startswith("# seed="):
-        first, _, text = text.partition("\n")
-        seed, line0 = _parse_seed(path, first), 3
-    header, _, body = text.partition("\n")
-    header = header.split(",")
-    if sorted(header) != sorted(_SCAN_COLUMNS) or not body:
+    header = lines.readline()
+    if header.startswith(b"# seed="):
+        seed, line0 = _parse_seed(path, header.decode()), 3
+        header = lines.readline()
+    start = lines.tell()
+    if header != ",".join(_SCAN_COLUMNS).encode() + b"\n" or start == len(raw):
         return None
-    if not body.endswith("\n"):
-        body += "\n"
-    raw = np.frombuffer(body.encode(), dtype=np.uint8)
-    ends = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-    newline = raw[ends] == ord("\n")
+    body = np.frombuffer(raw, dtype=np.uint8, offset=start)
+    ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
+    newline = body[ends] == ord("\n")
     if newline.size % 5 or not np.all(newline.reshape(-1, 5) == _ROW_ENDS):
         return None
     # a field has at least as many UTF-8 bytes as characters, so none over the limit passes
-    if np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():
+    if max(ends[0], np.diff(ends).max() - 1) > csv.field_size_limit():
         return None
-    fields = body[:-1].replace("\n", ",").split(",")
-    columns = dict(zip(header, (fields[i::5] for i in range(5))))
-    thetas, axes = set(columns["theta_deg"]), set(columns["axis"])
-    if len(thetas) > 1 or len(axes) > 1:
+    # every row starts with the first row's "theta,axis," (no field holds a comma or newline)
+    theta_end, axis_end = start + ends[:2]
+    if raw.count(b"\n" + raw[start : axis_end + 1], start) != newline.size // 5 - 1:
         return None
-    theta = _parse_column(path, line0, "theta_deg", list(thetas), float)
-    u = _parse_column(path, line0, "position_um", columns["position_um"], float)
-    rep = _parse_column(path, line0, "repeat_idx", columns["repeat_idx"], np.int64)
-    n = _parse_column(path, line0, "counts", columns["counts"], np.int64)
-    return seed, float(theta[0]), axes.pop(), u, rep, n
+    try:
+        table = np.loadtxt(
+            lines, dtype=_NUMERIC_ROW, delimiter=",", comments=None, usecols=(2, 3, 4), ndmin=1, encoding="utf-8"
+        )
+    except ValueError:
+        return None
+    if not np.all(np.isfinite(table["u"])):
+        return None
+    theta = _parse_column(path, line0, "theta_deg", [raw[start:theta_end].decode()], float)
+    return seed, float(theta[0]), raw[theta_end + 1 : axis_end].decode(), table["u"], table["rep"], table["n"]
 
 
 def _read_scan_rows(path):
@@ -346,13 +359,22 @@ def expected_rate(state: BranchState, axis: str, position, config: ScanConfig):
     return scaled if pos.ndim else float(scaled)
 
 
+def _drifted_rates(state: BranchState, axis: str, config: ScanConfig, offsets) -> np.ndarray:
+    """Rate rows of the grid shifted by each offset, (len(offsets), n_points).
+
+    ``expected_rate`` runs once per distinct offset and the rows are gathered:
+    a center's windowed value does not depend on the other centers of the
+    call, so each row is the one a per-offset call gives, bit for bit."""
+    distinct, row = np.unique(offsets, return_inverse=True)
+    return expected_rate(state, axis, config.positions - distinct[:, None], config)[row]
+
+
 def simulate_scan(state: BranchState, config: ScanConfig, axis: str, drift: DriftModel, seed: int) -> ScanRecord:
     """Poisson scan record, one drift offset per repeat, one stream drawn repeat-major."""
     tkey = rngmod.theta_key(config.theta)
     akey = rngmod.AXIS_KEY[axis]
     walk = rngmod.stream(seed, rngmod.SCAN_DRIFT, tkey, akey)
-    offsets = drift.offsets(config.repeats, walk)
-    rates = expected_rate(state, axis, config.positions - offsets[:, None], config)
+    rates = _drifted_rates(state, axis, config, drift.offsets(config.repeats, walk))
     counts = rngmod.stream(seed, rngmod.SCAN_COUNTS, tkey, akey).poisson(rates)
     return ScanRecord(config.theta, axis, config.positions, counts.T, seed)
 
@@ -377,11 +399,9 @@ def simulate_drift_run(
     state = single_beam_state(sigma)
     akey = rngmod.AXIS_KEY[axis]
     walk = rngmod.stream(seed, rngmod.DRIFT_WALK, akey)
-    offsets = drift.offsets(n_profiles, walk)
-    positions = config.positions
-    rates = expected_rate(state, axis, positions - offsets[:, None], config)
+    rates = _drifted_rates(state, axis, config, drift.offsets(n_profiles, walk))
     counts = rngmod.stream(seed, rngmod.DRIFT_RUN, akey).poisson(rates)
-    return ScanRecord(config.theta, axis, positions, counts.T, seed).repeat_records()
+    return ScanRecord(config.theta, axis, config.positions, counts.T, seed).repeat_records()
 
 
 @dataclass(frozen=True)

@@ -586,6 +586,32 @@ def test_systematic_band_flat_and_unconverged_profiles_raise(monkeypatch):
         ana.systematic_band(recs, 49.7)
 
 
+def band_by_record_means(records, scale):
+    """The band fitted from one mean profile per record, records of any
+    number of repeats: the stack systematic_band built before it took
+    single-repeat records only."""
+    profiles = np.stack([rec.counts.mean(axis=1) for rec in records])
+    params, _, converged, _ = ana._lm_gaussian_batch(records[0].positions, profiles)
+    assert converged.all()
+    return float(np.std(params[:, 1]) / scale)
+
+
+@pytest.mark.parametrize("seed", [74, 75, 76])
+def test_systematic_band_equals_record_mean_stack(seed):
+    config = ExperimentConfig.from_dict({})
+    for axis in ("x", "y"):
+        recs = det.simulate_drift_run(config.drift_scan_config(), config.drift_model(axis), 250, seed=seed, axis=axis)
+        assert ana.systematic_band(recs, 49.7) == band_by_record_means(recs, 49.7)
+
+
+def test_systematic_band_refuses_multi_repeat_records():
+    cfg = det.ScanConfig(mean_rate=20000.0, repeats=1)
+    recs = det.simulate_drift_run(cfg, det.DriftModel(), 20, seed=77)
+    two = det.ScanRecord(0.0, "x", recs[0].positions, np.repeat(recs[0].counts, 2, axis=1), seed=77)
+    with pytest.raises(ValueError, match="single-repeat"):
+        ana.systematic_band(recs[:5] + [two] + recs[6:], 49.7)
+
+
 # ----------------------------------------------------------------- export
 
 

@@ -712,6 +712,8 @@ def test_cli_bad_config_exit_code(tmp_path):
         ({"scan": {"repeats": 1e12}}, [], "scan.repeats"),
         ({"scan": {"reference_repeats": 1e12}}, [], "scan.reference_repeats"),
         ({"drift": {"n_profiles": 1e11}}, [], "drift.n_profiles"),
+        # one bootstrap draw has no spread: a zero statistical error bar
+        ({"analysis": {"n_bootstrap": 1}, "drift": {"n_profiles": 10}}, [], "analysis.n_bootstrap"),
     ],
 )
 def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, doc, flags, key):

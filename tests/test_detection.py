@@ -3,7 +3,11 @@
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from mzweak.errors import ZeroDenominator
 from mzweak.rng import stream
 
 SIGMA = 475.0
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def paper_state(theta=0.0, g=50.0, sigma=SIGMA):
@@ -141,6 +146,23 @@ def test_scan_repeats_are_prefix_stable():
     assert np.array_equal(short.counts, long.counts[:, :3])
 
 
+@pytest.mark.parametrize(
+    "drift", [det.DriftModel(), det.DriftModel(initial_offset=-37.5), det.DriftModel(step_sigma=3.0)]
+)
+def test_scan_rates_equal_per_repeat_expected_rate(drift):
+    # one expected_rate call per distinct drift offset, its rows gathered:
+    # the rates and the counts equal those of one call per repeat, bit for bit
+    cfg = det.ScanConfig(mean_rate=1500.0, repeats=12, theta=10.0)
+    state = paper_state(10.0)
+    tkey, akey = rngmod.theta_key(10.0), rngmod.AXIS_KEY["y"]
+    offsets = drift.offsets(12, stream(8, rngmod.SCAN_DRIFT, tkey, akey))
+    rates = np.stack([det.expected_rate(state, "y", cfg.positions - off, cfg) for off in offsets])
+    assert det._drifted_rates(state, "y", cfg, offsets).tobytes() == rates.tobytes()
+    counts = stream(8, rngmod.SCAN_COUNTS, tkey, akey).poisson(rates)
+    rec = det.simulate_scan(state, cfg, "y", drift, seed=8)
+    assert rec.counts.tobytes() == counts.T.tobytes()
+
+
 def test_scan_csv_roundtrip(tmp_path):
     cfg = det.ScanConfig(mean_rate=900.0, repeats=3, theta=45.0)
     rec = det.simulate_scan(paper_state(45.0), cfg, "y", det.DriftModel(), seed=5)
@@ -212,22 +234,26 @@ def test_scan_csv_malformed_row_names_file_and_line(tmp_path, last_line, message
 _LAST_ROW = "0.0,x,1500.0,2,17\n"
 
 
-@pytest.mark.parametrize(
-    "last_row,count",
-    [
-        ('0.0,x,1500.0,2," 17"\n', 17),
-        ("0.0,x,1500.0,2, 17\n", 17),
-        ("0.0,x,1500.0,2,+17\n", 17),
-        ("0.0,x,1500.0,2,1_7\n", 17),
-        ('0.0,x,1500.0,2,"17"\n', 17),
-        ('"0.0",x,1500.0,2,17\n', 17),
-        ("0.0,x,1_500.0,2,17\n", 17),
-        ("0.0,x,1500.0,2,١٧\n", 17),  # Arabic-Indic digits
-        ("0.0,x,1500.0,2,-0\n", 0),
-        ("0.0,x,1500.0,2,17\r\n", 17),
-        ("0.0,x,1500.0,2,17", 17),  # no final newline
-    ],
-)
+_LOADED_SPELLINGS = [
+    ('0.0,x,1500.0,2," 17"\n', 17),
+    ("0.0,x,1500.0,2, 17\n", 17),
+    ("0.0,x,1500.0,2,+17\n", 17),
+    ("0.0,x,1500.0,2,1_7\n", 17),
+    ('0.0,x,1500.0,2,"17"\n', 17),
+    ('"0.0",x,1500.0,2,17\n', 17),
+    ("0.0,x,1_500.0,2,17\n", 17),
+    ("0.0,x,1500.0,2,١٧\n", 17),  # Arabic-Indic digits
+    ("0.0,x,1500.0,2,-0\n", 0),
+    ("0.0,x,1500.0,2,17\r\n", 17),
+    ("0.0,x,1500.0,2,17", 17),  # no final newline
+    # spellings numpy's tokenizer reads differently from Python's int() and float()
+    ("0.0,x,1500.0,2,3_0\n", 30),
+    ("0.0,x,1500.0,2,٣\n", 3),  # an Arabic-Indic digit
+    ("0,x,1500.0,2,17\n", 17),  # theta spelled 0 here, 0.0 on every other row
+]
+
+
+@pytest.mark.parametrize("last_row,count", _LOADED_SPELLINGS)
 def test_scan_csv_field_spellings_load_as_before(tmp_path, last_row, count):
     # every spelling Python's float() and int() take loads; the file's other
     # rows keep the record otherwise equal to the saved one
@@ -271,23 +297,80 @@ def test_scan_csv_bulk_split_equals_row_reader(tmp_path, seed):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize(
-    "last_row,message",
-    [
-        ("0.0,x,1500.0,2,17.0\n", r"scan.csv, line 185: counts '17.0' is not a finite int"),
-        ("0.0,x,1500.0,2,17,\n", r"scan.csv, line 185: expected 5 fields, got 6"),
-        ("0.0,x ,1500.0,2,17\n", r"scan.csv: mixed theta/axis values"),
-        ("0.0,x,1500.0,2,0x10\n", r"scan.csv, line 185: counts '0x10' is not a finite int"),
-        (_LAST_ROW + "\n", r"scan.csv, line 186: expected 5 fields, got 0"),  # a trailing blank line
-        ("#c\n", r"scan.csv, line 185: expected 5 fields, got 1"),  # not a comment
-        ("0.0,x,1500.0,2," + "0" * 131072 + "17\n", r"scan.csv: not a scan CSV \(field larger than field limit"),
-    ],
-)
+_REJECTED_SPELLINGS = [
+    ("0.0,x,1500.0,2,17.0\n", r"scan.csv, line 185: counts '17.0' is not a finite int"),
+    ("0.0,x,1500.0,2,17,\n", r"scan.csv, line 185: expected 5 fields, got 6"),
+    ("0.0,x ,1500.0,2,17\n", r"scan.csv: mixed theta/axis values"),
+    ("0.0,x,1500.0,2,0x10\n", r"scan.csv, line 185: counts '0x10' is not a finite int"),
+    (_LAST_ROW + "\n", r"scan.csv, line 186: expected 5 fields, got 0"),  # a trailing blank line
+    ("#c\n", r"scan.csv, line 185: expected 5 fields, got 1"),  # not a comment
+    ("0.0,x,1500.0,2," + "0" * 131072 + "17\n", r"scan.csv: not a scan CSV \(field larger than field limit"),
+    # rows numpy's tokenizer skips or reads without complaint
+    ("\n" + _LAST_ROW, r"scan.csv, line 185: expected 5 fields, got 0"),  # a blank line mid-file
+    ("#c\n" + _LAST_ROW, r"scan.csv, line 185: expected 5 fields, got 1"),  # a comment line mid-file
+    ("0.0,x,1500.0,2,17,3\n", r"scan.csv, line 185: expected 5 fields, got 6"),
+    ("0.0,x,1500.0,2\n", r"scan.csv, line 185: expected 5 fields, got 4"),
+    ("0.0,x,1500.0,2,9223372036854775808\n", r"scan.csv: counts column does not fit int64"),
+    ("0.0,x,nan,2,17\n", r"scan.csv, line 185: position_um 'nan' is not a finite float"),
+]
+
+
+@pytest.mark.parametrize("last_row,message", _REJECTED_SPELLINGS)
 def test_scan_csv_field_spellings_rejected_as_before(tmp_path, last_row, message):
     path, lines = _saved_scan_lines(tmp_path)
     path.write_text("".join(lines[:-1]) + last_row, encoding="utf-8", newline="")
     with pytest.raises(ValueError, match=message):
         det.ScanRecord.load_csv(path)
+
+
+def _load_outcome(path):
+    """What load_csv makes of a file: the record's fields and array bytes, or the error text."""
+    try:
+        rec = det.ScanRecord.load_csv(path)
+    except ValueError as exc:
+        return str(exc)
+    arrays = [(a.dtype, a.shape, a.tobytes()) for a in (rec.positions, rec.counts)]
+    return type(rec.theta), rec.theta, type(rec.axis), rec.axis, rec.seed, arrays
+
+
+@pytest.mark.parametrize("last_row", [row for row, _ in _LOADED_SPELLINGS + _REJECTED_SPELLINGS])
+def test_scan_csv_bulk_read_matches_row_reader(tmp_path, monkeypatch, last_row):
+    # whatever numpy's tokenizer makes of a spelling, load_csv gives what
+    # the csv.reader path alone gives: the same arrays or the same error text
+    path, lines = _saved_scan_lines(tmp_path)
+    path.write_text("".join(lines[:-1]) + last_row, encoding="utf-8", newline="")
+    bulk = _load_outcome(path)
+    monkeypatch.setattr(det, "_split_scan_columns", lambda path: None)
+    assert _load_outcome(path) == bulk
+
+
+_LOAD_AT_BOUND = """
+import resource, sys
+from mzweak import detection as det
+if sys.argv[2] == "write":
+    cfg = det.ScanConfig(repeats=16393)
+    det.simulate_scan(det.single_beam_state(), cfg, "x", det.DriftModel(), seed=3).save_csv(sys.argv[1])
+else:
+    rec = det.ScanRecord.load_csv(sys.argv[1])
+    assert rec.counts.shape == (61, 16393)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_scan_csv_load_at_cell_bound_stays_small(tmp_path):
+    # a scan at config.MAX_RECORD_CELLS (16 393 repeats x 61 positions, a
+    # 22 MB file) loads in a fresh process under 300 MB peak RSS; splitting
+    # its text into 5 x 10^6 Python strings peaked near 480 MB
+    path = tmp_path / "bound.csv"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for step in ("write", "load"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOAD_AT_BOUND, str(path), step], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 300  # ru_maxrss is in KiB on Linux
 
 
 def test_scan_csv_undecodable_file_rejected(tmp_path):

@@ -53,3 +53,23 @@ def test_weak_to_strong_script(tmp_path):
     assert u[400] == 0.0 and intensity[400] < 1e-25
     assert u == tuple(-v for v in reversed(u))
     assert all(abs(a - b) <= 1e-20 for a, b in zip(intensity, reversed(intensity)))
+
+
+def test_bench_pairs_script(tmp_path):
+    # one tiny pair, this checkout against itself, in the BENCH_*.json layout
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--parent", str(ROOT), "--workload", "sweep",
+         "--seed", "1", "--pairs", "1", "--seconds", "0.1", "--scale", "tiny", "--out", str(out)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    entry = report["workloads"]["sweep"]
+    assert entry["pairs"] == 1
+    for side in ("parent", "change"):
+        assert entry[side]["failed"] == 0 and entry[side]["attempted"] > 0
+        for name in ("setup_s", "run_s", "peak_rss_mb"):
+            m = entry[side][name]
+            assert len(m["runs"]) == 1 and m["q1"] == m["median"] == m["q3"] == m["runs"][0]
+    assert set(entry["change_lower"]) == {"setup_s", "run_s", "peak_rss_mb"}
