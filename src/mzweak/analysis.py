@@ -388,7 +388,7 @@ def systematic_band(drift_records, scale: float) -> float:
         raise ValueError("drift records must share one position grid")
     profiles = np.concatenate([rec.counts.T for rec in drift_records], dtype=float)
     if np.any(np.all(profiles == profiles[:, :1], axis=1)):
-        raise DegenerateProfile("flat drift-run mean profile")
+        raise DegenerateProfile("flat drift-run profile")
     params, _, converged, _ = _lm_gaussian_batch(u, profiles)
     if not converged.all():
         raise NonConvergence(f"{np.count_nonzero(~converged)} drift-profile fits did not converge")

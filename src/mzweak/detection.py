@@ -144,31 +144,53 @@ class ScanRecord:
 
     def save_csv(self, path) -> None:
         """Columns: theta_deg, axis, position_um, repeat_idx, counts; LF line ends."""
+        with open(path, "wb") as fh:
+            fh.writelines(self._csv_chunks())
+
+    def _csv_chunks(self):
+        """The bytes ``save_csv`` writes, the one definition of the format: the
+        header, then the rows in chunks of whole positions, about 2**16 cells each."""
+        seed = "" if self.seed is None else f"# seed={int(self.seed)}\n"
+        yield (seed + ",".join(_SCAN_COLUMNS) + "\n").encode()
         # one %-template per position, its repr prefix once before each
-        # "repeat,%d" cell; one formatting pass fills in every count
+        # "repeat,%d" cell; one formatting pass per chunk fills in its counts.
+        # Chunks keep a 10^6-cell record from holding its whole text and an int per cell.
         head = f"{float(self.theta)!r},{self.axis},".replace("%", "%%")
         cells = [""] + [f"{r},%d\n" for r in range(self.repeats)]
-        template = "".join(f"{head}{u!r},".join(cells) for u in self.positions.tolist())
-        seed = "" if self.seed is None else f"# seed={int(self.seed)}\n"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(seed + ",".join(_SCAN_COLUMNS) + "\n" + template % tuple(self.counts.ravel().tolist()))
+        step = 1 + 2**16 // (1 + self.repeats)  # positions per chunk
+        for i in range(0, self.positions.size, step):
+            rows = (f"{head}{u!r},".join(cells) for u in self.positions[i : i + step].tolist())
+            yield "".join(rows).encode() % tuple(self.counts[i : i + step].ravel().tolist())
 
     @classmethod
     def load_csv(cls, path) -> "ScanRecord":
-        """Read a file written by ``save_csv`` (one row per line).
+        """Read a scan CSV, one row per line.
 
         Any damage raises ValueError naming the file, and the line for a
         malformed row: a short or long row, a non-numeric or non-finite
         field, mixed theta/axis, an angle without a stream key
         (``rng.theta_key``), an uneven grid, a missing or duplicate cell.
 
-        A file as ``save_csv`` writes it is read at once: a byte scan checks
-        the row shape and one ``np.loadtxt`` call parses the three numeric
-        columns. A file that read refuses is read again row by row with
-        ``csv.reader``, which names the bad line; both reads load the same
-        values.
+        One rule admits a file to the bulk read (theta and axis from the
+        first row, one ``np.loadtxt`` call over the numeric columns): the
+        record it makes must be what ``save_csv`` writes back byte for byte.
+        Any other file (CRLF, quoted, reordered or respelled fields, shuffled
+        rows, damage) is read row by row with ``csv.reader``, which names the
+        bad line; both reads load the same values.
         """
-        seed, theta, axis, u, rep, n = _split_scan_columns(path) or _read_scan_rows(path)
+        bulk = _split_scan_columns(path)
+        if bulk is not None:
+            try:
+                record, rest = cls._from_columns(path, *bulk[1:]), io.BytesIO(bulk[0])
+                if all(rest.read(len(chunk)) == chunk for chunk in record._csv_chunks()) and not rest.read():
+                    return record
+            except ValueError:  # the row read names the damage
+                pass
+        return cls._from_columns(path, *_read_scan_rows(path))
+
+    @classmethod
+    def _from_columns(cls, path, seed, theta, axis, u, rep, n) -> "ScanRecord":
+        """The record of a scan CSV's columns, one entry per row."""
         try:
             rngmod.theta_key(theta)
         except ValueError as exc:
@@ -179,21 +201,24 @@ class ScanRecord:
         steps = np.diff(u[np.sort(first_seen)])  # the grid in file order
         if steps.size and (steps.min() <= 0 or np.ptp(steps) > 1e-9 * steps.mean()):
             raise ValueError(f"{path}: positions are not strictly increasing and evenly spaced")
-        counts = np.zeros((positions.size, 1 + int(rep.max())), dtype=np.int64)
-        cell = pos_idx * counts.shape[1] + rep
+        # Python ints: a damaged repeat_idx overflows neither, and sizes nothing
+        width = 1 + int(rep.max())
+        grid, reps = positions.size * width, range(width)
+        if grid > rep.size:  # cells are missing; number the repeats by rank, so no cell id overflows int64
+            reps, rep = np.unique(rep, return_inverse=True)
+        cell = pos_idx * len(reps) + rep
         cells, per_cell = np.unique(cell, return_counts=True)
         if per_cell.max() > 1:
-            i, r = divmod(int(cells[np.argmax(per_cell)]), counts.shape[1])
-            raise ValueError(f"{path}: duplicate cell (position {float(positions[i])!r}, repeat {r})")
-        if cells.size < counts.size:
-            raise ValueError(f"{path}: {counts.size - cells.size} missing (position, repeat) cells")
+            i, r = divmod(int(cells[np.argmax(per_cell)]), len(reps))
+            raise ValueError(f"{path}: duplicate cell (position {float(positions[i])!r}, repeat {int(reps[r])})")
+        if cells.size < grid:
+            raise ValueError(f"{path}: {grid - cells.size} missing (position, repeat) cells")
+        counts = np.zeros((positions.size, width), dtype=np.int64)
         counts.flat[cell] = n
         return cls(theta, axis, positions, counts, seed)
 
 
 _SCAN_COLUMNS = ("theta_deg", "axis", "position_um", "repeat_idx", "counts")
-# The separator after each of a row's five fields: four commas, then a newline.
-_ROW_ENDS = (False, False, False, False, True)
 # position_um, repeat_idx and counts of one row, as the bulk read parses them
 _NUMERIC_ROW = np.dtype([("u", np.float64), ("rep", np.int64), ("n", np.int64)])
 
@@ -203,54 +228,27 @@ def _parse_seed(path, first_line: str) -> int:
 
 
 def _split_scan_columns(path):
-    """(seed, theta, axis, position_um, repeat_idx, counts) of a scan CSV read
-    from its whole text at once, or None for a file only ``csv.reader`` reads
-    as it should: undecodable bytes, a quote or a CR, a header that is not
-    the five columns in ``save_csv`` order, no rows, a row that is not five
-    fields, a field longer than the csv field limit, theta or axis spelled in
-    more than one way, or a numeric field that numpy's tokenizer does not
-    read as a finite number."""
+    """(file bytes, seed, theta, axis, position_um, repeat_idx, counts) of a
+    scan CSV parsed at once, or None where that fails: theta and axis as
+    ``csv.reader`` reads the first row, one ``np.loadtxt`` call for the three
+    numeric columns. ``load_csv`` checks the result against the file bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    if b'"' in raw or b"\r" in raw:
-        return None
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
     lines = io.BytesIO(raw)
-    seed, line0 = None, 2  # line0: the file line of the first row
-    header = lines.readline()
-    if header.startswith(b"# seed="):
-        seed, line0 = _parse_seed(path, header.decode()), 3
-        header = lines.readline()
-    start = lines.tell()
-    if header != ",".join(_SCAN_COLUMNS).encode() + b"\n" or start == len(raw):
-        return None
-    body = np.frombuffer(raw, dtype=np.uint8, offset=start)
-    ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
-    newline = body[ends] == ord("\n")
-    if newline.size % 5 or not np.all(newline.reshape(-1, 5) == _ROW_ENDS):
-        return None
-    # a field has at least as many UTF-8 bytes as characters, so none over the limit passes
-    if max(ends[0], np.diff(ends).max() - 1) > csv.field_size_limit():
-        return None
-    # every row starts with the first row's "theta,axis," (no field holds a comma or newline)
-    theta_end, axis_end = start + ends[:2]
-    if raw.count(b"\n" + raw[start : axis_end + 1], start) != newline.size // 5 - 1:
-        return None
     try:
-        table = np.loadtxt(
-            lines, dtype=_NUMERIC_ROW, delimiter=",", comments=None, usecols=(2, 3, 4), ndmin=1, encoding="utf-8"
-        )
-    except ValueError:
+        first = lines.readline()  # the seed line or the header
+        seed = _parse_seed(path, first.decode()) if first.startswith(b"# seed=") else None
+        if seed is not None:
+            lines.readline()  # the header
+        start = lines.tell()
+        # as csv.reader reads them, so that a quoted axis never renders back with its quotes
+        theta, axis = next(csv.reader([lines.readline().decode()]))[:2]
+        theta = float(theta)  # here, so that a "#" first line fails before np.loadtxt skips it as a comment
+        lines.seek(start)
+        table = np.loadtxt(lines, dtype=_NUMERIC_ROW, delimiter=",", usecols=(2, 3, 4), ndmin=1, encoding="utf-8")
+        return raw, seed, theta, axis, table["u"], table["rep"], table["n"]
+    except (ValueError, csv.Error):
         return None
-    if not np.all(np.isfinite(table["u"])):
-        return None
-    theta = _parse_column(path, line0, "theta_deg", [raw[start:theta_end].decode()], float)
-    return seed, float(theta[0]), raw[theta_end + 1 : axis_end].decode(), table["u"], table["rep"], table["n"]
 
 
 def _read_scan_rows(path):

@@ -297,7 +297,8 @@ _RLIMIT_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from mzweak.cli import main
-print([main(["--quiet", "--config", sys.argv[1], "--out", sys.argv[2], c]) for c in ("simulate", "analyze", "g2")])
+commands = sys.argv[3:] or ("simulate", "analyze", "g2")
+print([main(["--quiet", "--config", sys.argv[1], "--out", sys.argv[2], c]) for c in commands])
 """
 
 
@@ -317,6 +318,26 @@ def test_bounds_hold_in_a_small_address_space(tmp_path, doc):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[2, 2, 2]\n"
     assert proc.stderr.count("\n") == 3
+
+
+def test_damaged_repeat_idx_exits_3_in_a_small_address_space(tmp_path):
+    # one scan row edited to repeat_idx 10^12 names a 61 x 10^12 cell grid;
+    # analyze refuses the file as missing cells before sizing anything from it
+    config, out = write_config(tmp_path), tmp_path / "out"
+    assert main(["--quiet", "--config", config, "--out", str(out), "simulate"]) == 0
+    scan = out / scan_filename(0.0, "x")
+    *rows, last = scan.read_text().splitlines(keepends=True)
+    fields = last.split(",")
+    fields[3] = "1000000000000"
+    scan.write_text("".join(rows) + ",".join(fields))
+    env = dict(os.environ, PYTHONPATH=str(Path(mzweak.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _RLIMIT_CHILD, config, str(out), "analyze"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[3]\n"
+    assert proc.stderr.count("\n") == 1 and "missing (position, repeat) cells" in proc.stderr
 
 
 # --------------------------------------------------------------------- cli

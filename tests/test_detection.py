@@ -282,6 +282,17 @@ def test_scan_csv_reordered_header_loads_as_before(tmp_path):
     assert np.array_equal(back.counts, saved.counts)
 
 
+def test_scan_csv_axis_quoted_on_every_row_loads_unquoted(tmp_path):
+    # a quoted axis on every row is read as csv.reader reads it, not kept
+    # with its quotes because the rows agree with each other
+    path, lines = _saved_scan_lines(tmp_path)
+    saved = det.ScanRecord.load_csv(path)
+    path.write_text("".join(lines[:2]) + "".join(line.replace(",x,", ',"x",') for line in lines[2:]))
+    back = det.ScanRecord.load_csv(path)
+    assert (back.theta, back.axis, back.seed) == (saved.theta, "x", saved.seed)
+    assert np.array_equal(back.counts, saved.counts)
+
+
 @pytest.mark.parametrize("seed", [5, None])
 def test_scan_csv_bulk_split_equals_row_reader(tmp_path, seed):
     # a file save_csv writes takes the bulk split, and the csv.reader path
@@ -292,8 +303,8 @@ def test_scan_csv_bulk_split_equals_row_reader(tmp_path, seed):
     dataclasses.replace(rec, seed=seed).save_csv(path)
     bulk, rows = det._split_scan_columns(path), det._read_scan_rows(path)
     assert bulk is not None
-    assert bulk[:3] == rows[:3] == (seed, -12.5, "y")
-    for a, b in zip(bulk[3:], rows[3:]):
+    assert bulk[1:4] == rows[:3] == (seed, -12.5, "y")
+    for a, b in zip(bulk[4:], rows[3:]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -342,6 +353,46 @@ def test_scan_csv_bulk_read_matches_row_reader(tmp_path, monkeypatch, last_row):
     bulk = _load_outcome(path)
     monkeypatch.setattr(det, "_split_scan_columns", lambda path: None)
     assert _load_outcome(path) == bulk
+
+
+def _no_row_read(path):
+    raise AssertionError(f"{path} took the row read")
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("theta", [0.0, -12.5, 1e-05, 123456.7])
+@pytest.mark.parametrize("start", [None, -4321.25])
+@pytest.mark.parametrize("repeats", [2, 50])
+def test_save_csv_files_take_the_bulk_read(tmp_path, monkeypatch, seed, theta, start, repeats):
+    # falling back to the row read is a speed loss only, so nothing else
+    # notices it: every file save_csv writes is read at once, bit for bit
+    positions = det.ScanConfig(start=start, step=12.5, n_points=11).positions
+    counts = np.random.default_rng(repeats).integers(2**31, 2**40, size=(11, repeats))
+    counts[::3] = 0
+    saved = det.ScanRecord(theta, "y", positions, counts, seed)
+    path = tmp_path / "scan.csv"
+    saved.save_csv(path)
+    monkeypatch.setattr(det, "_read_scan_rows", _no_row_read)
+    back = det.ScanRecord.load_csv(path)
+    assert (type(back.theta), back.theta, back.axis, back.seed) == (float, theta, "y", seed)
+    for a, b in ((back.positions, saved.positions), (back.counts, saved.counts)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("repeat", [10**12, 2**63 - 1])
+def test_scan_csv_huge_repeat_idx_is_missing_cells(tmp_path, repeat):
+    # one row edited to a huge repeat_idx names a grid of 61 x (repeat + 1)
+    # cells: the file is refused as missing cells before anything is sized
+    # from it, and no cell id overflows int64
+    path, lines = _saved_scan_lines(tmp_path)
+    row = f"0.0,x,1500.0,{repeat},17\n"
+    path.write_text("".join(lines[:-1]) + row)
+    with pytest.raises(ValueError, match=rf"scan.csv: {61 * (repeat + 1) - 183} missing \(position, repeat\) cells"):
+        det.ScanRecord.load_csv(path)
+    # a duplicate cell is still named first
+    path.write_text("".join(lines + [lines[-1], row]))
+    with pytest.raises(ValueError, match=r"scan.csv: duplicate cell \(position 1500.0, repeat 2\)"):
+        det.ScanRecord.load_csv(path)
 
 
 _LOAD_AT_BOUND = """
