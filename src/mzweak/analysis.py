@@ -448,10 +448,17 @@ def export_results(
             for axis, est in sorted(estimates.items())
         },
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "summary.json", summary)
     return summary
+
+
+def write_json(path, payload) -> None:
+    """Write a JSON results file (summary.json, g2.json, weakvalues.json):
+    two-space indent, sorted keys, a final newline. Missing parent
+    directories are made."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_summary(path) -> dict:

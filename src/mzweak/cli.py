@@ -9,13 +9,13 @@ Commands:
 
 Every command is a pure function of (config, seed): re-running with the same
 inputs produces byte-identical output files. Exit codes: 0 success, 2 config
-error, 3 missing or unreadable input, 4 numerical failure.
+error or an output that cannot be written, 3 missing or unreadable input, 4
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -33,6 +33,7 @@ from .errors import (
     SimulationError,
     UnreadableInput,
 )
+from .rng import AXIS_KEY
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,62 +77,34 @@ def _say(quiet: bool, text: str) -> None:
         print(text)
 
 
+# The report's observables, name -> (kind, arm), and its conditionals,
+# name -> (observable, eigenvalue), in the order they print
+_OBSERVABLES = {"Y_A": ("spatial", "A"), "Y_B": ("spatial", "B"), "X_A": ("diagonal", "A"), "X_B": ("diagonal", "B")}
+_CONDITIONALS = {"P(Y_A=1|post)": ("Y_A", 1.0), "P(Y_B=1|post)": ("Y_B", 1.0),
+                 "P(X_B=+1|post)": ("X_B", 1.0), "P(X_B=-1|post)": ("X_B", -1.0)}
+
+
 def cmd_weakvalue(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     """Analytic weak values and conditional outcome probabilities per angle,
     of the configured pair (``build_pair``)."""
-    ops = {
-        "Y_A": qm.observable("spatial", "A"),
-        "Y_B": qm.observable("spatial", "B"),
-        "X_A": qm.observable("diagonal", "A"),
-        "X_B": qm.observable("diagonal", "B"),
-    }
+    ops = {name: qm.observable(*spec) for name, spec in _OBSERVABLES.items()}
+    labels = [f"{name}^w" for name in ops] + [name.replace("|post", "") for name in _CONDITIONALS]
+    _say(quiet, "  ".join([f"{'theta':>8}"] + [f"{label:>10}" for label in labels]))
     rows = []
     for theta in config.theta_list:
         pp = build_pair(config, theta)
         try:
             values = {name: qm.weak_value(op, pp) for name, op in ops.items()}
-            entry = {
-                "theta_deg": theta,
-                "weak_values": {
-                    name: {"re": wv.real, "im": wv.imag} for name, wv in values.items()
-                },
-                "conditionals": {
-                    "P(Y_A=1|post)": qm.abl_conditional(ops["Y_A"], 1.0, pp),
-                    "P(Y_B=1|post)": qm.abl_conditional(ops["Y_B"], 1.0, pp),
-                    "P(X_B=+1|post)": qm.abl_conditional(ops["X_B"], 1.0, pp),
-                    "P(X_B=-1|post)": qm.abl_conditional(ops["X_B"], -1.0, pp),
-                },
-            }
+            conditionals = {name: qm.abl_conditional(ops[obs], ev, pp) for name, (obs, ev) in _CONDITIONALS.items()}
         except OrthogonalPostSelection:
-            entry = {"theta_deg": theta, "undefined": "orthogonal post-selection"}
-        rows.append(entry)
-
-    header = (
-        f"{'theta':>8}  {'Y_A^w':>10}  {'Y_B^w':>10}  {'X_A^w':>10}  {'X_B^w':>10}"
-        f"  {'P(Y_A=1)':>10}  {'P(Y_B=1)':>10}  {'P(X_B=+1)':>10}  {'P(X_B=-1)':>10}"
-    )
-    _say(quiet, header)
-    for entry in rows:
-        if "undefined" in entry:
-            _say(quiet, f"{entry['theta_deg']:>8g}  undefined (orthogonal post-selection)")
+            rows.append({"theta_deg": theta, "undefined": "orthogonal post-selection"})
+            _say(quiet, f"{theta:>8g}  undefined (orthogonal post-selection)")
             continue
-        wv = entry["weak_values"]
-        cond = entry["conditionals"]
-        _say(
-            quiet,
-            f"{entry['theta_deg']:>8g}  "
-            + "  ".join(f"{wv[n]['re']:>10.6f}" for n in ("Y_A", "Y_B", "X_A", "X_B"))
-            + "  "
-            + "  ".join(
-                f"{cond[n]:>10.6f}"
-                for n in ("P(Y_A=1|post)", "P(Y_B=1|post)", "P(X_B=+1|post)", "P(X_B=-1|post)")
-            ),
-        )
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "weakvalues.json", "w", encoding="utf-8") as fh:
-        json.dump({"schema_version": 1, "rows": rows}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        weak_values = {name: {"re": wv.real, "im": wv.imag} for name, wv in values.items()}
+        rows.append({"theta_deg": theta, "weak_values": weak_values, "conditionals": conditionals})
+        numbers = [wv.real for wv in values.values()] + list(conditionals.values())
+        _say(quiet, "  ".join([f"{theta:>8g}"] + [f"{x:>10.6f}" for x in numbers]))
+    ana.write_json(out_dir / "weakvalues.json", {"schema_version": 1, "rows": rows})
     return EXIT_OK
 
 
@@ -141,7 +114,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     for theta in config.theta_list:
         state = build_state(config, theta)
         scan = config.scan_config(theta)
-        for axis in ("x", "y"):
+        for axis in AXIS_KEY:
             record = det.simulate_scan(state, scan, axis, config.scan_drift_model(axis), config.seed)
             path = out_dir / scan_filename(theta, axis)
             record.save_csv(path)
@@ -156,16 +129,16 @@ def _grid_text(positions) -> str:
 def _bootstrap_file(config: ExperimentConfig, out_dir: Path, theta: float, axis: str, first):
     """(first, bootstrap distribution) of one scan file, where ``first`` is
     the (path, positions, seed) of the first file read (None before it). A
-    damaged file, one whose rows name another angle or axis than its file
-    name, one from another run than the first file (another position grid or
-    seed), or one with too few positions or repeats to bootstrap, is
-    unreadable input."""
+    file that cannot be opened or is damaged, one whose rows name another
+    angle or axis than its file name, one from another run than the first
+    file (another position grid or seed), or one with too few positions or
+    repeats to bootstrap, is unreadable input."""
     path = out_dir / scan_filename(theta, axis)
     if not path.exists():
         raise MissingReference(f"missing scan file: {path}")
     try:
         record = det.ScanRecord.load_csv(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # both name the path
         raise UnreadableInput(str(exc)) from None
     if (record.theta, record.axis) != (theta, axis):
         raise UnreadableInput(
@@ -184,21 +157,26 @@ def _bootstrap_file(config: ExperimentConfig, out_dir: Path, theta: float, axis:
         raise UnreadableInput(f"{path}: {exc}") from None
 
 
+# The post-selection angles of weak value 0 and 1, whose pointer shifts scale analyze's
+_REFERENCES = (45.0, 90.0)
+
+
 def cmd_analyze(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
-    """Bootstrap centers, weak-value estimates and systematic bands. The six
-    scan records must come from one run; each is checked against the first
-    as it loads, and bootstrapped before the next one is read."""
-    target = config.target_theta
+    """Bootstrap centers, weak-value estimates and systematic bands. The scan
+    records of the target and reference angles must come from one run; each
+    is checked against the first as it loads, and bootstrapped before the
+    next one is read, once for an angle both target and reference."""
+    thetas = (config.target_theta, *_REFERENCES)
     dists = {}
     first = None
-    for theta in (target, 45.0, 90.0):
-        for axis in ("x", "y"):
+    for theta in dict.fromkeys(thetas):
+        for axis in AXIS_KEY:
             first, dists[(theta, axis)] = _bootstrap_file(config, out_dir, theta, axis, first)
 
     estimates = {}
     draws = {}
-    for axis in ("x", "y"):
-        idx, values, scale = ana.weak_value_draws(dists[(target, axis)], dists[(45.0, axis)], dists[(90.0, axis)])
+    for axis in AXIS_KEY:
+        idx, values, scale = ana.weak_value_draws(*(dists[(theta, axis)] for theta in thetas))
         draws[axis] = idx, values
         drift_records = det.simulate_drift_run(
             config.drift_scan_config(),
@@ -212,8 +190,8 @@ def cmd_analyze(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         estimates[axis] = ana.weak_value_estimate(values, sys_band=band)
 
     n_boot = config.analysis["n_bootstrap"]
-    ana.export_results(out_dir, estimates, list(dists.values()), draws, config.seed, n_boot, target)
-    for axis in ("x", "y"):
+    ana.export_results(out_dir, estimates, list(dists.values()), draws, config.seed, n_boot, config.target_theta)
+    for axis in AXIS_KEY:
         est = estimates[axis]
         _say(
             quiet,
@@ -235,7 +213,6 @@ def cmd_g2(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         f"g2 = {value:.4f} +/- {sigma:.4f} "
         f"(N(R)={counts.n_reference}, C1={counts.c1}, C2={counts.c2}, triples={counts.triple})",
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": 1,
         "seed": config.seed,
@@ -249,9 +226,7 @@ def cmd_g2(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         },
         "source": dict(config.source),
     }
-    with open(out_dir / "g2.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ana.write_json(out_dir / "g2.json", payload)
     return EXIT_OK
 
 
@@ -274,7 +249,7 @@ def cmd_sweep(raw: dict, out_dir: Path, quiet: bool, args) -> int:
     """
     if args.stop <= args.start or not 2 <= args.num <= MAX_SWEEP_POINTS:
         raise ConfigError(f"sweep range: need stop > start and 2 to {MAX_SWEEP_POINTS} points")
-    x_b = qm.observable("diagonal", "B")
+    x_b = qm.observable(*_OBSERVABLES["X_B"])
     rows = []
     for v in np.linspace(args.start, args.stop, args.num).tolist():
         try:
@@ -344,21 +319,14 @@ def main(argv=None) -> int:
     try:
         raw, config = _load_config(args)
         out_dir = Path(config.output_dir)
-        if args.command == "weakvalue":
-            return cmd_weakvalue(config, out_dir, args.quiet)
-        if args.command == "simulate":
-            return cmd_simulate(config, out_dir, args.quiet)
-        if args.command == "analyze":
-            return cmd_analyze(config, out_dir, args.quiet)
-        if args.command == "g2":
-            return cmd_g2(config, out_dir, args.quiet)
         if args.command == "sweep":
             return cmd_sweep(raw, out_dir, args.quiet, args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        command = {"weakvalue": cmd_weakvalue, "simulate": cmd_simulate, "analyze": cmd_analyze, "g2": cmd_g2}[args.command]
+        return command(config, out_dir, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MissingReference, FileNotFoundError) as exc:
+    except MissingReference as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except UnreadableInput as exc:
@@ -367,6 +335,9 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # the inputs raise their own errors above, so this is an output
+        print(f"config error: output_dir: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

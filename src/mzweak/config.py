@@ -26,7 +26,7 @@ from pathlib import Path
 from .detection import DriftModel, ScanConfig, SourceModel
 from .errors import ConfigError
 from .pointer import DEFAULT_SIGMA_UM
-from .rng import theta_key
+from .rng import AXIS_KEY, theta_key
 
 # Drift-walk steps calibrated so the default pipeline reproduces systematic
 # bands of about +/-0.070 (x) and +/-0.095 (y) in weak-value units over the
@@ -73,9 +73,10 @@ DEFAULTS = {
 
 # Section values that may be null: a centered grid, the coherent source.
 _NULLABLE = ("scan.start", "source.multi_pair_prob")
-# Lower bounds of the section keys that no model owns, and of the scan repeats
-# the bootstrap resamples (ScanConfig allows 1, for the drift-run scans).
-_MINIMUM = {"scan.repeats": 2, "scan.reference_repeats": 2, "drift.n_profiles": 10, "analysis.n_bootstrap": 2}
+# Lower bounds of the keys that no model owns, and of the scan repeats the
+# bootstrap resamples (ScanConfig allows 1, for the drift-run scans).
+_MINIMUM = {"g_x": 0.0, "g_y": 0.0, "sigma": MIN_SIGMA_UM, "seed": 0,
+            "scan.repeats": 2, "scan.reference_repeats": 2, "drift.n_profiles": 10, "analysis.n_bootstrap": 2}
 # Most bootstrap draws: analyze keeps O(n_bootstrap) numbers per record
 # (README: time and memory at this bound)
 MAX_BOOTSTRAP = 1_000_000
@@ -151,16 +152,21 @@ def _build(build, section: str, **renamed):
         raise ConfigError(f"{renamed.get(field, f'{section}.{field}')}: {message}") from None
 
 
-def _check_cells(config) -> None:
-    """Each record, a target or reference scan or the drift run, has at most
-    MAX_RECORD_CELLS count cells; a larger one names its repeats key."""
-    n_points = config.scan["n_points"]
-    counts = {
+def _record_repeats(config) -> dict:
+    """The repeats of each record, a target or reference scan or the drift
+    run (one profile per repeat), by config key."""
+    return {
         "scan.repeats": config.scan["repeats"],
         "scan.reference_repeats": config.scan["reference_repeats"],
         "drift.n_profiles": config.drift["n_profiles"],
     }
-    for key, count in counts.items():
+
+
+def _check_cells(config) -> None:
+    """Each record has at most MAX_RECORD_CELLS count cells; a larger one
+    names its repeats key."""
+    n_points = config.scan["n_points"]
+    for key, count in _record_repeats(config).items():
         cells = count * n_points
         _require(cells <= MAX_RECORD_CELLS, key, f"{count} x {n_points} positions = {cells} count cells, over {MAX_RECORD_CELLS}")
 
@@ -171,8 +177,8 @@ def _check_lengths(config) -> None:
     14 step_sigma per step, more than numpy's normal sampler ever draws."""
     scan, drift = config.scan, config.drift
     grid = config.scan_config(config.target_theta).positions
-    axis = max("xy", key=lambda a: drift[f"step_sigma_{a}"])
-    steps = max(drift["n_profiles"], scan["repeats"], scan["reference_repeats"])
+    axis = max(AXIS_KEY, key=lambda a: drift[f"step_sigma_{a}"])
+    steps = max(_record_repeats(config).values())
     lengths = {
         "sigma": config.sigma,
         "g_x": config.g_x,
@@ -233,14 +239,14 @@ class ExperimentConfig:
         theta_list = tuple(_check_angle(t, "theta_list[]") for t in thetas)
 
         target_theta = _check_angle(raw.get("target_theta", DEFAULTS["target_theta"]), "target_theta")
-        g_x = _check_number(raw.get("g_x", DEFAULTS["g_x"]), "g_x", minimum=0.0)
-        g_y = _check_number(raw.get("g_y", DEFAULTS["g_y"]), "g_y", minimum=0.0)
-        sigma = _check_number(raw.get("sigma", DEFAULTS["sigma"]), "sigma", minimum=MIN_SIGMA_UM)
-        arm_phase = _check_number(raw.get("arm_phase", DEFAULTS["arm_phase"]), "arm_phase")
-        blocked = raw.get("blocked_arm", DEFAULTS["blocked_arm"])
-        if blocked is not None and blocked not in ("A", "B"):
-            raise ConfigError(f"blocked_arm: expected null, 'A' or 'B', got {blocked!r}")
-        seed = _check_number(raw.get("seed", DEFAULTS["seed"]), "seed", minimum=0, integer=True)
+        top = {}  # checked in the order of DEFAULTS, so that the first bad key is the one reported
+        for key in ("g_x", "g_y", "sigma", "arm_phase", "blocked_arm", "seed"):
+            value = raw.get(key, DEFAULTS[key])
+            if key == "blocked_arm":
+                _require(value in (None, "A", "B"), key, f"expected null, 'A' or 'B', got {value!r}")
+            else:
+                value = _check_number(value, key, minimum=_MINIMUM.get(key), integer=isinstance(DEFAULTS[key], int))
+            top[key] = value
         output_dir = raw.get("output_dir", DEFAULTS["output_dir"])
         if not isinstance(output_dir, str):
             raise ConfigError(f"output_dir: expected a string, got {_type_name(output_dir)}")
@@ -248,21 +254,16 @@ class ExperimentConfig:
         config = cls(
             theta_list=theta_list,
             target_theta=target_theta,
-            g_x=g_x,
-            g_y=g_y,
-            sigma=sigma,
-            arm_phase=arm_phase,
-            blocked_arm=blocked,
+            **top,
             scan=_section(raw, "scan"),
             drift=_section(raw, "drift"),
             source=_section(raw, "source"),
             analysis=_section(raw, "analysis"),
-            seed=seed,
             output_dir=output_dir,
         )
         _build(lambda: config.scan_config(target_theta), "scan")
         _build(config.drift_scan_config, "scan", mean_rate="drift.mean_rate")
-        for axis in ("x", "y"):
+        for axis in AXIS_KEY:
             _build(lambda: config.drift_model(axis), "drift", step_sigma=f"drift.step_sigma_{axis}")
         _build(config.source_model, "source")
         _check_cells(config)
@@ -289,8 +290,7 @@ class ExperimentConfig:
 
     def drift_model(self, axis: str) -> DriftModel:
         """Drift model of the calibration run on one axis."""
-        step = self.drift["step_sigma_x"] if axis == "x" else self.drift["step_sigma_y"]
-        return DriftModel(step_sigma=step, initial_offset=self.drift["initial_offset"])
+        return DriftModel(step_sigma=self.drift[f"step_sigma_{axis}"], initial_offset=self.drift["initial_offset"])
 
     def drift_scan_config(self) -> ScanConfig:
         """Scan geometry of the drift run (single repeat, boosted rate)."""

@@ -106,6 +106,10 @@ class ScanRecord:
     seed: int | None = None
 
     def __post_init__(self):
+        # a record has the stream keys of its scan, so save_csv writes what load_csv reads back
+        rngmod.theta_key(self.theta)
+        if self.axis not in rngmod.AXIS_KEY:
+            raise ValueError(f"axis must be one of {', '.join(rngmod.AXIS_KEY)}, got {self.axis!r}")
         # copies, so that freezing them leaves the caller's arrays writable
         pos = np.array(self.positions, dtype=float)
         if not np.all(np.isfinite(pos)):
@@ -191,10 +195,6 @@ class ScanRecord:
     @classmethod
     def _from_columns(cls, path, seed, theta, axis, u, rep, n) -> "ScanRecord":
         """The record of a scan CSV's columns, one entry per row."""
-        try:
-            rngmod.theta_key(theta)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
         if rep.min() < 0:
             raise ValueError(f"{path}: negative repeat_idx")
         positions, first_seen, pos_idx = np.unique(u, return_index=True, return_inverse=True)
@@ -215,7 +215,10 @@ class ScanRecord:
             raise ValueError(f"{path}: {grid - cells.size} missing (position, repeat) cells")
         counts = np.zeros((positions.size, width), dtype=np.int64)
         counts.flat[cell] = n
-        return cls(theta, axis, positions, counts, seed)
+        try:
+            return cls(theta, axis, positions, counts, seed)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 _SCAN_COLUMNS = ("theta_deg", "axis", "position_um", "repeat_idx", "counts")

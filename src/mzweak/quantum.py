@@ -75,8 +75,8 @@ class SystemState:
         if self.normalized and abs(norm - 1.0) > 1e-12:
             raise ValueError("state marked normalized has norm != 1")
 
-    def __array__(self, dtype=None):
-        return np.asarray(self.amplitudes, dtype=dtype)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.amplitudes, dtype=dtype, copy=copy)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -93,8 +93,8 @@ class SystemOperator:
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
-    def __array__(self, dtype=None):
-        return np.asarray(self.matrix, dtype=dtype)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
     def is_hermitian(self) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= MATRIX_TOL)

@@ -1,6 +1,7 @@
 """Strict config parsing and the command-line front end."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -343,11 +344,20 @@ def test_damaged_repeat_idx_exits_3_in_a_small_address_space(tmp_path):
 # --------------------------------------------------------------------- cli
 
 
+# weakvalue's report on the default config: Y_A,w and X_B,w are 1 at theta = 0,
+# with P(Y_A=1|post) = 1: each property is found in one arm
+WEAKVALUE_TABLE = """\
+   theta       Y_A^w       Y_B^w       X_A^w       X_B^w    P(Y_A=1)    P(Y_B=1)   P(X_B=+1)   P(X_B=-1)
+       0    1.000000    0.000000    0.000000    1.000000    1.000000    0.000000    0.250000    0.250000
+      45    0.000000    1.000000    1.000000    0.000000    0.000000    1.000000    0.250000    0.250000
+      90    1.000000   -0.000000   -0.000000    1.000000    1.000000    0.000000    0.250000    0.250000
+"""
+
+
 def test_cli_weakvalue_table(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "weakvalue"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "1.000000" in out
+    assert capsys.readouterr().out == WEAKVALUE_TABLE
     data = json.loads((tmp_path / "weakvalues.json").read_text())
     rows = {row["theta_deg"]: row for row in data["rows"]}
     assert rows[0.0]["weak_values"]["Y_A"]["re"] == pytest.approx(1.0, abs=1e-12)
@@ -530,6 +540,73 @@ def test_cli_analyze_scans_on_another_grid_are_unreadable_input(tmp_path, capsys
         f"but {out / scan_filename(0.0, 'x')}: 31 positions from -2250.0 to 2250.0 um; the scans must share one grid\n"
     )
     assert not (out / "summary.json").exists()
+
+
+def test_cli_analyze_unopenable_scan_is_unreadable_input(tmp_path, capsys):
+    # a directory where a scan file should be: it exists, but cannot be read
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "simulate"]) == 0
+    path = out / scan_filename(0.0, "x")
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "analyze"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("unreadable input: ") and str(path) in err and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+
+
+# SHA-256 of analyze's files on SMALL_CONFIG with target_theta 45 (numpy 2.4), where the
+# target is also the zero reference
+_TARGET_45_DIGESTS = {
+    "centers.csv": "60d41056cca26e57b78194485f99f7647c30fe95c97975451935b4bb3a4a8959",
+    "weak_values.csv": "b1fc18d35ac56c8b7480fa0656eaa49faac1f27b1ed8ad639f1ebda6c188a83f",
+    "summary.json": "e226a901c28f9060f73538020500f8e8d2b0143f8d3a1f51d0b24fea0555a1ea",
+}
+
+
+def test_cli_analyze_bootstraps_each_angle_once(tmp_path, monkeypatch):
+    # target 45 is also a reference: its two files are bootstrapped once, not twice
+    cfg = write_config(tmp_path, dict(SMALL_CONFIG, target_theta=45.0))
+    out = tmp_path / "run"
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "simulate"]) == 0
+    calls = []
+    bootstrap = mzweak.analysis.bootstrap_centers
+
+    def counted(record, *args):
+        calls.append((record.theta, record.axis))
+        return bootstrap(record, *args)
+
+    monkeypatch.setattr(mzweak.analysis, "bootstrap_centers", counted)
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "analyze"]) == 0
+    assert calls == [(45.0, "x"), (45.0, "y"), (90.0, "x"), (90.0, "y")]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _TARGET_45_DIGESTS}
+    assert digests == _TARGET_45_DIGESTS
+
+
+@pytest.mark.parametrize("command", [
+    ["weakvalue"], ["simulate"], ["g2"], ["sweep", "--parameter", "g", "--start", "1", "--stop", "2"],
+])
+def test_cli_output_under_a_file_is_config_error(tmp_path, capsys, command):
+    # the output directory would sit under a regular file: one line, exit 2
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert main(["--quiet", "--out", str(out), "--theta", "0", *command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output_dir: ") and str(out) in err and err.count("\n") == 1
+
+
+def test_cli_analyze_unwritable_summary_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "simulate"]) == 0
+    (out / "summary.json").mkdir()
+    capsys.readouterr()
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "analyze"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output_dir: ") and str(out / "summary.json") in err
+    assert err.count("\n") == 1
 
 
 def test_cli_n_bootstrap_bound_is_checked_before_any_allocation(tmp_path, capsys):

@@ -489,6 +489,21 @@ def test_scan_csv_bad_grid_rejected(tmp_path, edit):
         det.ScanRecord.load_csv(path)
 
 
+@pytest.mark.parametrize("theta,axis", [(0.0, "x,y"), (0.0, "x\n"), (0.0, '"x'), (0.0, "z"), (1e7, "x")])
+def test_scan_record_needs_the_stream_keys_of_a_scan(theta, axis):
+    # at construction, not at load: such a record once saved a file its own
+    # load_csv refused ("x,y", "x\n", '"x', 1e7), or loaded one the bootstrap could not key ("z")
+    with pytest.raises(ValueError, match="^axis must be one of x, y, got " if theta == 0.0 else "^theta must be in"):
+        det.ScanRecord(theta, axis, [0.0, 1.0, 2.0, 3.0, 4.0], np.ones((5, 2), dtype=int))
+
+
+def test_scan_csv_of_another_axis_rejected(tmp_path):
+    path, lines = _saved_scan_lines(tmp_path)
+    path.write_text("".join(lines[:2] + [line.replace("0.0,x,", "0.0,z,", 1) for line in lines[2:]]))
+    with pytest.raises(ValueError, match="scan.csv: axis must be one of x, y, got 'z'"):
+        det.ScanRecord.load_csv(path)
+
+
 def test_scan_record_validation():
     with pytest.raises(ValueError):
         det.ScanRecord(0.0, "x", np.arange(3.0), np.array([[1], [2]]))

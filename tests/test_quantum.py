@@ -35,6 +35,16 @@ def test_pre_state_amplitudes():
     assert np.allclose(amps, [1 / RT2, 0, 0, 1 / RT2], atol=1e-15)
 
 
+def test_np_array_takes_a_copy_under_numpy_2():
+    # np.array passes copy= to __array__; without that keyword numpy 2 warns,
+    # and tier-1 turns the warning into an error
+    for obj, inner in ((qm.pre_state(), "amplitudes"), (qm.observable("diagonal", "B"), "matrix")):
+        arr = np.array(obj)
+        assert np.array_equal(arr, getattr(obj, inner)) and arr.flags.writeable
+        arr.flat[0] = 7.0
+        assert np.asarray(obj).flat[0] != 7.0
+
+
 def test_pre_state_norm_and_self_overlap():
     psi = qm.pre_state()
     assert abs(psi.norm() - 1.0) < 1e-12
