@@ -462,9 +462,12 @@ def write_json(path, payload) -> None:
 
 
 def load_summary(path) -> dict:
-    """Read a results summary, rejecting unknown schema versions."""
+    """Read a results summary, rejecting a document that is not an object
+    and unknown schema versions."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
     version = data.get("schema_version")
     if version != RESULTS_SCHEMA_VERSION:
         raise ValueError(f"unsupported results schema version: {version!r}")

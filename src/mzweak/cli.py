@@ -16,6 +16,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -218,12 +219,7 @@ def cmd_g2(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
         "seed": config.seed,
         "g2": value,
         "counting_sigma": sigma,
-        "counts": {
-            "n_reference": counts.n_reference,
-            "c1": counts.c1,
-            "c2": counts.c2,
-            "triple": counts.triple,
-        },
+        "counts": dataclasses.asdict(counts),
         "source": dict(config.source),
     }
     ana.write_json(out_dir / "g2.json", payload)

@@ -520,12 +520,9 @@ def g2_counting_sigma(counts: G2Counts) -> float:
     With zero triples, returns the one-triple scale N(R)/(C1 C2) as the
     resolution of the estimator.
     """
-    if counts.c1 == 0 or counts.c2 == 0 or counts.n_reference == 0:
-        raise ZeroDenominator("need n_reference > 0 and both singles channels > 0")
-    scale = counts.n_reference / (counts.c1 * counts.c2)
+    g2 = g2_statistic(counts)  # raises ZeroDenominator on an empty denominator
     if counts.triple == 0:
-        return scale
-    g2 = g2_statistic(counts)
+        return counts.n_reference / (counts.c1 * counts.c2)
     rel = np.sqrt(
         1.0 / counts.triple + 1.0 / counts.c1 + 1.0 / counts.c2 + 1.0 / counts.n_reference
     )

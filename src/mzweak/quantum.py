@@ -104,7 +104,12 @@ class SystemOperator:
 
     @cached_property
     def spectrum(self) -> tuple:
-        """``eigen_projectors`` of this operator, computed once."""
+        """Spectral decomposition ((eigenvalue, projector), ...), degeneracies merged.
+
+        Eigenvalues closer than EIGENVALUE_TOL are treated as one outcome;
+        requires a Hermitian operator. The projectors are read-only; the
+        decomposition is computed once per operator and cached on it.
+        """
         if not self.is_hermitian():
             raise ValueError("projective outcomes need a Hermitian operator")
         vals, vecs = np.linalg.eigh(self.matrix)
@@ -247,40 +252,31 @@ def weak_value(op: SystemOperator, pp: PrePostPair) -> complex:
     return complex(num / pp.overlap)
 
 
-def eigen_projectors(op: SystemOperator):
-    """Spectral decomposition ((eigenvalue, projector), ...), degeneracies merged.
-
-    Eigenvalues closer than EIGENVALUE_TOL are treated as one outcome;
-    requires a Hermitian operator. The projectors are read-only; the
-    decomposition is computed once per operator and cached on it.
-    """
-    return op.spectrum
+def _branch(proj: np.ndarray, pp: PrePostPair) -> tuple:
+    """(<P pre|P pre>, <post|P pre>) of one outcome projector P: the branch's
+    weight and its post-selected amplitude. Every outcome probability reads it."""
+    collapsed = proj @ pp.pre.amplitudes
+    return float(np.real(np.vdot(collapsed, collapsed))), np.vdot(pp.post.amplitudes, collapsed)
 
 
 def abl_conditional(op: SystemOperator, eigenvalue: float, pp: PrePostPair) -> float:
-    """Conditional probability of an intermediate projective outcome.
+    """Conditional probability of one intermediate projective outcome: its
+    entry in ``abl_distribution``."""
+    for lam, p in abl_distribution(op, pp):
+        if abs(lam - eigenvalue) <= EIGENVALUE_TOL:
+            return p
+    raise NotAnEigenvalue(f"{eigenvalue!r} not in spectrum of operator")
+
+
+def abl_distribution(op: SystemOperator, pp: PrePostPair) -> tuple:
+    """(eigenvalue, conditional probability) for the full spectrum of ``op``.
 
     Computed as P(outcome) * P(post | outcome) / P(post) with
     P(post) = |<post|pre>|^2, i.e. the event yield relative to the
     undisturbed post-selection rate. Equals |<post|P_k|pre>|^2 / |<post|pre>|^2.
     """
     pp.require_nonorthogonal()
-    for lam, proj in eigen_projectors(op):
-        if abs(lam - eigenvalue) <= EIGENVALUE_TOL:
-            return _born_ratio(proj, pp)
-    raise NotAnEigenvalue(f"{eigenvalue!r} not in spectrum of operator")
-
-
-def abl_distribution(op: SystemOperator, pp: PrePostPair) -> tuple:
-    """(eigenvalue, conditional probability) for the full spectrum of ``op``."""
-    pp.require_nonorthogonal()
-    return tuple((lam, _born_ratio(proj, pp)) for lam, proj in eigen_projectors(op))
-
-
-def _born_ratio(proj: np.ndarray, pp: PrePostPair) -> float:
-    """|<post|P|pre>|^2 / |<post|pre>|^2 of one outcome projector P."""
-    amp = np.vdot(pp.post.amplitudes, proj @ pp.pre.amplitudes)
-    return float(abs(amp) ** 2 / abs(pp.overlap) ** 2)
+    return tuple((lam, float(abs(_branch(proj, pp)[1]) ** 2 / abs(pp.overlap) ** 2)) for lam, proj in op.spectrum)
 
 
 def sample_measure_postselect(op: SystemOperator, pp: PrePostPair, n_trials: int, rng):
@@ -293,16 +289,10 @@ def sample_measure_postselect(op: SystemOperator, pp: PrePostPair, n_trials: int
 
     Returns (joint_counts: dict eigenvalue -> int, ref_count: int).
     """
-    psi = np.asarray(pp.pre)
-    phi = np.asarray(pp.post)
-    specs = eigen_projectors(op)
-    p_outcome = np.empty(len(specs))
-    p_post_given = np.empty(len(specs))
-    for k, (_, proj) in enumerate(specs):
-        collapsed = proj @ psi
-        w = float(np.real(np.vdot(collapsed, collapsed)))
-        p_outcome[k] = w
-        p_post_given[k] = abs(np.vdot(phi, collapsed)) ** 2 / w if w > 0 else 0.0
+    specs = op.spectrum
+    branches = [_branch(proj, pp) for _, proj in specs]
+    p_outcome = np.array([w for w, _ in branches])
+    p_post_given = np.array([abs(amp) ** 2 / w if w > 0 else 0.0 for w, amp in branches])
     p_outcome = p_outcome / p_outcome.sum()
 
     which = rng.choice(len(specs), size=n_trials, p=p_outcome)
@@ -339,18 +329,13 @@ def joint_disturbing_distribution(pp: PrePostPair):
     state and renormalizes.
     """
     pp.require_nonorthogonal()
-    psi = np.asarray(pp.pre)
-    phi = np.asarray(pp.post)
-    branches = {k: proj @ psi for k, proj in _JOINT_PROJECTORS.items()}
+    psi = pp.pre.amplitudes
+    branches = {k: _branch(proj, pp) for k, proj in _JOINT_PROJECTORS.items()}
     norm = float(np.real(np.vdot(psi, psi)))
-    uncond = OutcomeDistribution(
-        tuple((k, float(np.real(np.vdot(v, v))) / norm) for k, v in branches.items()),
-        kind="unconditional",
-    )
-    weights = {k: abs(np.vdot(phi, v)) ** 2 for k, v in branches.items()}
+    uncond = OutcomeDistribution(tuple((k, w / norm) for k, (w, _) in branches.items()), kind="unconditional")
+    # A, B+ and B- sum to the identity: the amplitudes sum to <post|pre> != 0, so total > 0
+    weights = {k: abs(amp) ** 2 for k, (_, amp) in branches.items()}
     total = sum(weights.values())
-    if total <= 0.0:
-        raise VanishingPostSelection("no branch survives post-selection")
     cond = OutcomeDistribution(
         tuple((k, w / total) for k, w in weights.items()),
         kind="conditional-on-postselection",
@@ -376,7 +361,7 @@ def qubit_pointer_excitation(arm: str, g: float, pp: PrePostPair) -> float:
     pp.require_nonorthogonal()
     op = observable("diagonal", arm)
     u8 = np.zeros((8, 8), dtype=complex)
-    for lam, proj in eigen_projectors(op):
+    for lam, proj in op.spectrum:
         u8 += np.kron(proj, _qubit_rotation(g * lam))
     state8 = np.kron(np.asarray(pp.pre), np.array([1.0, 0.0], dtype=complex))
     evolved = u8 @ state8

@@ -363,6 +363,12 @@ def test_center_distribution_draw_idx_validation():
         ana.CenterDistribution(np.array([1.0, 2.0]), 0.0, "x", np.array([0]))
 
 
+@pytest.mark.parametrize("centers", [[], [1.0, np.inf]])
+def test_center_distribution_needs_finite_centers(centers):
+    with pytest.raises(ValueError, match="non-empty and finite"):
+        make_dist(centers)
+
+
 def test_center_distribution_copies_caller_arrays():
     centers = np.array([1.0, 2.0, 3.0])
     idx = np.array([0, 4, 7], dtype=np.int64)
@@ -392,6 +398,11 @@ def test_weak_value_zero_and_unit_anchors():
     assert abs(zero.mean) < 1e-12
     assert abs(unit.mean - 1.0) < 1e-12
     assert zero.stat_sigma == 0.0
+
+
+def test_weak_value_estimate_refuses_a_negative_error():
+    with pytest.raises(ValueError, match=">= 0"):
+        ana.WeakValueEstimate(0.5, stat_sigma=-1.0, sys_band=0.0, n_samples=10)
 
 
 @given(st.floats(-500, 500))
@@ -612,6 +623,14 @@ def test_systematic_band_refuses_multi_repeat_records():
         ana.systematic_band(recs[:5] + [two] + recs[6:], 49.7)
 
 
+def test_systematic_band_refuses_records_from_two_grids():
+    cfg = det.ScanConfig(mean_rate=20000.0, repeats=1)
+    recs = det.simulate_drift_run(cfg, det.DriftModel(), 20, seed=77)
+    shifted = det.ScanRecord(0.0, "x", recs[0].positions + 10.0, recs[0].counts, seed=77)
+    with pytest.raises(ValueError, match="one position grid"):
+        ana.systematic_band(recs[:5] + [shifted] + recs[6:], 49.7)
+
+
 # ----------------------------------------------------------------- export
 
 
@@ -681,4 +700,12 @@ def test_load_summary_rejects_unknown_schema(tmp_path):
     path = tmp_path / "summary.json"
     path.write_text(json.dumps({"schema_version": 999}))
     with pytest.raises(ValueError):
+        ana.load_summary(path)
+
+
+@pytest.mark.parametrize("text", ["[1]", "null", '"x"'])
+def test_load_summary_rejects_a_document_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "summary.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="summary.json: expected a JSON object"):
         ana.load_summary(path)

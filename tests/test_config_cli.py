@@ -675,6 +675,17 @@ def test_cli_sweep_theta_follows_analytic_weak_value(tmp_path):
             assert wv == pytest.approx(np.cos(t) / denom, abs=1e-12)
 
 
+def test_cli_sweep_theta_orthogonal_point_keeps_its_centroid(tmp_path):
+    # at 67.5 deg the post-selection is orthogonal: the weak value and the
+    # first-order shift are undefined, the exact pointer centroid is not
+    assert main(["--quiet", "--out", str(tmp_path), "sweep",
+                 "--parameter", "theta", "--start", "60", "--stop", "75", "--num", "3"]) == 0
+    row = (tmp_path / "sweep_theta.csv").read_text().splitlines()[2]
+    theta, wv, centroid, first = row.split(",")
+    assert (theta, wv, first) == ("67.5", "nan", "nan")
+    assert np.isfinite(float(centroid))
+
+
 def test_cli_sweep_theta_first_order_reads_the_configured_arm_phase(tmp_path):
     # the weak value and the centroid of a point come from one pair: at
     # theta = 0 the first-order shift is g Re(e^(0.6 i)) = 41.267 um, next to
@@ -812,6 +823,10 @@ def test_cli_bad_config_exit_code(tmp_path):
         ({"drift": {"n_profiles": 1e11}}, [], "drift.n_profiles"),
         # one bootstrap draw has no spread: a zero statistical error bar
         ({"analysis": {"n_bootstrap": 1}, "drift": {"n_profiles": 10}}, [], "analysis.n_bootstrap"),
+        ({"source": {"multi_pair_prob": 2, "pair_rate": 4}}, [], "source.multi_pair_prob: must be in [0, 1]"),
+        # a section or the document that is not an object
+        ({"scan": 5}, [], "scan: expected an object, got int"),
+        ([1], [], "config root: expected an object, got list"),
     ],
 )
 def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, doc, flags, key):
@@ -843,6 +858,13 @@ def test_cli_override_replaces_bad_file_seed(tmp_path):
     cfg = write_config(tmp_path, dict(SMALL, seed=-3))
     assert main(["--quiet", "--config", cfg, "--out", str(tmp_path), "--seed", "4",
                  "--theta", "0", "weakvalue"]) == 0
+
+
+def test_cli_out_replaces_a_bad_file_output_dir(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(SMALL, output_dir=5))
+    assert main(["--quiet", "--config", cfg, "weakvalue"]) == 2
+    assert capsys.readouterr().err == "config error: output_dir: expected a string, got int\n"
+    assert main(["--quiet", "--config", cfg, "--out", str(tmp_path), "weakvalue"]) == 0
 
 
 def test_cli_seed_override_changes_counts(tmp_path):

@@ -231,6 +231,21 @@ def test_scan_csv_malformed_row_names_file_and_line(tmp_path, last_line, message
         det.ScanRecord.load_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("theta_deg,axis,position_um,repeat_idx,counts\n", r"scan.csv: empty scan file"),
+        ("a,b,c,d,e\n0.0,x,1500.0,2,17\n", r"scan.csv, line 1: the header must name theta_deg, axis, "),
+    ],
+    ids=["header-only", "unknown-columns"],
+)
+def test_scan_csv_without_rows_or_columns_rejected(tmp_path, text, message):
+    path = tmp_path / "scan.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        det.ScanRecord.load_csv(path)
+
+
 _LAST_ROW = "0.0,x,1500.0,2,17\n"
 
 

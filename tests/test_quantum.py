@@ -279,9 +279,9 @@ def test_abl_conditional_values_at_zero():
 @pytest.mark.parametrize("kind,arm", [("spatial", "A"), ("spatial", "B"), ("diagonal", "A"), ("diagonal", "B")])
 def test_spectrum_cached_read_only_and_fresh(kind, arm):
     op = qm.observable(kind, arm)
-    spectrum = qm.eigen_projectors(op)
-    assert qm.eigen_projectors(op) is spectrum
-    fresh = qm.eigen_projectors(qm.observable(kind, arm))  # the cache is per operator
+    spectrum = op.spectrum
+    assert op.spectrum is spectrum
+    fresh = qm.observable(kind, arm).spectrum  # the cache is per operator
     assert fresh is not spectrum
     assert [lam for lam, _ in spectrum] == [lam for lam, _ in fresh]
     for (_, cached), (_, rebuilt) in zip(spectrum, fresh):
@@ -294,7 +294,7 @@ def test_spectrum_rejects_non_hermitian_operator():
     op = qm.SystemOperator(np.triu(np.ones((4, 4))))
     for _ in range(2):  # a failed decomposition is not cached
         with pytest.raises(ValueError, match="Hermitian"):
-            qm.eigen_projectors(op)
+            op.spectrum
 
 
 def test_abl_rejects_non_eigenvalue():
@@ -318,6 +318,16 @@ def test_abl_spatial_distribution_sums_to_one(theta):
 def test_abl_identity_probability_one():
     dist = qm.abl_distribution(qm.identity_operator(), qm.pair(30.0))
     assert len(dist) == 1 and abs(dist[0][1] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.0, 10.0, 45.0, 90.0])
+@pytest.mark.parametrize("kind,arm", [("spatial", "A"), ("spatial", "B"), ("diagonal", "A"), ("diagonal", "B")])
+def test_abl_conditional_is_its_distribution_entry(kind, arm, theta):
+    op = qm.observable(kind, arm)
+    pp = qm.pair(theta)
+    dist = dict(qm.abl_distribution(op, pp))
+    for lam, _ in op.spectrum:
+        assert qm.abl_conditional(op, lam, pp) == dist[lam]
 
 
 def test_abl_diagonal_family_disturbance_accounting():
@@ -405,6 +415,17 @@ def test_joint_disturbing_conditional_vs_branch_oracle():
 def test_joint_disturbing_orthogonal_raises():
     with pytest.raises(OrthogonalPostSelection):
         qm.joint_disturbing_distribution(qm.pair(67.5))
+
+
+@pytest.mark.parametrize("theta", [67.5 - 1e-7, 67.5 + 1e-7])
+def test_joint_disturbing_near_orthogonal_is_a_distribution(theta):
+    # |<post|pre>| ~ 2.5e-9, just above the tolerance: the three records sum
+    # to the identity, so their post-selected amplitudes cannot all vanish
+    pp = qm.pair(theta)
+    assert qm.ORTHOGONALITY_TOL < abs(pp.overlap) < 3e-9
+    _, cond = qm.joint_disturbing_distribution(pp)
+    probs = [p for _, p in cond.outcomes]
+    assert np.all(np.isfinite(probs)) and abs(sum(probs) - 1.0) < 1e-12
 
 
 @given(nonorthogonal_thetas)
