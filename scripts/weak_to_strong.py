@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from mzweak import pointer as ptr
+from mzweak.analysis import write_csv
 from mzweak.cli import build_state
 from mzweak.config import DEFAULTS, ExperimentConfig
 
@@ -32,13 +33,11 @@ for r in ratios:
     rows.append((r, g, cx, lin, cy, lin))
     print(f"{r:8.3f} {g:8.1f} {cx:9.2f} {lin:9.2f} {cy:9.2f} {lin:9.2f}")
 
-with open(OUT / "weak_to_strong.csv", "w", encoding="utf-8") as fh:
-    fh.write("g_over_sigma,g_um,centroid_x_um,first_order_x_um,centroid_y_um,first_order_y_um\n")
-    for row in rows:
-        fh.write(",".join(repr(float(v)) for v in row) + "\n")
+header = "g_over_sigma,g_um,centroid_x_um,first_order_x_um,centroid_y_um,first_order_y_um"
+write_csv(OUT / "weak_to_strong.csv", header, ("", *np.array(rows).T))
 
 # blocked-arm destructive pattern: opposite-sign branches at +/-g
 state = build_state(ExperimentConfig.from_dict({"blocked_arm": "A", "g_x": 50.0}), 0.0)
 grid = np.linspace(-2000.0, 2000.0, 801)
-ptr.write_profile_csv(OUT / "destructive_profile.csv", grid, ptr.marginal_intensity(state, "x", grid))
+write_csv(OUT / "destructive_profile.csv", "position_um,intensity", ("", grid, ptr.marginal_intensity(state, "x", grid)))
 print(f"\nwrote {OUT}/weak_to_strong.csv and {OUT}/destructive_profile.csv")

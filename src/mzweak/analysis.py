@@ -36,7 +36,7 @@ _FTOL = 1e-10
 _GTOL = 1e-8
 _MAX_ITER = 200
 _CHUNK_ROWS = 1024
-_EXPORT_ROWS = 1 << 16  # CSV rows formatted per write; above the default 10^4 draws
+_EXPORT_ROWS = 1 << 16  # results-CSV rows formatted at a time; above the default 10^4 draws
 _MAX_DROPPED = 0.01  # share of bootstrap fits that may fail before the distribution is rejected
 
 
@@ -395,13 +395,6 @@ def systematic_band(drift_records, scale: float) -> float:
     return float(np.std(params[:, 1]) / scale)
 
 
-def _row_blocks(*columns):
-    """The rows of equal-length array columns as strict zips of Python
-    values, _EXPORT_ROWS rows at a time, so export holds one block's text."""
-    for lo in range(0, max(len(c) for c in columns), _EXPORT_ROWS):
-        yield zip(*(c[lo : lo + _EXPORT_ROWS].tolist() for c in columns), strict=True)
-
-
 def export_results(
     out_dir,
     estimates: dict,
@@ -420,18 +413,10 @@ def export_results(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    with open(out / "centers.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("theta_deg,axis,draw_idx,center_um\n")
-        for dist in distributions:
-            head = f"{float(dist.theta)!r},{dist.axis},"
-            for rows in _row_blocks(dist.draw_idx, dist.centers):
-                fh.write("".join(f"{head}{i},{c!r}\n" for i, c in rows))
-
-    with open(out / "weak_values.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("axis,draw_idx,weak_value\n")
-        for axis, (idx, draws) in sorted(weak_draws.items()):
-            for rows in _row_blocks(idx, draws):
-                fh.write("".join(f"{axis},{i},{w!r}\n" for i, w in rows))
+    write_csv(out / "centers.csv", "theta_deg,axis,draw_idx,center_um",
+              *((f"{float(d.theta)!r},{d.axis},", d.draw_idx, d.centers) for d in distributions))
+    write_csv(out / "weak_values.csv", "axis,draw_idx,weak_value",
+              *((f"{axis},", idx, draws) for axis, (idx, draws) in sorted(weak_draws.items())))
 
     summary = {
         "schema_version": RESULTS_SCHEMA_VERSION,
@@ -450,6 +435,24 @@ def export_results(
     }
     write_json(out / "summary.json", summary)
     return summary
+
+
+def write_csv(path, header: str, *blocks) -> None:
+    """Write a results CSV (centers.csv, weak_values.csv, sweep_*.csv,
+    profiles): the header line, then per block (prefix, column, ...) of
+    array columns one row per entry, the prefix and the str(.tolist())
+    values joined by commas (a float as its repr, which re-parses
+    bit-exactly), LF line ends, _EXPORT_ROWS rows at a time. A block whose
+    columns differ in length raises ValueError before the file is opened."""
+    for prefix, *columns in blocks:
+        if len({len(c) for c in columns}) != 1:
+            raise ValueError(f"{path}: block {prefix!r} has columns of lengths {[len(c) for c in columns]}, not of one length")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for prefix, *columns in blocks:
+            for lo in range(0, len(columns[0]), _EXPORT_ROWS):
+                values = (map(str, c[lo : lo + _EXPORT_ROWS].tolist()) for c in columns)
+                fh.writelines((prefix, f"\n{prefix}".join(map(",".join, zip(*values))), "\n"))
 
 
 def write_json(path, payload) -> None:

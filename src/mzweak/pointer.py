@@ -358,10 +358,3 @@ def _erf(x):
     """math.erf elementwise; np.vectorize is several times slower."""
     return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
-
-def write_profile_csv(path, grid, intensity) -> None:
-    """Write an intensity profile as CSV (position_um, intensity)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("position_um,intensity\n")
-        for u, i in zip(np.asarray(grid), np.asarray(intensity)):
-            fh.write(f"{float(u)!r},{float(i)!r}\n")

@@ -677,6 +677,49 @@ def test_export_in_blocks_writes_the_bytes_of_one_block(tmp_path, monkeypatch):
         assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
+def bits(values):
+    """The IEEE-754 bit patterns of float values, so -0.0 and nan compare exactly."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_write_csv_reparses_awkward_values_bit_exactly(tmp_path):
+    floats = np.array([-0.0, np.nan, 1e16, 1e-05, 5e-324, -np.inf])
+    ints = np.arange(6, dtype=np.int64) * 10**15
+    path = tmp_path / "t.csv"
+    ana.write_csv(path, "a,b,i,x", ("1.5e-07, q,", ints, floats), ("", ints[:1], floats[:1]))
+    head, *rows, last = path.read_bytes().split(b"\n")
+    assert head == b"a,b,i,x" and last == b""
+    assert [r.split(b",")[:2] for r in rows[:-1]] == [[b"1.5e-07", b" q"]] * floats.size  # the prefix as given
+    parsed = [r.decode().rsplit(",", 2)[-2:] for r in rows]
+    assert [i for i, _ in parsed] == [str(v) for v in ints.tolist()] + ["0"]  # integers, not floats
+    assert np.array_equal(bits([float(x) for _, x in parsed]), bits(np.append(floats, -0.0)))
+
+
+@pytest.mark.parametrize("blocks", [
+    [("", np.arange(3.0), np.arange(2.0))],  # a profile of 3 positions and 2 intensities
+    [("", np.arange(2.0), np.arange(2.0)), ("a,", np.arange(1.0), [])],
+    [("", )],
+])
+def test_write_csv_refuses_columns_of_unequal_length_before_opening(tmp_path, blocks):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="not of one length"):
+        ana.write_csv(path, "u,i", *blocks)
+    assert not path.exists()
+
+
+def test_profile_csv_roundtrip(tmp_path):
+    grid = np.linspace(-100, 100, 5)
+    state = ptr.evolve_and_postselect(qm.pre_state(), [], qm.post_state(0.0), sigma=SIGMA)
+    profile = ptr.marginal_intensity(state, "x", grid)
+    path = tmp_path / "profile.csv"
+    ana.write_csv(path, "position_um,intensity", ("", grid, profile))
+    rows = path.read_text().strip().splitlines()
+    assert rows[0] == "position_um,intensity"
+    parsed = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    assert np.array_equal(bits(parsed[:, 0]), bits(grid))
+    assert np.array_equal(bits(parsed[:, 1]), bits(profile))
+
+
 def test_export_contains_both_axes(tmp_path):
     rng = np.random.default_rng(6)
     dists = {}

@@ -19,10 +19,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mzweak
-from mzweak.cli import MAX_SWEEP_POINTS, main, scan_filename
+from mzweak import pointer as ptr
+from mzweak import quantum as qm
+from mzweak.cli import MAX_SWEEP_POINTS, build_pair, build_state, main, scan_filename
 from mzweak.config import DEFAULTS, MAX_BOOTSTRAP, MAX_RECORD_CELLS, ExperimentConfig
 from mzweak.detection import ScanConfig, SourceModel
-from mzweak.errors import ConfigError
+from mzweak.errors import ConfigError, OrthogonalPostSelection
 from test_acceptance import SMALL_CONFIG
 
 SMALL = {
@@ -684,6 +686,27 @@ def test_cli_sweep_theta_orthogonal_point_keeps_its_centroid(tmp_path):
     theta, wv, centroid, first = row.split(",")
     assert (theta, wv, first) == ("67.5", "nan", "nan")
     assert np.isfinite(float(centroid))
+
+
+def test_cli_sweep_theta_reparses_bit_exactly(tmp_path):
+    # each column re-parses to the bits of the value it was computed as,
+    # the orthogonal point's nan included
+    assert main(["--quiet", "--out", str(tmp_path), "sweep",
+                 "--parameter", "theta", "--start", "-22.5", "--stop", "67.5", "--num", "5"]) == 0
+    rows = (tmp_path / "sweep_theta.csv").read_text().splitlines()[1:]
+    parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
+    x_b = qm.observable("diagonal", "B")
+    expected = []
+    for theta in np.linspace(-22.5, 67.5, 5).tolist():
+        config = ExperimentConfig.from_dict({"target_theta": theta})
+        try:
+            wv = qm.weak_value(x_b, build_pair(config, theta))
+            wv_re, first = wv.real, ptr.first_order_shift(wv, config.g_x)
+        except OrthogonalPostSelection:
+            wv_re = first = float("nan")
+        expected.append([theta, wv_re, ptr.centroid_exact(build_state(config, theta), "x"), first])
+    assert np.isnan(parsed[-1, 1])
+    assert np.array_equal(parsed.view(np.uint64), np.array(expected).view(np.uint64))
 
 
 def test_cli_sweep_theta_first_order_reads_the_configured_arm_phase(tmp_path):

@@ -643,15 +643,3 @@ def test_tiny_branches_pruned():
     # <phi(45)|psi> = 1/2 via the BV component only; AH component dies exactly
     assert len(state.branches) == 1
 
-
-def test_profile_csv_roundtrip(tmp_path):
-    grid = np.linspace(-100, 100, 5)
-    state = ptr.evolve_and_postselect(qm.pre_state(), [], qm.post_state(0.0), sigma=SIGMA)
-    profile = ptr.marginal_intensity(state, "x", grid)
-    path = tmp_path / "profile.csv"
-    ptr.write_profile_csv(path, grid, profile)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "position_um,intensity"
-    parsed = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    assert np.array_equal(parsed[:, 0], grid)
-    assert np.array_equal(parsed[:, 1], profile)
