@@ -31,8 +31,6 @@ from .quantum import (
     SystemOperator,
     SystemState,
     abl_conditional,
-    hwp_jones,
-    identity_operator,
     inner,
     joint_disturbing_distribution,
     observable,
@@ -40,7 +38,6 @@ from .quantum import (
     post_state,
     pre_state,
     qubit_pointer_excitation,
-    single_mode_qubit_response,
     weak_value,
 )
 from .pointer import (
@@ -50,12 +47,10 @@ from .pointer import (
     DEFAULT_SIGMA_UM,
     apply_coupler,
     centroid_exact,
-    diagonal_coupler_composite,
     evolve,
     evolve_and_postselect,
     first_order_shift,
     marginal_intensity,
-    mode_overlap,
 )
 from .detection import (
     DriftModel,

@@ -249,6 +249,7 @@ def _fit_chunk(u, y, start=None):
         return params, np.sqrt(state[7]), converged, n_iter
 
 
+# No command fits through it; it stays while perfbench's traced run wraps it (ROADMAP item 1)
 def fit_gaussian(positions, counts) -> FitResult:
     """Least-squares Gaussian-plus-offset fit of a single profile.
 

@@ -111,8 +111,9 @@ def _check_number(value, key, *, minimum=None, maximum=None, integer=False):
 
 
 def _check_angle(value, key):
-    """A finite angle that has a stream key (``rng.theta_key``)."""
-    theta = _check_number(value, key)
+    """A finite angle that has a stream key (``rng.theta_key``); -0.0 enters
+    as 0.0, so one angle has one scan file name."""
+    theta = _check_number(value, key) + 0.0
     _build(lambda: theta_key(theta), "", theta=key)
     return theta
 

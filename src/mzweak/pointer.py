@@ -13,9 +13,7 @@ a finite list of branches (coefficient, system basis index, dx, dy).
 Couplers are translation evolutions exp(-i g S P_axis): the path coupler
 (tilted plate) shifts the target arm by g along y; the diagonal-polarization
 coupler (beam-displacer stack) splits the target arm into a +g diagonal and a
--g anti-diagonal component along x. The displacer stack is also constructible
-element by element (Jones matrices plus single-polarization displacers) and
-must agree with the exponential form; see ``diagonal_coupler_composite``.
+-g anti-diagonal component along x.
 
 Default beam width: sigma = 475 um (a 1.9 mm beam read as 4 sigma full
 width); the alternative collimation reading, a 1.5 mm beam, is the config
@@ -32,39 +30,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyState, VanishingPostSelection
-from .quantum import ARM_INDICES, ARM_SPECTRA, SystemState, hwp_jones
+from .quantum import ARM_INDICES, ARM_SPECTRA, SystemState
 
 DEFAULT_SIGMA_UM = 475.0
 
 COEFF_PRUNE_TOL = 1e-15
-
-# The H and V projectors on an arm's (H, V) labels, for the beam displacer
-_P_H = np.diag([1.0, 0.0])
-_P_V = np.diag([0.0, 1.0])
 
 # The pointer axis each coupler kind moves; its observable is
 # ``quantum.ARM_SPECTRA[kind]`` on the target arm
 _COUPLER_AXES = {"spatial": "y", "diagonal": "x"}
 
 
-def gaussian_amplitude(u, center: float, sigma: float):
-    """Pointer mode amplitude xi_center(u)."""
-    u = np.asarray(u, dtype=float)
-    return (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(-((u - center) ** 2) / (4.0 * sigma**2))
-
-
 def _overlap(a, b, sigma):
     return np.exp(-((a - b) ** 2) / (8.0 * sigma**2))
-
-
-def mode_overlap(a: float, b: float, sigma: float) -> float:
-    """<xi_a|xi_b> = exp(-(a-b)^2 / (8 sigma^2))."""
-    return float(_overlap(a, b, sigma))
-
-
-def first_moment(a: float, b: float, sigma: float) -> float:
-    """integral u xi_a(u) xi_b(u) du = midpoint times overlap."""
-    return 0.5 * (a + b) * mode_overlap(a, b, sigma)
 
 
 class Branch(NamedTuple):
@@ -176,43 +154,6 @@ def apply_coupler(state: BranchState, spec: CouplerSpec) -> BranchState:
     eigenvalue * g along the kind's axis; the other arm passes through."""
     terms = [(proj, value * spec.g) for proj, value in ARM_SPECTRA[spec.kind]]
     return _apply_on_arm(state, spec.arm, _COUPLER_AXES[spec.kind], terms)
-
-
-def apply_jones(state: BranchState, arm: str, jones: np.ndarray) -> BranchState:
-    """Apply a 2x2 polarization Jones matrix to branches on one arm."""
-    if not np.all(np.isfinite(jones)):
-        raise ValueError("Jones matrix entries must be finite")
-    return _apply_on_arm(state, arm, "x", [(jones, 0.0)])
-
-
-def apply_displacer(state: BranchState, arm: str, shift: float) -> BranchState:
-    """Polarizing beam displacer on one arm: shifts the vertical (e-ray)
-    component by ``shift`` along x, leaves the horizontal (o-ray) in place."""
-    return _apply_on_arm(state, arm, "x", [(_P_H, 0.0), (_P_V, shift)])
-
-
-def diagonal_coupler_composite(arm: str, g: float):
-    """Optical-element construction of the diagonal coupler.
-
-    Half-wave plates at 22.5 deg sandwich a displacer pair (e-ray shifted by
-    -g, then +g) with 45 deg half-wave plates interleaved, which swaps the
-    e/o roles between the displacers. Displacement signs are oriented so the
-    stack equals exp(-i g X_arm P_x) (diagonal component toward +x) on every
-    basis state.
-    """
-    hwp_225 = hwp_jones(22.5)
-    hwp_45 = hwp_jones(45.0)
-
-    def transform(state: BranchState) -> BranchState:
-        st = apply_jones(state, arm, hwp_225)
-        st = apply_displacer(st, arm, -g)
-        st = apply_jones(st, arm, hwp_45)
-        st = apply_displacer(st, arm, +g)
-        st = apply_jones(st, arm, hwp_45)
-        st = apply_jones(st, arm, hwp_225)
-        return st
-
-    return transform
 
 
 def postselect(state: BranchState, post: SystemState) -> BranchState:

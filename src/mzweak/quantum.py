@@ -168,13 +168,6 @@ class OutcomeDistribution:
         return dict(self.outcomes)[label]
 
 
-def hwp_jones(theta_deg: float) -> np.ndarray:
-    """Jones matrix of a half-wave plate with fast axis at theta degrees."""
-    t = np.deg2rad(2.0 * float(theta_deg))
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, s], [s, -c]], dtype=complex)
-
-
 _R = 1.0 / np.sqrt(2.0)
 _PRE_STATE = SystemState(np.array([_R, 0.0, 0.0, _R], dtype=complex))
 
@@ -204,16 +197,12 @@ def post_state(theta_deg: float) -> SystemState:
     """(|A> + |B>)/sqrt(2) (x) S(theta)|H>: post-selection at HWP angle theta."""
     if not np.isfinite(theta_deg):
         raise ValueError("theta must be finite")
-    # S(theta)|H> = (cos 2t, sin 2t), the first column of hwp_jones(theta);
-    # "+ 0.0" turns t = -0.0 into +0.0, whose sine is +0.0 as in the Jones
-    # product hwp_jones(theta) @ |H>
+    # S(theta)|H> = (cos 2t, sin 2t), the first column of the Jones matrix
+    # S(theta); "+ 0.0" turns t = -0.0 into +0.0, whose sine is +0.0 as in
+    # the product S(theta) @ |H>
     t = np.deg2rad(2.0 * float(theta_deg)) + 0.0
     c, s = _R * np.cos(t), _R * np.sin(t)
     return SystemState(np.array([c, s, c, s], dtype=complex))
-
-
-def identity_operator() -> SystemOperator:
-    return SystemOperator(np.eye(4, dtype=complex))
 
 
 def _on_arm(block: np.ndarray, arm: str) -> np.ndarray:
@@ -343,48 +332,23 @@ def joint_disturbing_distribution(pp: PrePostPair):
     return uncond, cond
 
 
-def _qubit_rotation(angle: float) -> np.ndarray:
-    """exp(-i * angle * sigma_2) = [[cos, -sin], [sin, cos]] on the qubit."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def qubit_pointer_excitation(arm: str, g: float, pp: PrePostPair) -> float:
     """Excitation probability of a qubit pointer coupled to the diagonal
     polarization on one arm, conditioned on post-selection.
 
-    The coupling exp(-i g X_arm sigma2_q) is evolved exactly on the
-    8-dimensional system (x) qubit space via the spectral decomposition of
-    X_arm; the system is then projected on the post-selected state and the
-    qubit measured in its energy basis.
+    The coupling exp(-i g X_arm sigma2_q) rotates the qubit on each
+    eigenspace P_lam of X_arm, taking |0> to cos(g lam)|0> + sin(g lam)|1>.
+    Post-selection reads each projector branch's amplitude <post|P_lam pre>
+    and leaves the qubit in sum_lam <post|P_lam pre> (cos(g lam)|0> +
+    sin(g lam)|1>), which is measured in its energy basis.
     """
     pp.require_nonorthogonal()
-    op = observable("diagonal", arm)
-    u8 = np.zeros((8, 8), dtype=complex)
-    for lam, proj in op.spectrum:
-        u8 += np.kron(proj, _qubit_rotation(g * lam))
-    state8 = np.kron(np.asarray(pp.pre), np.array([1.0, 0.0], dtype=complex))
-    evolved = u8 @ state8
-    phi = np.asarray(pp.post)
-    amp_ground = np.vdot(np.kron(phi, np.array([1.0, 0.0])), evolved)
-    amp_excited = np.vdot(np.kron(phi, np.array([0.0, 1.0])), evolved)
+    amp_ground = amp_excited = 0.0
+    for lam, proj in observable("diagonal", arm).spectrum:
+        amp = _branch(proj, pp)[1]
+        amp_ground += np.cos(g * lam) * amp
+        amp_excited += np.sin(g * lam) * amp
     total = abs(amp_ground) ** 2 + abs(amp_excited) ** 2
     if total <= 1e-30:
         raise VanishingPostSelection("post-selected norm vanished under coupling")
     return float(abs(amp_excited) ** 2 / total)
-
-
-def single_mode_qubit_response(alpha: float, beta: float, g: float):
-    """Un-normalized qubit amplitudes after H-post-selecting one polarization mode.
-
-    For a single mode alpha|diag> + beta|anti> (real alpha, beta with
-    alpha^2 + beta^2 = 1) coupled to the qubit and post-selected on |H>, the
-    qubit is left in (alpha+beta) cos(g) |0> + (alpha-beta) sin(g) |1>.
-    Complex coefficients are not supported.
-    """
-    if isinstance(alpha, complex) or isinstance(beta, complex):
-        raise ValueError("complex mode coefficients are unsupported")
-    a, b = float(alpha), float(beta)
-    if abs(a * a + b * b - 1.0) > 1e-9:
-        raise ValueError("mode coefficients must satisfy alpha^2 + beta^2 = 1")
-    return (a + b) * np.cos(g), (a - b) * np.sin(g)

@@ -423,6 +423,22 @@ def test_cli_angles_that_share_a_g_tag_get_their_own_files(tmp_path, thetas):
     assert main(["--quiet", "--config", cfg, "--out", str(out), "analyze"]) == 0
 
 
+def test_cli_negative_zero_angle_is_zero(tmp_path):
+    # -0.0 and 0.0 are one angle: one scan file name, the same output bytes
+    outputs = {}
+    for theta in (-0.0, 0.0):
+        run = tmp_path / repr(theta)
+        run.mkdir()
+        cfg = write_config(run, dict(SMALL, target_theta=theta))
+        for command in ("simulate", "analyze"):
+            assert main(["--quiet", "--config", cfg, "--out", str(run / "out"), command]) == 0
+        outputs[theta] = {p.name: p.read_bytes() for p in (run / "out").iterdir()}
+    assert outputs[-0.0] == outputs[0.0]
+    out = tmp_path / "flag"
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "--theta", "-0", "simulate"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [scan_filename(0.0, ax) for ax in ("x", "y")]
+
+
 def test_cli_simulate_zero_rate_all_zero(tmp_path):
     doc = dict(SMALL)
     doc["scan"] = dict(SMALL["scan"], mean_rate=0.0)
@@ -904,8 +920,12 @@ def test_cli_seed_override_changes_counts(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test dependency only; a fresh interpreter must not load it
-    code = "import sys, mzweak, mzweak.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # scipy, hypothesis, pytest and the test oracles are test dependencies
+    # only; a fresh interpreter must load none of them
+    code = (
+        "import sys, mzweak, mzweak.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'oracles', 'hypothesis', 'pytest', '_pytest')))"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(mzweak.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True

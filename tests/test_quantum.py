@@ -13,6 +13,8 @@ from mzweak.errors import (
 )
 from mzweak.rng import ABL_MC, stream
 
+import oracles
+
 RT2 = np.sqrt(2.0)
 
 
@@ -108,7 +110,7 @@ def test_pre_state_rejects_unknown_arm():
 @pytest.mark.parametrize("theta", [0.0, -0.0, 22.5, 45.0, 67.5, 90.0, -33.3, 1e-300, 719.9])
 def test_post_state_bits_equal_jones_product(theta):
     # the Kronecker form of the docstring, (|A> + |B>)/sqrt(2) (x) S(theta)|H>
-    pol = qm.hwp_jones(theta) @ np.array([1.0, 0.0], dtype=complex)
+    pol = oracles.hwp_jones(theta) @ np.array([1.0, 0.0], dtype=complex)
     expected = np.kron(np.array([1.0, 1.0]) / np.sqrt(2.0), pol)
     assert qm.post_state(theta).amplitudes.tobytes() == expected.tobytes()
 
@@ -195,7 +197,7 @@ def test_weak_value_reference_angles():
 
 @given(nonorthogonal_thetas)
 def test_weak_value_identity_is_one(theta):
-    wv = qm.weak_value(qm.identity_operator(), qm.pair(theta))
+    wv = qm.weak_value(qm.SystemOperator(np.eye(4)), qm.pair(theta))
     assert abs(wv - 1.0) < 1e-12
 
 
@@ -316,7 +318,7 @@ def test_abl_spatial_distribution_sums_to_one(theta):
 
 
 def test_abl_identity_probability_one():
-    dist = qm.abl_distribution(qm.identity_operator(), qm.pair(30.0))
+    dist = qm.abl_distribution(qm.SystemOperator(np.eye(4)), qm.pair(30.0))
     assert len(dist) == 1 and abs(dist[0][1] - 1.0) < 1e-12
 
 
@@ -453,14 +455,22 @@ def test_qubit_pointer_arm_b_value():
     assert abs(p - 1.0 / 3.0) < 1e-12
 
 
-@pytest.mark.parametrize("g", [0.1, np.pi / 4, 0.9, 1.7])
-@pytest.mark.parametrize("arm", ["A", "B"])
-def test_qubit_pointer_vs_expm_oracle(arm, g):
+# theta = 0 keeps the ids "arm-g"; away from it the branch amplitudes differ
+@pytest.mark.parametrize(
+    "arm,g,theta",
+    [
+        pytest.param(arm, g, theta, id=f"{arm}-{g}" + (f"-theta{theta:g}" if theta else ""))
+        for theta in (0.0, 10.0, 30.0, 60.0)
+        for arm in "AB"
+        for g in (0.1, np.pi / 4, 0.9, 1.7)
+    ],
+)
+def test_qubit_pointer_vs_expm_oracle(arm, g, theta):
     # oracle: full 8-dim matrix exponential, independent of the spectral path
     sigma2 = np.array([[0, -1j], [1j, 0]])
     x_arm = np.asarray(qm.observable("diagonal", arm))
     u8 = expm(-1j * g * np.kron(x_arm, sigma2))
-    pp = qm.pair(0.0)
+    pp = qm.pair(theta)
     state8 = np.kron(np.asarray(pp.pre), [1.0, 0.0])
     evolved = u8 @ state8
     phi = np.asarray(pp.post)
@@ -477,24 +487,6 @@ def test_qubit_pointer_zero_coupling():
 def test_qubit_pointer_vanishing_norm():
     with pytest.raises(VanishingPostSelection):
         qm.qubit_pointer_excitation("A", np.pi / 2, qm.pair(0.0))
-
-
-def test_single_mode_qubit_response_examples():
-    r = 1 / RT2
-    ground, excited = qm.single_mode_qubit_response(r, r, np.pi / 4)  # |H>
-    assert abs(excited) < 1e-12
-    ground, excited = qm.single_mode_qubit_response(r, -r, np.pi / 4)  # |V>
-    assert abs(ground) < 1e-12
-    assert abs(excited**2 - 1.0) < 1e-12
-    _, excited = qm.single_mode_qubit_response(0.6, 0.8, 0.0)
-    assert excited == 0.0
-
-
-def test_single_mode_qubit_response_rejects_bad_input():
-    with pytest.raises(ValueError):
-        qm.single_mode_qubit_response(0.5 + 0.1j, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        qm.single_mode_qubit_response(0.9, 0.9, 1.0)
 
 
 # ----------------------------------------------------------- distributions
