@@ -26,7 +26,7 @@ from . import analysis as ana
 from . import detection as det
 from . import pointer as ptr
 from . import quantum as qm
-from .config import ExperimentConfig, read_json
+from .config import REFERENCES, ExperimentConfig, read_json
 from .errors import (
     ConfigError,
     MissingReference,
@@ -40,17 +40,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_NUMERIC = 4
-
-
-def _theta_tag(theta: float) -> str:
-    """The angle as %g (0, 45, -12.5) when that reads back as the same float,
-    else its repr, so that no two angles share a file name."""
-    tag = f"{theta:g}"
-    return tag if float(tag) == theta else repr(theta)
-
-
-def scan_filename(theta: float, axis: str) -> str:
-    return f"scan_theta{_theta_tag(theta)}_{axis}.csv"
 
 
 def build_couplers(config: ExperimentConfig):
@@ -110,16 +99,16 @@ def cmd_weakvalue(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
-    """Simulate scan records for every angle and both axes."""
+    """Simulate the scan records of the plan of ``theta_list``, in its order;
+    each angle's pointer state is built once, for both axes."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for theta in config.theta_list:
-        state = build_state(config, theta)
-        scan = config.scan_config(theta)
-        for axis in AXIS_KEY:
-            record = det.simulate_scan(state, scan, axis, config.scan_drift_model(axis), config.seed)
-            path = out_dir / scan_filename(theta, axis)
-            record.save_csv(path)
-            _say(quiet, f"wrote {path} ({scan.repeats} repeats)")
+    state_of = {}
+    for scan, axis, name in config.scans(config.theta_list):
+        if scan.theta not in state_of:  # one angle's state at a time: holding them all raised the peak RSS
+            state_of = {scan.theta: build_state(config, scan.theta)}
+        record = det.simulate_scan(state_of[scan.theta], scan, axis, config.scan_drift_model(axis), config.seed)
+        record.save_csv(out_dir / name)
+        _say(quiet, f"wrote {out_dir / name} ({scan.repeats} repeats)")
     return EXIT_OK
 
 
@@ -127,14 +116,13 @@ def _grid_text(positions) -> str:
     return f"{positions.size} positions from {float(positions[0])!r} to {float(positions[-1])!r} um"
 
 
-def _bootstrap_file(config: ExperimentConfig, out_dir: Path, theta: float, axis: str, first):
+def _bootstrap_file(config: ExperimentConfig, path: Path, theta: float, axis: str, first):
     """(first, bootstrap distribution) of one scan file, where ``first`` is
     the (path, positions, seed) of the first file read (None before it). A
     file that cannot be opened or is damaged, one whose rows name another
     angle or axis than its file name, one from another run than the first
     file (another position grid or seed), or one with too few positions or
     repeats to bootstrap, is unreadable input."""
-    path = out_dir / scan_filename(theta, axis)
     if not path.exists():
         raise MissingReference(f"missing scan file: {path}")
     try:
@@ -158,21 +146,16 @@ def _bootstrap_file(config: ExperimentConfig, out_dir: Path, theta: float, axis:
         raise UnreadableInput(f"{path}: {exc}") from None
 
 
-# The post-selection angles of weak value 0 and 1, whose pointer shifts scale analyze's
-_REFERENCES = (45.0, 90.0)
-
-
 def cmd_analyze(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     """Bootstrap centers, weak-value estimates and systematic bands. The scan
-    records of the target and reference angles must come from one run; each
-    is checked against the first as it loads, and bootstrapped before the
-    next one is read, once for an angle both target and reference."""
-    thetas = (config.target_theta, *_REFERENCES)
+    records of the plan of the target and reference angles must come from one
+    run; each is checked against the first as it loads, and bootstrapped
+    before the next one is read."""
+    thetas = (config.target_theta, *REFERENCES)
     dists = {}
     first = None
-    for theta in dict.fromkeys(thetas):
-        for axis in AXIS_KEY:
-            first, dists[(theta, axis)] = _bootstrap_file(config, out_dir, theta, axis, first)
+    for scan, axis, name in config.scans(thetas):
+        first, dists[(scan.theta, axis)] = _bootstrap_file(config, out_dir / name, scan.theta, axis, first)
 
     estimates = {}
     draws = {}

@@ -153,21 +153,14 @@ def _build(build, section: str, **renamed):
         raise ConfigError(f"{renamed.get(field, f'{section}.{field}')}: {message}") from None
 
 
-def _record_repeats(config) -> dict:
-    """The repeats of each record, a target or reference scan or the drift
-    run (one profile per repeat), by config key."""
-    return {
-        "scan.repeats": config.scan["repeats"],
-        "scan.reference_repeats": config.scan["reference_repeats"],
-        "drift.n_profiles": config.drift["n_profiles"],
-    }
-
-
 def _check_cells(config) -> None:
-    """Each record has at most MAX_RECORD_CELLS count cells; a larger one
-    names its repeats key."""
+    """Each record, a target or reference scan or the drift run (one profile
+    per repeat), has at most MAX_RECORD_CELLS count cells; a larger one names
+    its repeats key."""
     n_points = config.scan["n_points"]
-    for key, count in _record_repeats(config).items():
+    for key in ("scan.repeats", "scan.reference_repeats", "drift.n_profiles"):
+        section, field = key.split(".")
+        count = getattr(config, section)[field]
         cells = count * n_points
         _require(cells <= MAX_RECORD_CELLS, key, f"{count} x {n_points} positions = {cells} count cells, over {MAX_RECORD_CELLS}")
 
@@ -179,7 +172,7 @@ def _check_lengths(config) -> None:
     scan, drift = config.scan, config.drift
     grid = config.scan_config(config.target_theta).positions
     axis = max(AXIS_KEY, key=lambda a: drift[f"step_sigma_{a}"])
-    steps = max(_record_repeats(config).values())
+    steps = max(scan["repeats"], scan["reference_repeats"], drift["n_profiles"])
     lengths = {
         "sigma": config.sigma,
         "g_x": config.g_x,
@@ -192,6 +185,18 @@ def _check_lengths(config) -> None:
     total = sum(lengths.values())
     key = max(lengths, key=lengths.get)
     _require(total <= MAX_LENGTH_UM, key, f"the lengths on the beam path sum to {total:g} um, over {MAX_LENGTH_UM:g}")
+
+
+# The post-selection angles of weak value 0 and 1, whose pointer shifts scale analyze's weak values
+REFERENCES = (45.0, 90.0)
+
+
+def scan_filename(theta: float, axis: str) -> str:
+    """The scan file of one angle and axis. The angle reads as %g (0, 45,
+    -12.5) when that reads back as the same float, else as its repr, so that
+    no two angles share a file name."""
+    tag = f"{theta:g}"
+    return f"scan_theta{tag if float(tag) == theta else repr(theta)}_{axis}.csv"
 
 
 def read_json(path):
@@ -238,6 +243,7 @@ class ExperimentConfig:
         if not isinstance(thetas, list) or not thetas:
             raise ConfigError("theta_list: expected a non-empty list of angles")
         theta_list = tuple(_check_angle(t, "theta_list[]") for t in thetas)
+        _require(len(set(theta_list)) == len(theta_list), "theta_list", "repeats an angle; each angle is one scan")
 
         target_theta = _check_angle(raw.get("target_theta", DEFAULTS["target_theta"]), "target_theta")
         top = {}  # checked in the order of DEFAULTS, so that the first bad key is the one reported
@@ -282,6 +288,16 @@ class ExperimentConfig:
         if theta != self.target_theta:
             scan["repeats"] = reference_repeats
         return ScanConfig(**scan)
+
+    def scans(self, thetas) -> list:
+        """The record plan of the angles ``thetas``: one (ScanConfig, axis,
+        file name) per distinct angle and axis, in the order of ``thetas``
+        and x before y. ``simulate`` writes the plan of ``theta_list``;
+        ``analyze`` reads that of ``(target_theta, *REFERENCES)``, an angle
+        both target and reference once."""
+        return [
+            (self.scan_config(theta), axis, scan_filename(theta, axis)) for theta in dict.fromkeys(thetas) for axis in AXIS_KEY
+        ]
 
     def scan_drift_model(self, axis: str) -> DriftModel:
         """Drift applied to ordinary scans (none unless configured)."""

@@ -38,7 +38,7 @@ class ZeroScale(SimulationError):
 
 
 class MissingReference(SimulationError):
-    """A required reference dataset (45 or 90 degree scan) is absent."""
+    """A scan file ``analyze`` needs is absent."""
 
 
 class UnreadableInput(SimulationError):

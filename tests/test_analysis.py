@@ -11,8 +11,8 @@ from mzweak import detection as det
 from mzweak import pointer as ptr
 from mzweak import quantum as qm
 from mzweak import rng as rngmod
-from mzweak.cli import build_state, cmd_analyze, cmd_simulate, main, scan_filename
-from mzweak.config import ExperimentConfig
+from mzweak.cli import build_state, cmd_analyze, cmd_simulate, main
+from mzweak.config import ExperimentConfig, scan_filename
 from mzweak.errors import DegenerateProfile, NonConvergence, ZeroScale
 
 SIGMA = 475.0

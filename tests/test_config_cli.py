@@ -21,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 import mzweak
 from mzweak import pointer as ptr
 from mzweak import quantum as qm
-from mzweak.cli import MAX_SWEEP_POINTS, build_pair, build_state, main, scan_filename
-from mzweak.config import DEFAULTS, MAX_BOOTSTRAP, MAX_RECORD_CELLS, ExperimentConfig
+from mzweak.cli import MAX_SWEEP_POINTS, build_pair, build_state, main
+from mzweak.config import DEFAULTS, MAX_BOOTSTRAP, MAX_RECORD_CELLS, REFERENCES, ExperimentConfig, scan_filename
 from mzweak.detection import ScanConfig, SourceModel
 from mzweak.errors import ConfigError, OrthogonalPostSelection
 from test_acceptance import SMALL_CONFIG
@@ -393,6 +393,24 @@ def test_cli_weakvalue_blocked_arm_a_is_orthogonal_at_zero(tmp_path, capsys):
     assert "undefined (orthogonal post-selection)" in capsys.readouterr().out
     data = json.loads((tmp_path / "weakvalues.json").read_text())
     assert data["rows"][0]["undefined"] == "orthogonal post-selection"
+
+
+def test_record_plan_names_the_scan_files_of_each_command():
+    # simulate writes the plan of theta_list; analyze reads that of (target,
+    # zero reference, unit reference), an angle that is both once
+    def plan(config, thetas):
+        return [(scan.theta, scan.repeats, axis, name) for scan, axis, name in config.scans(thetas)]
+
+    six = [(theta, repeats, axis, f"scan_theta{theta:g}_{axis}.csv")
+           for theta, repeats in ((0.0, 16), (45.0, 3), (90.0, 3)) for axis in ("x", "y")]
+    config = ExperimentConfig.from_dict({})
+    assert plan(config, config.theta_list) == six
+    assert plan(config, (config.target_theta, *REFERENCES)) == six
+    config = ExperimentConfig.from_dict({"target_theta": 45.0})
+    assert plan(config, (config.target_theta, *REFERENCES)) == [
+        (45.0, 16, "x", "scan_theta45_x.csv"), (45.0, 16, "y", "scan_theta45_y.csv"),
+        (90.0, 3, "x", "scan_theta90_x.csv"), (90.0, 3, "y", "scan_theta90_y.csv"),
+    ]
 
 
 def test_cli_simulate_writes_six_files(tmp_path):
@@ -866,6 +884,9 @@ def test_cli_bad_config_exit_code(tmp_path):
         # a section or the document that is not an object
         ({"scan": 5}, [], "scan: expected an object, got int"),
         ([1], [], "config root: expected an object, got list"),
+        # one angle is one scan: a repeat, also as -0.0, would write its files twice
+        ({"theta_list": [0.0, 0.0, 45.0, 90.0]}, [], "theta_list: repeats an angle"),
+        ({"theta_list": [-0.0, 0.0, 45.0, 90.0]}, [], "theta_list: repeats an angle"),
     ],
 )
 def test_cli_bad_numbers_are_config_errors(tmp_path, capsys, doc, flags, key):
