@@ -82,7 +82,8 @@ _MINIMUM = {"g_x": 0.0, "g_y": 0.0, "sigma": MIN_SIGMA_UM, "seed": 0,
 MAX_BOOTSTRAP = 1_000_000
 _MAXIMUM = {"analysis.n_bootstrap": MAX_BOOTSTRAP}
 # Most count cells in one record: repeats (or drift profiles) x n_points.
-# simulate and analyze hold a few arrays of this size (README: time and
+# simulate and analyze hold a few arrays of this size; the rate model's
+# window integrals hold one block of windows at a time (README: time and
 # memory at this bound)
 MAX_RECORD_CELLS = 1_000_000
 

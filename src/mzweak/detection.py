@@ -347,7 +347,8 @@ def expected_rate(state: BranchState, axis: str, position, config: ScanConfig):
     Integrates the marginal intensity over the fiber core and scales so the
     peak grid position of the undrifted profile yields ``mean_rate``. The
     grid and the requested positions go through one ``windowed_intensity``
-    call, so windows they share are integrated once.
+    call, which integrates them a block at a time: windows they share within
+    a block are integrated once.
     """
     pos = np.asarray(position, dtype=float)
     n = config.n_points

@@ -36,6 +36,10 @@ DEFAULT_SIGMA_UM = 475.0
 
 COEFF_PRUNE_TOL = 1e-15
 
+# Most centers windowed_intensity integrates at once: its edge table, erf
+# values and gathers are held for one block, not for a whole record
+_BLOCK_CENTERS = 2048
+
 # The pointer axis each coupler kind moves; its observable is
 # ``quantum.ARM_SPECTRA[kind]`` on the target arm
 _COUPLER_AXES = {"spatial": "y", "diagonal": "x"}
@@ -276,23 +280,29 @@ def windowed_intensity(state: BranchState, axis: str, centers, width: float) -> 
     """Integral of the marginal intensity over [c - width/2, c + width/2].
 
     Closed form via the normal CDF of the mixture's Gaussians; used for
-    fiber-core integration. erf runs once per distinct window edge and
+    fiber-core integration. The centers, flattened, are integrated one block
+    of _BLOCK_CENTERS at a time, so the temporaries grow with the block, not
+    with the call. Within a block erf runs once per distinct window edge and
     mixture midpoint: windows that share an edge (a scan whose step equals
     its width, or a repeated center) share its erf values. Each center sums
     mass * weight along a C-contiguous midpoint axis, so its value does not
-    depend on how many centers share the call.
+    depend on how many centers share the call or its block.
     """
     if not state.branches:
         raise EmptyState("no branches")
     mids, weight = _mixture(state, axis)
     c = np.atleast_1d(np.asarray(centers, dtype=float))
-    edges, edge_idx = np.unique(np.stack([c + 0.5 * width, c - 0.5 * width]), return_inverse=True)
-    edge_idx = edge_idx.reshape((2,) + c.shape)
+    flat = c.ravel()
+    total = np.empty(flat.size)
     z = 1.0 / (state.sigma * np.sqrt(2.0))
-    cdf = _erf((edges[:, None] - mids) * z)
-    mass = 0.5 * (cdf[edge_idx[0]] - cdf[edge_idx[1]])
-    total = np.sum(mass * weight, axis=-1)
-    return np.clip(total, 0.0, None)
+    for lo in range(0, flat.size, _BLOCK_CENTERS):
+        block = flat[lo : lo + _BLOCK_CENTERS]
+        edges, edge_idx = np.unique(np.stack([block + 0.5 * width, block - 0.5 * width]), return_inverse=True)
+        edge_idx = edge_idx.reshape(2, block.size)
+        cdf = _erf((edges[:, None] - mids) * z)
+        mass = 0.5 * (cdf[edge_idx[0]] - cdf[edge_idx[1]])
+        total[lo : lo + block.size] = np.sum(mass * weight, axis=-1)
+    return np.clip(total, 0.0, None, out=total).reshape(c.shape)
 
 
 def _erf(x):

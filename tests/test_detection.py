@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +60,27 @@ def test_expected_rate_grid_sum_matches_analytic_flux():
 
 
 def test_expected_rate_rows_match_per_offset_calls():
-    # one (repeats, n_points) call replaces one grid call per drift offset
+    # one (repeats, n_points) call replaces one grid call per drift offset;
+    # the second set's 80 x 61 windows plus the grid span three blocks of
+    # windowed_intensity
     cfg = det.ScanConfig(mean_rate=1000.0)
-    offsets = np.array([-37.5, 0.0, 12.25, 410.0])
-    rows = det.expected_rate(paper_state(), "x", cfg.positions - offsets[:, None], cfg)
-    assert rows.shape == (4, cfg.n_points)
-    for row, off in zip(rows, offsets):
-        assert np.array_equal(row, det.expected_rate(paper_state(), "x", cfg.positions - off, cfg))
+    for offsets in (np.array([-37.5, 0.0, 12.25, 410.0]), np.linspace(-1000.0, 1000.0, 80) + 0.375):
+        rows = det.expected_rate(paper_state(), "x", cfg.positions - offsets[:, None], cfg)
+        assert rows.shape == (offsets.size, cfg.n_points)
+        for row, off in zip(rows, offsets):
+            assert np.array_equal(row, det.expected_rate(paper_state(), "x", cfg.positions - off, cfg))
+
+
+def test_windowed_intensity_rows_match_per_row_calls_across_blocks():
+    # a 2-D call larger than one block gives each row the bits of its own call
+    cfg = det.ScanConfig()
+    centers = cfg.positions - np.linspace(-800.0, 800.0, 3 * ptr._BLOCK_CENTERS // cfg.n_points)[:, None]
+    assert centers.size > 2 * ptr._BLOCK_CENTERS
+    for state in (paper_state(30.0, g=300.0), single_gaussian()):
+        flux = ptr.windowed_intensity(state, "y", centers, cfg.fiber_core)
+        assert flux.shape == centers.shape
+        for row, c in zip(flux, centers):
+            assert np.array_equal(row, ptr.windowed_intensity(state, "y", c, cfg.fiber_core))
 
 
 def two_call_expected_rate(state, axis, position, cfg):
@@ -674,6 +689,22 @@ def test_drift_run_profiles_are_prefix_stable():
     for a, b in zip(short, long[:20]):
         assert np.array_equal(a.counts, b.counts)
     assert not np.array_equal(long[0].counts, long[1].counts)
+
+
+def test_drift_run_holds_few_bytes_per_count_cell():
+    # windowed_intensity integrates one block of windows at a time: the run's
+    # peak is its rate, count and record arrays; the edge tables and erf
+    # values of every window at once would take ~120 bytes per cell
+    cfg = det.ScanConfig(repeats=1)
+    walk = det.DriftModel(step_sigma=2.0)
+    tracemalloc.start()
+    try:
+        records = det.simulate_drift_run(cfg, walk, 4000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 4000
+    assert peak <= 40 * 4000 * cfg.n_points
 
 
 def test_drift_run_records_are_frozen_single_repeat_records():
