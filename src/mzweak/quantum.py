@@ -32,12 +32,11 @@ import numpy as np
 
 from .errors import NotAnEigenvalue, OrthogonalPostSelection, VanishingPostSelection
 
-BASIS_LABELS = ("AH", "AV", "BH", "BV")
 ARM_INDICES = {"A": (0, 1), "B": (2, 3)}
 
 ORTHOGONALITY_TOL = 1e-9
 EIGENVALUE_TOL = 1e-9
-MATRIX_TOL = 1e-12  # largest entry of A - A^dagger (Hermitian) or A^2 - A (projector)
+MATRIX_TOL = 1e-12  # largest entry of A - A^dagger in a Hermitian operator
 
 # The projectors of the observable kinds on one arm's (H, V) labels: the
 # identity, and the diagonal and anti-diagonal polarization projectors
@@ -99,9 +98,6 @@ class SystemOperator:
     def is_hermitian(self) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= MATRIX_TOL)
 
-    def is_projector(self) -> bool:
-        return bool(np.max(np.abs(self.matrix @ self.matrix - self.matrix)) <= MATRIX_TOL)
-
     @cached_property
     def spectrum(self) -> tuple:
         """Spectral decomposition ((eigenvalue, projector), ...), degeneracies merged.
@@ -153,7 +149,6 @@ class OutcomeDistribution:
     """Labelled probabilities, either unconditional or post-selected."""
 
     outcomes: tuple
-    kind: str  # "unconditional" | "conditional-on-postselection"
 
     def __post_init__(self):
         outcomes = tuple((str(k), float(p)) for k, p in self.outcomes)
@@ -321,14 +316,11 @@ def joint_disturbing_distribution(pp: PrePostPair):
     psi = pp.pre.amplitudes
     branches = {k: _branch(proj, pp) for k, proj in _JOINT_PROJECTORS.items()}
     norm = float(np.real(np.vdot(psi, psi)))
-    uncond = OutcomeDistribution(tuple((k, w / norm) for k, (w, _) in branches.items()), kind="unconditional")
+    uncond = OutcomeDistribution(tuple((k, w / norm) for k, (w, _) in branches.items()))
     # A, B+ and B- sum to the identity: the amplitudes sum to <post|pre> != 0, so total > 0
     weights = {k: abs(amp) ** 2 for k, (_, amp) in branches.items()}
     total = sum(weights.values())
-    cond = OutcomeDistribution(
-        tuple((k, w / total) for k, w in weights.items()),
-        kind="conditional-on-postselection",
-    )
+    cond = OutcomeDistribution(tuple((k, w / total) for k, w in weights.items()))
     return uncond, cond
 
 

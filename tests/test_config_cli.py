@@ -22,7 +22,7 @@ import mzweak
 from mzweak import pointer as ptr
 from mzweak import quantum as qm
 from mzweak.cli import MAX_SWEEP_POINTS, build_pair, build_state, main
-from mzweak.config import DEFAULTS, MAX_BOOTSTRAP, MAX_RECORD_CELLS, REFERENCES, ExperimentConfig, scan_filename
+from mzweak.config import DEFAULTS, MAX_BOOTSTRAP, MAX_RECORD_CELLS, REFERENCES, ExperimentConfig, read_json, scan_filename
 from mzweak.detection import ScanConfig, SourceModel
 from mzweak.errors import ConfigError, OrthogonalPostSelection
 from test_acceptance import SMALL_CONFIG
@@ -113,20 +113,20 @@ def test_config_file_nan_rejected(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"theta_list": [0.0, NaN]}')
     with pytest.raises(ConfigError, match="theta_list"):
-        ExperimentConfig.from_file(path)
+        ExperimentConfig.from_dict(read_json(path))
 
 
 def test_config_file_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
-        ExperimentConfig.from_file(bad)
+        ExperimentConfig.from_dict(read_json(bad))
     bad.write_text('{"seed": ' + "1" * 5000 + "}")  # beyond Python's int conversion limit
     with pytest.raises(ConfigError, match="invalid JSON"):
-        ExperimentConfig.from_file(bad)
+        ExperimentConfig.from_dict(read_json(bad))
     bad.write_bytes(b'{"output_dir": "\xff"}')
     with pytest.raises(ConfigError, match="cannot read config"):
-        ExperimentConfig.from_file(bad)
+        ExperimentConfig.from_dict(read_json(bad))
 
 
 def test_defaults_document_complete():
@@ -942,13 +942,15 @@ def test_cli_seed_override_changes_counts(tmp_path):
 
 def test_import_loads_no_scipy():
     # scipy, hypothesis, pytest and the test oracles are test dependencies
-    # only; a fresh interpreter must load none of them
+    # only; a fresh interpreter must load none of them. The package root
+    # holds only __version__, so importing it alone loads no submodule.
     code = (
-        "import sys, mzweak, mzweak.cli; print(sorted(m for m in sys.modules"
+        "import sys, mzweak; print(mzweak.__version__, sorted(m for m in sys.modules if m.startswith('mzweak.')));"
+        " import mzweak.cli; print(sorted(m for m in sys.modules"
         " if m.split('.')[0] in ('scipy', 'oracles', 'hypothesis', 'pytest', '_pytest')))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(mzweak.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["0.1.0 []", "[]"]

@@ -156,8 +156,9 @@ def test_observables_hermitian_and_projector_property():
     for kind in ("spatial", "diagonal"):
         for arm in ("A", "B"):
             assert qm.observable(kind, arm).is_hermitian()
-    assert qm.observable("spatial", "A").is_projector()
-    assert qm.observable("spatial", "B").is_projector()
+    for arm in ("A", "B"):
+        proj = np.asarray(qm.observable("spatial", arm))
+        assert np.max(np.abs(proj @ proj - proj)) <= qm.MATRIX_TOL
 
 
 def test_diagonal_swaps_h_and_v():
@@ -494,12 +495,12 @@ def test_qubit_pointer_vanishing_norm():
 
 def test_outcome_distribution_validation():
     with pytest.raises(ValueError):
-        qm.OutcomeDistribution((("a", 0.7), ("b", 0.7)), kind="unconditional")
+        qm.OutcomeDistribution((("a", 0.7), ("b", 0.7)))
     with pytest.raises(ValueError):
-        qm.OutcomeDistribution((("a", -0.1), ("b", 1.1)), kind="unconditional")
+        qm.OutcomeDistribution((("a", -0.1), ("b", 1.1)))
 
 
 @pytest.mark.parametrize("probs", [(np.nan, 1.0), (0.5, np.nan), (np.nan, np.nan)])
 def test_outcome_distribution_rejects_nan(probs):
     with pytest.raises(ValueError, match="probabilities"):
-        qm.OutcomeDistribution(tuple(zip("ab", probs)), kind="unconditional")
+        qm.OutcomeDistribution(tuple(zip("ab", probs)))

@@ -1,4 +1,4 @@
-"""The two end-to-end scripts, run as a user runs them, in a fresh interpreter."""
+"""The end-to-end scripts and ``python -m mzweak``, run as a user runs them, in a fresh interpreter."""
 
 import csv
 import json
@@ -10,13 +10,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, out, tmp_path):
+def run_python(args, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), str(out)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def run_script(name, out, tmp_path):
+    return run_python([str(ROOT / "scripts" / name), str(out)], tmp_path)
+
+
+def test_python_m_mzweak(tmp_path):
+    # ``python -m mzweak`` is the one entry point through the package root
+    out = tmp_path / "runs"
+    proc = run_python(["-m", "mzweak", "--quiet", "--out", str(out), "weakvalue"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "weakvalues.json").is_file()
 
 
 def test_run_headline_script(tmp_path):
