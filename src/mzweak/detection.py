@@ -334,15 +334,13 @@ class DriftModel:
             )
 
     def offsets(self, n: int, rng) -> np.ndarray:
-        """Beam-center offset before each of n profiles (um)."""
-        if self.step_sigma == 0.0:
-            return np.full(n, self.initial_offset)
-        steps = rng.normal(0.0, self.step_sigma, size=n)
-        return self.initial_offset + np.cumsum(steps)
+        """Beam-center offset before each of n profiles (um); a zero step stays at ``initial_offset``."""
+        return self.initial_offset + np.cumsum(rng.normal(0.0, self.step_sigma, size=n))
 
 
-def expected_rate(state: BranchState, axis: str, position, config: ScanConfig):
-    """Mean count of one repeat at a fiber position.
+def expected_rate(state: BranchState, axis: str, position, config: ScanConfig) -> np.ndarray:
+    """Mean count of one repeat at each fiber position, an array of the
+    positions' shape (0-d for a single position).
 
     Integrates the marginal intensity over the fiber core and scales so the
     peak grid position of the undrifted profile yields ``mean_rate``. The
@@ -354,11 +352,8 @@ def expected_rate(state: BranchState, axis: str, position, config: ScanConfig):
     n = config.n_points
     both = windowed_intensity(state, axis, np.concatenate([config.positions, pos.ravel()]), config.fiber_core)
     peak = float(np.max(both[:n]))
-    flux = both[n:].reshape(pos.shape)
-    if peak <= 0.0:
-        return np.zeros_like(flux) if pos.ndim else 0.0
-    scaled = config.mean_rate * flux / peak
-    return scaled if pos.ndim else float(scaled)
+    rates = np.zeros(pos.size) if peak <= 0.0 else config.mean_rate * both[n:] / peak
+    return rates.reshape(pos.shape)
 
 
 def _drifted_rates(state: BranchState, axis: str, config: ScanConfig, offsets) -> np.ndarray:
@@ -375,14 +370,20 @@ def _drifted_rates(state: BranchState, axis: str, config: ScanConfig, offsets) -
     return expected_rate(state, axis, config.positions - distinct[:, None], config)[row]
 
 
+def _draw_record(state, axis, config, drift, repeats, seed, walk_path, count_path) -> ScanRecord:
+    """One record of ``repeats`` repeats: a drift walk from the stream at ``walk_path``, a rate
+    row per offset, and every count drawn repeat-major from the stream at ``count_path``."""
+    walk = rngmod.stream(seed, *walk_path)
+    rates = _drifted_rates(state, axis, config, drift.offsets(repeats, walk))
+    counts = rngmod.stream(seed, *count_path).poisson(rates)
+    return ScanRecord(config.theta, axis, config.positions, counts.T, seed)
+
+
 def simulate_scan(state: BranchState, config: ScanConfig, axis: str, drift: DriftModel, seed: int) -> ScanRecord:
     """Poisson scan record, one drift offset per repeat, one stream drawn repeat-major."""
-    tkey = rngmod.theta_key(config.theta)
-    akey = rngmod.AXIS_KEY[axis]
-    walk = rngmod.stream(seed, rngmod.SCAN_DRIFT, tkey, akey)
-    rates = _drifted_rates(state, axis, config, drift.offsets(config.repeats, walk))
-    counts = rngmod.stream(seed, rngmod.SCAN_COUNTS, tkey, akey).poisson(rates)
-    return ScanRecord(config.theta, axis, config.positions, counts.T, seed)
+    keys = (rngmod.theta_key(config.theta), rngmod.AXIS_KEY[axis])
+    walk_path, count_path = (rngmod.SCAN_DRIFT, *keys), (rngmod.SCAN_COUNTS, *keys)
+    return _draw_record(state, axis, config, drift, config.repeats, seed, walk_path, count_path)
 
 
 def single_beam_state(sigma: float = DEFAULT_SIGMA_UM) -> BranchState:
@@ -402,12 +403,9 @@ def simulate_drift_run(
     """Single-repeat scans of a single-arm beam with accumulating drift, drawn
     profile-major: the repeats of one checked record, as ``repeat_records``
     hands them out."""
-    state = single_beam_state(sigma)
     akey = rngmod.AXIS_KEY[axis]
-    walk = rngmod.stream(seed, rngmod.DRIFT_WALK, akey)
-    rates = _drifted_rates(state, axis, config, drift.offsets(n_profiles, walk))
-    counts = rngmod.stream(seed, rngmod.DRIFT_RUN, akey).poisson(rates)
-    return ScanRecord(config.theta, axis, config.positions, counts.T, seed).repeat_records()
+    walk_path, count_path = (rngmod.DRIFT_WALK, akey), (rngmod.DRIFT_RUN, akey)
+    return _draw_record(single_beam_state(sigma), axis, config, drift, n_profiles, seed, walk_path, count_path).repeat_records()
 
 
 @dataclass(frozen=True)

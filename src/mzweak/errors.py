@@ -13,12 +13,9 @@ class NotAnEigenvalue(SimulationError):
     """Requested outcome is not in the operator's spectrum."""
 
 
-class EmptyState(SimulationError):
-    """A branch superposition has no branches left (e.g. fully blocked)."""
-
-
 class VanishingPostSelection(SimulationError):
-    """Post-selected probability is too small for a conditional moment."""
+    """Post-selected probability is too small for a conditional moment, or
+    nothing survived the post-selection: a pointer state with no branches."""
 
 
 class DegenerateProfile(SimulationError):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyState, VanishingPostSelection
+from .errors import VanishingPostSelection
 from .quantum import ARM_INDICES, ARM_SPECTRA, SystemState
 
 DEFAULT_SIGMA_UM = 475.0
@@ -83,10 +83,6 @@ class BranchState:
             if not (math.isfinite(abs(coeff)) and math.isfinite(dx) and math.isfinite(dy)):
                 raise ValueError("branch fields must be finite")
         object.__setattr__(self, "branches", branches)
-
-    def total_norm(self) -> float:
-        """Squared norm including Gaussian overlaps between branches."""
-        return float(np.sum(_mixture(self, "x")[1]))
 
     @cached_property
     def _mixtures(self):
@@ -200,10 +196,13 @@ def _mixture(state: BranchState, axis: str):
     Re(c_k conj(c_l)) times the exact overlaps of the two modes across and
     along ``axis`` over the label-matched pairs (k, l) at mids[m] (distinct
     system labels do not interfere). Both axes' tables are built in one pass
-    per state; their arrays are read-only.
+    per state; their arrays are read-only. Every moment reads its state here,
+    so a state without branches raises VanishingPostSelection for all of them.
     """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
+    if not state.branches:
+        raise VanishingPostSelection("no branches survive post-selection")
     return state._mixtures[axis]
 
 
@@ -244,8 +243,6 @@ def marginal_intensity(state: BranchState, axis: str, grid) -> np.ndarray:
     result is clipped at 0 against rounding dust.
     """
     mids, weight = _mixture(state, axis)
-    if not state.branches:
-        raise EmptyState("no branches")
     s = state.sigma
     u = np.asarray(grid, dtype=float)
     along_mids = (-1,) + (1,) * u.ndim
@@ -263,8 +260,6 @@ def centroid_exact(state: BranchState, axis: str) -> float:
     VanishingPostSelection when the total weight is at most 1e-12.
     """
     mids, weight = _mixture(state, axis)
-    if not state.branches:
-        raise VanishingPostSelection("no branches survive post-selection")
     den = np.sum(weight)
     if den <= 1e-12:
         raise VanishingPostSelection(f"post-selected weight {den:.3e} <= 1e-12")
@@ -288,8 +283,6 @@ def windowed_intensity(state: BranchState, axis: str, centers, width: float) -> 
     mass * weight along a C-contiguous midpoint axis, so its value does not
     depend on how many centers share the call or its block.
     """
-    if not state.branches:
-        raise EmptyState("no branches")
     mids, weight = _mixture(state, axis)
     c = np.atleast_1d(np.asarray(centers, dtype=float))
     flat = c.ravel()

@@ -77,9 +77,6 @@ class SystemState:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.amplitudes, dtype=dtype, copy=copy)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class SystemOperator:

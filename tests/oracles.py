@@ -1,9 +1,10 @@
 """Independent constructions the library is checked against.
 
-Quadrature modes for the Gaussian mixture's closed forms, and the optical
-element stack (half-wave plates and polarizing beam displacers) for the
-exponential diagonal coupler. No command runs them; tests import this module
-as ``import oracles``.
+Quadrature modes for the Gaussian mixture's closed forms, the norms of a
+system state and of a pointer branch state, and the optical element stack
+(half-wave plates and polarizing beam displacers) for the exponential
+diagonal coupler. No command runs them; tests import this module as
+``import oracles``.
 """
 
 import numpy as np
@@ -13,6 +14,17 @@ from mzweak import pointer as ptr
 # The H and V projectors on an arm's (H, V) labels, for the beam displacer
 _P_H = np.diag([1.0, 0.0])
 _P_V = np.diag([0.0, 1.0])
+
+
+def norm(state) -> float:
+    """Euclidean norm of a system state's amplitude vector."""
+    return float(np.linalg.norm(state.amplitudes))
+
+
+def total_norm(state) -> float:
+    """Squared norm of a pointer branch state, Gaussian overlaps between
+    branches included: the sum of its mixture weights (0 without branches)."""
+    return float(np.sum(state._mixtures["x"][1]))
 
 
 def gaussian_amplitude(u, center: float, sigma: float):

@@ -395,6 +395,18 @@ def test_cli_weakvalue_blocked_arm_a_is_orthogonal_at_zero(tmp_path, capsys):
     assert data["rows"][0]["undefined"] == "orthogonal post-selection"
 
 
+def test_cli_empty_post_selection_is_one_error_in_every_command(tmp_path, capsys):
+    # with arm A blocked and no x coupling, nothing survives the theta = 0
+    # post-selection: simulate (rates) and sweep (centroids) refuse it alike
+    cfg = write_config(tmp_path, {"blocked_arm": "A", "g_x": 0, "theta_list": [0]})
+    sweep = ["sweep", "--parameter", "sigma", "--start", "400", "--stop", "500", "--num", "3"]
+    lines = []
+    for command in (["simulate"], sweep):
+        assert main(["--quiet", "--config", cfg, "--out", str(tmp_path / "out"), *command]) == 4
+        lines.append(capsys.readouterr().err)
+    assert lines == ["numerical failure: no branches survive post-selection\n"] * 2
+
+
 def test_record_plan_names_the_scan_files_of_each_command():
     # simulate writes the plan of theta_list; analyze reads that of (target,
     # zero reference, unit reference), an angle that is both once
