@@ -1,10 +1,10 @@
 """Independent constructions the library is checked against.
 
-Quadrature modes for the Gaussian mixture's closed forms, the norms of a
-system state and of a pointer branch state, and the optical element stack
-(half-wave plates and polarizing beam displacers) for the exponential
-diagonal coupler. No command runs them; tests import this module as
-``import oracles``.
+Quadrature modes for the Gaussian mixture's closed forms, the squared norm
+of a pointer branch state as a loop over branch pairs, and the optical
+element stack (half-wave plates and polarizing beam displacers) for the
+exponential diagonal coupler. No command runs them; tests import this module
+as ``import oracles``.
 """
 
 import numpy as np
@@ -14,17 +14,6 @@ from mzweak import pointer as ptr
 # The H and V projectors on an arm's (H, V) labels, for the beam displacer
 _P_H = np.diag([1.0, 0.0])
 _P_V = np.diag([0.0, 1.0])
-
-
-def norm(state) -> float:
-    """Euclidean norm of a system state's amplitude vector."""
-    return float(np.linalg.norm(state.amplitudes))
-
-
-def total_norm(state) -> float:
-    """Squared norm of a pointer branch state, Gaussian overlaps between
-    branches included: the sum of its mixture weights (0 without branches)."""
-    return float(np.sum(state._mixtures["x"][1]))
 
 
 def gaussian_amplitude(u, center: float, sigma: float):
@@ -41,6 +30,23 @@ def mode_overlap(a: float, b: float, sigma: float) -> float:
 def first_moment(a: float, b: float, sigma: float) -> float:
     """integral u xi_a(u) xi_b(u) du = midpoint times overlap."""
     return 0.5 * (a + b) * mode_overlap(a, b, sigma)
+
+
+def total_norm(state) -> float:
+    """Squared norm of a pointer branch state as a double loop over
+    label-matched branch pairs (distinct system labels do not interfere):
+    Re(c_k conj(c_l)) times the overlaps of their x and y modes. 0 without
+    branches."""
+    acc = 0.0
+    for k in state.branches:
+        for l in state.branches:
+            if k.label == l.label:
+                acc += np.real(
+                    k.coeff * np.conj(l.coeff)
+                    * mode_overlap(k.dx, l.dx, state.sigma)
+                    * mode_overlap(k.dy, l.dy, state.sigma)
+                )
+    return float(acc)
 
 
 def hwp_jones(theta_deg: float) -> np.ndarray:

@@ -49,7 +49,7 @@ def test_np_array_takes_a_copy_under_numpy_2():
 
 def test_pre_state_norm_and_self_overlap():
     psi = qm.pre_state()
-    assert abs(oracles.norm(psi) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
     assert abs(qm.inner(psi, psi) - 1.0) < 1e-12
 
 
@@ -124,7 +124,7 @@ def test_unnormalized_state_flag():
     with pytest.raises(ValueError):
         qm.SystemState(np.array([1.0, 0, 0, 1.0]))
     st_ok = qm.SystemState(np.array([1.0, 0, 0, 1.0]), normalized=False)
-    assert abs(oracles.norm(st_ok) - RT2) < 1e-12
+    assert abs(np.linalg.norm(st_ok.amplitudes) - RT2) < 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
