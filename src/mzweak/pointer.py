@@ -152,7 +152,7 @@ def apply_coupler(state: BranchState, spec: CouplerSpec) -> BranchState:
     """exp(-i g S P_axis) in its spectral form: each eigenspace of the kind's
     observable S on the target arm (``quantum.ARM_SPECTRA``) moves by
     eigenvalue * g along the kind's axis; the other arm passes through."""
-    terms = [(proj, value * spec.g) for proj, value in ARM_SPECTRA[spec.kind]]
+    terms = [(proj, value * spec.g) for value, proj in ARM_SPECTRA[spec.kind]]
     return _apply_on_arm(state, spec.arm, _COUPLER_AXES[spec.kind], terms)
 
 

@@ -35,19 +35,17 @@ from .errors import NotAnEigenvalue, OrthogonalPostSelection, VanishingPostSelec
 ARM_INDICES = {"A": (0, 1), "B": (2, 3)}
 
 ORTHOGONALITY_TOL = 1e-9
-EIGENVALUE_TOL = 1e-9
-MATRIX_TOL = 1e-12  # largest entry of A - A^dagger in a Hermitian operator
 
 # The projectors of the observable kinds on one arm's (H, V) labels: the
 # identity, and the diagonal and anti-diagonal polarization projectors
 _ARM_PROJECTORS = 0.5 * np.array([[[2, 0], [0, 2]], [[1, 1], [1, 1]], [[1, -1], [-1, 1]]])
 _ARM_PROJECTORS.setflags(write=False)
-# Each observable kind on one arm in spectral form ((projector, eigenvalue),
+# Each observable kind on one arm in spectral form ((eigenvalue, projector),
 # ...); it is zero on the other arm. ``observable``, the joint-measurement
 # records and the pointer couplers (``pointer.apply_coupler``) all read it.
 ARM_SPECTRA = {
-    "spatial": ((_ARM_PROJECTORS[0], 1.0),),
-    "diagonal": ((_ARM_PROJECTORS[1], 1.0), (_ARM_PROJECTORS[2], -1.0)),
+    "spatial": ((1.0, _ARM_PROJECTORS[0]),),
+    "diagonal": ((1.0, _ARM_PROJECTORS[1]), (-1.0, _ARM_PROJECTORS[2])),
 }
 
 
@@ -80,42 +78,30 @@ class SystemState:
 
 @dataclass(frozen=True)
 class SystemOperator:
-    """A 4x4 complex matrix acting on the path x polarization space."""
+    """A Hermitian operator on the path x polarization space in spectral form:
+    ``spectrum`` is ((eigenvalue, projector), ...), one entry per distinct
+    eigenvalue in ascending order, each projector a read-only complex 4x4 copy.
+    ``matrix``, the sum of eigenvalue * projector, is built once. Nothing is
+    decomposed at run time: ``observable`` builds from ``ARM_SPECTRA``."""
 
-    matrix: np.ndarray
+    spectrum: tuple
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=complex).reshape(4, 4)
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        entries = []
+        for lam, proj in sorted(self.spectrum, key=lambda entry: entry[0]):
+            arr = np.array(proj, dtype=complex).reshape(4, 4)
+            arr.setflags(write=False)
+            entries.append((float(lam), arr))
+        object.__setattr__(self, "spectrum", tuple(entries))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        out = sum(lam * proj for lam, proj in self.spectrum)
+        out.setflags(write=False)
+        return out
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix, dtype=dtype, copy=copy)
-
-    def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= MATRIX_TOL)
-
-    @cached_property
-    def spectrum(self) -> tuple:
-        """Spectral decomposition ((eigenvalue, projector), ...), degeneracies merged.
-
-        Eigenvalues closer than EIGENVALUE_TOL are treated as one outcome;
-        requires a Hermitian operator. The projectors are read-only; the
-        decomposition is computed once per operator and cached on it.
-        """
-        if not self.is_hermitian():
-            raise ValueError("projective outcomes need a Hermitian operator")
-        vals, vecs = np.linalg.eigh(self.matrix)
-        groups = []
-        start = 0
-        for k in range(1, len(vals) + 1):
-            if k == len(vals) or vals[k] - vals[start] > EIGENVALUE_TOL:
-                sub = vecs[:, start:k]
-                proj = sub @ sub.conj().T
-                proj.setflags(write=False)
-                groups.append((float(np.mean(vals[start:k])), proj))
-                start = k
-        return tuple(groups)
 
 
 def inner(bra: SystemState, ket: SystemState) -> complex:
@@ -209,7 +195,8 @@ def _on_arm(block: np.ndarray, arm: str) -> np.ndarray:
 
 def observable(kind: str, arm: str) -> SystemOperator:
     """Path projector (``spatial``) or diagonal polarization (``diagonal``) on
-    one arm: the sum of eigenvalue * projector over ``ARM_SPECTRA[kind]``.
+    one arm: ``ARM_SPECTRA[kind]`` on that arm, and the other arm's identity
+    block at eigenvalue 0.
 
     spatial:  |arm><arm| (x) 1, eigenvalues {0, 1}
     diagonal: |arm><arm| (x) sigma_1, eigenvalues {-1, 0, +1}
@@ -218,7 +205,8 @@ def observable(kind: str, arm: str) -> SystemOperator:
         raise ValueError(f"arm must be 'A' or 'B', got {arm!r}")
     if kind not in ARM_SPECTRA:
         raise ValueError(f"kind must be 'spatial' or 'diagonal', got {kind!r}")
-    return SystemOperator(_on_arm(sum(value * proj for proj, value in ARM_SPECTRA[kind]), arm))
+    other_arm = ((0.0, _on_arm(_ARM_PROJECTORS[0], "B" if arm == "A" else "A")),)
+    return SystemOperator(other_arm + tuple((lam, _on_arm(proj, arm)) for lam, proj in ARM_SPECTRA[kind]))
 
 
 def pair(theta_deg: float) -> PrePostPair:
@@ -242,11 +230,11 @@ def _branch(proj: np.ndarray, pp: PrePostPair) -> tuple:
 
 def abl_conditional(op: SystemOperator, eigenvalue: float, pp: PrePostPair) -> float:
     """Conditional probability of one intermediate projective outcome: its
-    entry in ``abl_distribution``."""
-    for lam, p in abl_distribution(op, pp):
-        if abs(lam - eigenvalue) <= EIGENVALUE_TOL:
-            return p
-    raise NotAnEigenvalue(f"{eigenvalue!r} not in spectrum of operator")
+    entry in ``abl_distribution``, looked up by exact eigenvalue."""
+    dist = dict(abl_distribution(op, pp))
+    if eigenvalue not in dist:
+        raise NotAnEigenvalue(f"{eigenvalue!r} not in spectrum of operator")
+    return dist[eigenvalue]
 
 
 def abl_distribution(op: SystemOperator, pp: PrePostPair) -> tuple:
@@ -280,9 +268,7 @@ def sample_measure_postselect(op: SystemOperator, pp: PrePostPair, n_trials: int
     post_ok = rng.random(n_trials) < p_post_given[which]
     ref_ok = rng.random(n_trials) < abs(pp.overlap) ** 2
 
-    joint = {}
-    for k, (lam, _) in enumerate(specs):
-        joint[lam] = int(np.count_nonzero(post_ok & (which == k)))
+    joint = {lam: int(np.count_nonzero(post_ok & (which == k))) for k, (lam, _) in enumerate(specs)}
     return joint, int(np.count_nonzero(ref_ok))
 
 

@@ -3,9 +3,12 @@
 Quadrature modes for the Gaussian mixture's closed forms, the squared norm
 of a pointer branch state as a loop over branch pairs, and the optical
 element stack (half-wave plates and polarizing beam displacers) for the
-exponential diagonal coupler. No command runs them; tests import this module
-as ``import oracles``.
+exponential diagonal coupler, and libm's ``math.exp`` as the reference that
+names numpy's float64 ``exp`` dispatch class. No command runs them; tests
+import this module as ``import oracles``.
 """
+
+import math
 
 import numpy as np
 
@@ -91,3 +94,25 @@ def diagonal_coupler_composite(arm: str, g: float):
         return st
 
     return transform
+
+
+# numpy's float64 exp comes in dispatch classes that differ in the last bit.
+# On AVX-512 numpy runs its own kernel; on x86 up to AVX2 np.exp equals libm.
+# A class is named from behaviour: by how many elements of EXP_GRID np.exp
+# differs from math.exp. The profile fit carries that bit into its files.
+EXP_GRID = np.linspace(-40.0, 0.0, 4096)
+EXP_CLASSES = {0: "libm", 187: "avx512"}
+# Set in a child process's environment only: it gives an AVX-512 host the
+# dispatch of an AVX2-only x86 host, which is in the libm class.
+LIBM_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+
+
+def exp_class() -> str:
+    """The float64 exp class of this process. A class without pinned digests
+    raises AssertionError naming it and the numpy version."""
+    differ = int(np.count_nonzero(np.exp(EXP_GRID) != [math.exp(x) for x in EXP_GRID]))
+    assert differ in EXP_CLASSES, (
+        f"no digests for the numpy exp class where np.exp differs from math.exp on "
+        f"{differ} of {EXP_GRID.size} elements (numpy {np.__version__})"
+    )
+    return EXP_CLASSES[differ]

@@ -7,8 +7,14 @@ shifts, the end-to-end pipeline, systematic-band calibration, g2 behavior,
 the weak-to-strong transition and byte-level determinism.
 """
 
+import csv
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +28,8 @@ from mzweak import quantum as qm
 from mzweak.cli import main
 from mzweak.config import ExperimentConfig
 from mzweak.rng import ABL_MC, stream
+
+import oracles
 
 SIGMA = 475.0
 
@@ -234,19 +242,45 @@ def test_criterion_9_weak_to_strong_transition():
     _report(9, "|centroid/g - 1| monotone in g/sigma and < 0.5% at g/sigma = 0.05")
 
 
-def _run_small_config(tmp_path, tag):
-    """Run every command on SMALL_CONFIG; return {file name: bytes}."""
+def _small_config_commands(tmp_path, tag):
+    """The argument lists of every command on SMALL_CONFIG, writing to ``tmp_path / tag``."""
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(SMALL_CONFIG))
-    out = tmp_path / tag
-    argv = ["--quiet", "--config", str(cfg), "--out", str(out)]
-    assert main(argv + ["simulate"]) == 0
-    assert main(argv + ["analyze"]) == 0
-    assert main(argv + ["g2"]) == 0
-    assert main(argv + ["weakvalue"]) == 0
-    assert main(argv + ["sweep", "--parameter", "g", "--start", "10",
-                        "--stop", "200", "--num", "5"]) == 0
+    argv = ["--quiet", "--config", str(cfg), "--out", str(tmp_path / tag)]
+    sweep = ["sweep", "--parameter", "g", "--start", "10", "--stop", "200", "--num", "5"]
+    return [argv + ["simulate"], argv + ["analyze"], argv + ["g2"], argv + ["weakvalue"], argv + sweep]
+
+
+def _outputs(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _run_small_config(tmp_path, tag):
+    """Run every command on SMALL_CONFIG; return {file name: bytes}."""
+    for argv in _small_config_commands(tmp_path, tag):
+        assert main(argv) == 0, argv
+    return _outputs(tmp_path / tag)
+
+
+# Runs CLI argument lists in one interpreter; prints its exp class and the exit codes
+_LIBM_CHILD = """
+import json, sys
+import oracles
+from mzweak.cli import main
+print(oracles.exp_class())
+print([main(argv) for argv in json.loads(sys.argv[1])])
+"""
+
+
+def run_libm_class(commands):
+    """Run CLI argument lists in a child process under ``oracles.LIBM_DISPATCH``;
+    check that the child is in the libm exp class and that every command exits 0."""
+    path = [str(Path(ana.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **oracles.LIBM_DISPATCH)
+    proc = subprocess.run([sys.executable, "-c", _LIBM_CHILD, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"libm\n{[0] * len(commands)}\n"
 
 
 def test_criterion_10_byte_determinism(tmp_path):
@@ -259,9 +293,10 @@ def test_criterion_10_byte_determinism(tmp_path):
 
 # SHA-256 of every SMALL_CONFIG output, pinned with numpy 2.4. A change to the
 # random draw layout, to the fitter's arithmetic or to serialization moves
-# these on purpose: re-pin them in the same change.
+# these on purpose: re-pin them in the same change. The files outside the fit
+# hold one digest in every numpy exp class; the fit's files carry the last bit
+# of np.exp, so FIT_DIGESTS holds one set per class (``oracles.exp_class``).
 GOLDEN_DIGESTS = {
-    "centers.csv": "426b34258d343675d3585066dd9074bbf14023b052ac230be58b2ba332413871",
     "g2.json": "ebc188ba052cc8fe773160a3514d36334b346f7905b7d3102fafec33140cac66",
     "scan_theta0_x.csv": "17c3c1e65495993a2074f0daa5dddf81a445075b4f45c4b537ede7124cca698b",
     "scan_theta0_y.csv": "266356962c2203addb1b1afd0d3d2bf880d38aa348754901be1930a1edd8eb3c",
@@ -269,16 +304,58 @@ GOLDEN_DIGESTS = {
     "scan_theta45_y.csv": "8ba0c8b327c16d602b31d01708d276d3ebda1babec25fee8ca8af76070b7bf93",
     "scan_theta90_x.csv": "f55543fe3f88fb7c206eb6afa76166b4f4d319e4610819c6106840bc17d0babe",
     "scan_theta90_y.csv": "a8c7d5fc0ca22746be93a31e7838373f399489fa9c24430c22d5c0cbaade89eb",
-    "summary.json": "0e9ac478d2507782104e13c45e8b9488eb12850c999428a130aa35903cf8176b",
     "sweep_g.csv": "24787fc338148b9238f77ab9f6a962f2ba25cc82a5a725f51d3d0aa2cecd0c69",
-    "weak_values.csv": "3266e13e76881a914087d4202fd06a22100daa7216b3f772d0c843f26db0ead7",
-    "weakvalues.json": "adf439289a012691e0ebbc9b1489f6fd974d2abdd094153ce74d4b2e07cf74bf",
+    "weakvalues.json": "dc617348c9db2d5dfb3fb80117f3e9c3e0f1ea283b2956500a1c7534b37ddacb",
+}
+FIT_DIGESTS = {
+    "avx512": {
+        "centers.csv": "426b34258d343675d3585066dd9074bbf14023b052ac230be58b2ba332413871",
+        "summary.json": "0e9ac478d2507782104e13c45e8b9488eb12850c999428a130aa35903cf8176b",
+        "weak_values.csv": "3266e13e76881a914087d4202fd06a22100daa7216b3f772d0c843f26db0ead7",
+    },
+    "libm": {
+        "centers.csv": "0427138337fcb80edbf95aa0aa80e4c47a3d93a8e3d3c602b8dc6fad4356dd92",
+        "summary.json": "0ba7ad0d8c2e4411218b188c6c7778ebdfaa4fe2350e8c893c1982c78587473a",
+        "weak_values.csv": "5a108ba550a28bc2426a16820d9d7a702325b974195539a92e6ee0eae171da61",
+    },
 }
 
 
+def _moved(outputs, exp_class):
+    """The output files whose digests differ from the pins of ``exp_class``."""
+    expected = dict(GOLDEN_DIGESTS, **FIT_DIGESTS[exp_class])
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests.keys() == expected.keys()
+    return sorted(name for name in digests if digests[name] != expected[name])
+
+
 def test_golden_digests(tmp_path):
-    digests = {name: hashlib.sha256(data).hexdigest()
-               for name, data in _run_small_config(tmp_path, "out").items()}
-    assert digests.keys() == GOLDEN_DIGESTS.keys()
-    moved = sorted(name for name in digests if digests[name] != GOLDEN_DIGESTS[name])
-    assert not moved, f"output bytes changed: {moved}"
+    exp_class = oracles.exp_class()
+    moved = _moved(_run_small_config(tmp_path, "out"), exp_class)
+    assert not moved, f"output bytes changed in the {exp_class} exp class: {moved}"
+
+
+def _rows(data, column):
+    """A results CSV as (the other columns of each row, the float ``column``)."""
+    rows = list(csv.DictReader(io.StringIO(data.decode())))
+    return [{k: v for k, v in row.items() if k != column} for row in rows], np.array([float(r[column]) for r in rows])
+
+
+def test_golden_digests_libm_class_and_cross_class_values(tmp_path):
+    # an AVX-512 host reaches the libm class in a child process: that class's
+    # digests hold there, and its fit outputs agree with this host's by value
+    if oracles.exp_class() != "avx512":
+        pytest.skip("the libm class is emulated from an AVX-512 host only")
+    host = _run_small_config(tmp_path, "avx512")
+    run_libm_class(_small_config_commands(tmp_path, "libm"))
+    libm = _outputs(tmp_path / "libm")
+    moved = _moved(libm, "libm")
+    assert not moved, f"output bytes changed in the libm exp class: {moved}"
+    for name, column, tol in (("centers.csv", "center_um", 1e-4), ("weak_values.csv", "weak_value", 1e-6)):
+        (keys, a), (libm_keys, b) = _rows(host[name], column), _rows(libm[name], column)
+        assert keys == libm_keys, name
+        np.testing.assert_allclose(b, a, rtol=0, atol=tol, err_msg=name)
+    summary, libm_summary = json.loads(host["summary.json"]), json.loads(libm["summary.json"])
+    for axis, result in summary.pop("results").items():
+        assert libm_summary["results"].pop(axis) == pytest.approx(result, rel=0, abs=1e-6)
+    assert libm_summary.pop("results") == {} and libm_summary == summary

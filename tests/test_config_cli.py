@@ -25,7 +25,9 @@ from mzweak.cli import MAX_SWEEP_POINTS, build_pair, build_state, main
 from mzweak.config import DEFAULTS, MAX_BOOTSTRAP, MAX_RECORD_CELLS, REFERENCES, ExperimentConfig, read_json, scan_filename
 from mzweak.detection import ScanConfig, SourceModel
 from mzweak.errors import ConfigError, OrthogonalPostSelection
-from test_acceptance import SMALL_CONFIG
+
+import oracles
+from test_acceptance import SMALL_CONFIG, run_libm_class
 
 SMALL = {
     "scan": {"n_points": 31, "step": 100.0, "repeats": 6,
@@ -606,12 +608,23 @@ def test_cli_analyze_unopenable_scan_is_unreadable_input(tmp_path, capsys):
 
 
 # SHA-256 of analyze's files on SMALL_CONFIG with target_theta 45 (numpy 2.4), where the
-# target is also the zero reference
+# target is also the zero reference; one set per numpy exp class (``oracles.exp_class``)
 _TARGET_45_DIGESTS = {
-    "centers.csv": "60d41056cca26e57b78194485f99f7647c30fe95c97975451935b4bb3a4a8959",
-    "weak_values.csv": "b1fc18d35ac56c8b7480fa0656eaa49faac1f27b1ed8ad639f1ebda6c188a83f",
-    "summary.json": "e226a901c28f9060f73538020500f8e8d2b0143f8d3a1f51d0b24fea0555a1ea",
+    "avx512": {
+        "centers.csv": "60d41056cca26e57b78194485f99f7647c30fe95c97975451935b4bb3a4a8959",
+        "weak_values.csv": "b1fc18d35ac56c8b7480fa0656eaa49faac1f27b1ed8ad639f1ebda6c188a83f",
+        "summary.json": "e226a901c28f9060f73538020500f8e8d2b0143f8d3a1f51d0b24fea0555a1ea",
+    },
+    "libm": {
+        "centers.csv": "d67499083281f84a6d45677fb215eca0117058d710b885e49794e52352a6f217",
+        "weak_values.csv": "b1fc18d35ac56c8b7480fa0656eaa49faac1f27b1ed8ad639f1ebda6c188a83f",
+        "summary.json": "959ff94fc377b259db402616217b376d1c91ead48944c5a4458573f1c9ec4573",
+    },
 }
+
+
+def _target_45_digests(out):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _TARGET_45_DIGESTS["libm"]}
 
 
 def test_cli_analyze_bootstraps_each_angle_once(tmp_path, monkeypatch):
@@ -629,8 +642,17 @@ def test_cli_analyze_bootstraps_each_angle_once(tmp_path, monkeypatch):
     monkeypatch.setattr(mzweak.analysis, "bootstrap_centers", counted)
     assert main(["--quiet", "--config", cfg, "--out", str(out), "analyze"]) == 0
     assert calls == [(45.0, "x"), (45.0, "y"), (90.0, "x"), (90.0, "y")]
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _TARGET_45_DIGESTS}
-    assert digests == _TARGET_45_DIGESTS
+    assert _target_45_digests(out) == _TARGET_45_DIGESTS[oracles.exp_class()]
+
+
+def test_cli_analyze_target_45_digests_libm_class(tmp_path):
+    # an AVX-512 host checks the libm class's set in a child process
+    if oracles.exp_class() != "avx512":
+        pytest.skip("the libm class is emulated from an AVX-512 host only")
+    argv = ["--quiet", "--config", write_config(tmp_path, dict(SMALL_CONFIG, target_theta=45.0)),
+            "--out", str(tmp_path / "run")]
+    run_libm_class([argv + ["simulate"], argv + ["analyze"]])
+    assert _target_45_digests(tmp_path / "run") == _TARGET_45_DIGESTS["libm"]
 
 
 @pytest.mark.parametrize("command", [

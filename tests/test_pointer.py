@@ -112,9 +112,9 @@ def test_coupler_spectrum_is_the_reported_observable(kind, arm):
     block = np.zeros_like(op)
     block[np.ix_(idx, idx)] = op[np.ix_(idx, idx)]
     np.testing.assert_array_equal(op, block)  # zero off the target arm
-    np.testing.assert_array_equal(sum(value * proj for proj, value in spectrum), op[np.ix_(idx, idx)])
-    np.testing.assert_array_equal(sum(proj for proj, _ in spectrum), np.eye(2))
-    for proj, _ in spectrum:
+    np.testing.assert_array_equal(sum(value * proj for value, proj in spectrum), op[np.ix_(idx, idx)])
+    np.testing.assert_array_equal(sum(proj for _, proj in spectrum), np.eye(2))
+    for _, proj in spectrum:
         np.testing.assert_array_equal(proj @ proj, proj)
 
 

@@ -136,12 +136,13 @@ def test_system_state_rejects_non_finite_amplitudes(bad, normalized):
 
 def test_state_and_operator_leave_caller_arrays_writable():
     amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    mat = np.eye(4, dtype=complex)
-    state, op = qm.SystemState(amps), qm.SystemOperator(mat)
+    proj = np.eye(4, dtype=complex)
+    state, op = qm.SystemState(amps), qm.SystemOperator(((1.0, proj),))
+    (_, copy), = op.spectrum
     assert amps.flags.writeable and not state.amplitudes.flags.writeable
-    assert mat.flags.writeable and not op.matrix.flags.writeable
-    amps[0] = mat[0, 0] = 0.0
-    assert state.amplitudes[0] == op.matrix[0, 0] == 1.0
+    assert proj.flags.writeable and not copy.flags.writeable and not op.matrix.flags.writeable
+    amps[0] = proj[0, 0] = 0.0
+    assert state.amplitudes[0] == copy[0, 0] == op.matrix[0, 0] == 1.0
 
 
 # ------------------------------------------------------------ observables
@@ -153,12 +154,21 @@ def test_spatial_projectors_complete():
 
 
 def test_observables_hermitian_and_projector_property():
+    # exact: the spectral projectors are idempotent, pairwise orthogonal and
+    # complete, and the operator equals its conjugate transpose
     for kind in ("spatial", "diagonal"):
         for arm in ("A", "B"):
-            assert qm.observable(kind, arm).is_hermitian()
+            op = qm.observable(kind, arm)
+            projs = [proj for _, proj in op.spectrum]
+            for k, proj in enumerate(projs):
+                np.testing.assert_array_equal(proj @ proj, proj)
+                for other in projs[k + 1:]:
+                    np.testing.assert_array_equal(proj @ other, np.zeros((4, 4)))
+            np.testing.assert_array_equal(sum(projs), np.eye(4))
+            np.testing.assert_array_equal(op.matrix, op.matrix.conj().T)
     for arm in ("A", "B"):
         proj = np.asarray(qm.observable("spatial", arm))
-        assert np.max(np.abs(proj @ proj - proj)) <= qm.MATRIX_TOL
+        np.testing.assert_array_equal(proj @ proj, proj)
 
 
 def test_diagonal_swaps_h_and_v():
@@ -198,7 +208,7 @@ def test_weak_value_reference_angles():
 
 @given(nonorthogonal_thetas)
 def test_weak_value_identity_is_one(theta):
-    wv = qm.weak_value(qm.SystemOperator(np.eye(4)), qm.pair(theta))
+    wv = qm.weak_value(qm.SystemOperator(((1.0, np.eye(4)),)), qm.pair(theta))
     assert abs(wv - 1.0) < 1e-12
 
 
@@ -236,7 +246,10 @@ def test_diagonal_sum_rule_state_dependent(theta):
     total = qm.weak_value(qm.observable("diagonal", "A"), pp) + qm.weak_value(
         qm.observable("diagonal", "B"), pp
     )
-    sigma1_full = qm.SystemOperator(np.kron(np.eye(2), [[0, 1], [1, 0]]))
+    # sigma_1 on both arms: the two arms' diagonal projectors at +1, anti-diagonal at -1
+    plus = np.kron(np.eye(2), [[0.5, 0.5], [0.5, 0.5]])
+    minus = np.kron(np.eye(2), [[0.5, -0.5], [-0.5, 0.5]])
+    sigma1_full = qm.SystemOperator(((-1.0, minus), (1.0, plus)))
     expected = qm.weak_value(sigma1_full, pp)
     assert abs(total - expected) < 1e-12
 
@@ -264,7 +277,7 @@ def test_projector_weak_value_real_for_real_inputs(a, b, v):
     if abs(pp.overlap) < 1e-3:
         return
     vn = v / np.linalg.norm(v)
-    projector = qm.SystemOperator(np.outer(vn, vn))
+    projector = qm.SystemOperator(((0.0, np.eye(4) - np.outer(vn, vn)), (1.0, np.outer(vn, vn))))
     assert abs(qm.weak_value(projector, pp).imag) < 1e-12
 
 
@@ -275,8 +288,9 @@ def test_abl_conditional_values_at_zero():
     pp = qm.pair(0.0)
     assert abs(qm.abl_conditional(qm.observable("spatial", "A"), 1.0, pp) - 1.0) < 1e-12
     assert abs(qm.abl_conditional(qm.observable("spatial", "B"), 1.0, pp)) < 1e-12
-    assert abs(qm.abl_conditional(qm.observable("diagonal", "B"), 1.0, pp) - 0.25) < 1e-12
-    assert abs(qm.abl_conditional(qm.observable("diagonal", "B"), -1.0, pp) - 0.25) < 1e-12
+    # exact: the diagonal projectors are built from ARM_SPECTRA, not decomposed
+    assert qm.abl_conditional(qm.observable("diagonal", "B"), 1.0, pp) == 0.25
+    assert qm.abl_conditional(qm.observable("diagonal", "B"), -1.0, pp) == 0.25
 
 
 @pytest.mark.parametrize("kind,arm", [("spatial", "A"), ("spatial", "B"), ("diagonal", "A"), ("diagonal", "B")])
@@ -284,20 +298,13 @@ def test_spectrum_cached_read_only_and_fresh(kind, arm):
     op = qm.observable(kind, arm)
     spectrum = op.spectrum
     assert op.spectrum is spectrum
-    fresh = qm.observable(kind, arm).spectrum  # the cache is per operator
+    fresh = qm.observable(kind, arm).spectrum  # each operator holds its own copies
     assert fresh is not spectrum
     assert [lam for lam, _ in spectrum] == [lam for lam, _ in fresh]
     for (_, cached), (_, rebuilt) in zip(spectrum, fresh):
         np.testing.assert_array_equal(cached, rebuilt)
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0
-
-
-def test_spectrum_rejects_non_hermitian_operator():
-    op = qm.SystemOperator(np.triu(np.ones((4, 4))))
-    for _ in range(2):  # a failed decomposition is not cached
-        with pytest.raises(ValueError, match="Hermitian"):
-            op.spectrum
 
 
 def test_abl_rejects_non_eigenvalue():
@@ -319,7 +326,7 @@ def test_abl_spatial_distribution_sums_to_one(theta):
 
 
 def test_abl_identity_probability_one():
-    dist = qm.abl_distribution(qm.SystemOperator(np.eye(4)), qm.pair(30.0))
+    dist = qm.abl_distribution(qm.SystemOperator(((1.0, np.eye(4)),)), qm.pair(30.0))
     assert len(dist) == 1 and abs(dist[0][1] - 1.0) < 1e-12
 
 
