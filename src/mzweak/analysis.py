@@ -77,20 +77,6 @@ class CenterDistribution:
         object.__setattr__(self, "draw_idx", idx)
 
 
-@dataclass(frozen=True)
-class WeakValueEstimate:
-    """Weak value with statistical 1 sigma and systematic band (+/-)."""
-
-    mean: float
-    stat_sigma: float
-    sys_band: float
-    n_samples: int
-
-    def __post_init__(self):
-        if self.stat_sigma < 0 or self.sys_band < 0:
-            raise ValueError("stat_sigma and sys_band must be >= 0")
-
-
 _dot = functools.partial(np.einsum, "ij,ij->i")  # row-wise dot products
 _rowsum = functools.partial(np.einsum, "ij->i")
 _matvec = functools.partial(np.einsum, "ij,j->i")
@@ -360,16 +346,6 @@ def weak_value_draws(target: CenterDistribution, ref0: CenterDistribution, ref1:
     return idx, (x - x0) / scale, scale
 
 
-def weak_value_estimate(draws: np.ndarray, sys_band: float = 0.0) -> WeakValueEstimate:
-    """Mean and statistical sigma of paired weak-value draws."""
-    return WeakValueEstimate(
-        mean=float(np.mean(draws)),
-        stat_sigma=float(np.std(draws)),
-        sys_band=float(sys_band),
-        n_samples=int(draws.size),
-    )
-
-
 def systematic_band(drift_records, scale: float) -> float:
     """Spread of fitted beam centers over a drift run, in weak-value units.
 
@@ -396,28 +372,22 @@ def systematic_band(drift_records, scale: float) -> float:
     return float(np.std(params[:, 1]) / scale)
 
 
-def export_results(
-    out_dir,
-    estimates: dict,
-    distributions: list,
-    weak_draws: dict,
-    seed: int,
-    n_bootstrap: int,
-    target_theta: float = 0.0,
-) -> dict:
+def export_results(out_dir, distributions: list, weak_draws: dict, seed: int, n_bootstrap: int, target_theta: float) -> dict:
     """Write the results dataset: center draws, weak-value draws, JSON summary.
 
-    ``estimates`` maps axis -> WeakValueEstimate; ``weak_draws`` maps axis ->
-    (draw_idx, draws) of ``weak_value_draws``. Floats are
-    serialized with repr so a re-parse reproduces them bit-exactly. Returns the summary dict.
+    ``weak_draws`` maps axis -> (draw_idx, draws, sys_band); each axis's
+    summary mean, stat_sigma (np.std) and n_samples are computed from the
+    draws written to weak_values.csv. Floats are serialized with repr so a
+    re-parse reproduces them bit-exactly. Returns the summary dict.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    axes = sorted(weak_draws.items())
 
     write_csv(out / "centers.csv", "theta_deg,axis,draw_idx,center_um",
               *((f"{float(d.theta)!r},{d.axis},", d.draw_idx, d.centers) for d in distributions))
     write_csv(out / "weak_values.csv", "axis,draw_idx,weak_value",
-              *((f"{axis},", idx, draws) for axis, (idx, draws) in sorted(weak_draws.items())))
+              *((f"{axis},", idx, draws) for axis, (idx, draws, _) in axes))
 
     summary = {
         "schema_version": RESULTS_SCHEMA_VERSION,
@@ -426,12 +396,12 @@ def export_results(
         "target_theta_deg": float(target_theta),
         "results": {
             axis: {
-                "weak_value_mean": est.mean,
-                "stat_sigma": est.stat_sigma,
-                "sys_band": est.sys_band,
-                "n_samples": est.n_samples,
+                "weak_value_mean": float(np.mean(draws)),
+                "stat_sigma": float(np.std(draws)),
+                "sys_band": float(sys_band),
+                "n_samples": int(draws.size),
             }
-            for axis, est in sorted(estimates.items())
+            for axis, (_, draws, sys_band) in axes
         },
     }
     write_json(out / "summary.json", summary)
@@ -467,12 +437,13 @@ def write_json(path, payload) -> None:
 
 def load_summary(path) -> dict:
     """Read a results summary, rejecting a document that is not an object
-    and unknown schema versions."""
+    and a schema version that is not the integer RESULTS_SCHEMA_VERSION."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
     version = data.get("schema_version")
-    if version != RESULTS_SCHEMA_VERSION:
+    # bool is an int and 1.0 == 1: only the integer itself names the version
+    if type(version) is not int or version != RESULTS_SCHEMA_VERSION:
         raise ValueError(f"unsupported results schema version: {version!r}")
     return data

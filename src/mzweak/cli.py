@@ -157,11 +157,9 @@ def cmd_analyze(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
     for scan, axis, name in config.scans(thetas):
         first, dists[(scan.theta, axis)] = _bootstrap_file(config, out_dir / name, scan.theta, axis, first)
 
-    estimates = {}
     draws = {}
     for axis in AXIS_KEY:
         idx, values, scale = ana.weak_value_draws(*(dists[(theta, axis)] for theta in thetas))
-        draws[axis] = idx, values
         drift_records = det.simulate_drift_run(
             config.drift_scan_config(),
             config.drift_model(axis),
@@ -170,17 +168,16 @@ def cmd_analyze(config: ExperimentConfig, out_dir: Path, quiet: bool) -> int:
             axis=axis,
             sigma=config.sigma,
         )
-        band = ana.systematic_band(drift_records, abs(scale))
-        estimates[axis] = ana.weak_value_estimate(values, sys_band=band)
+        draws[axis] = idx, values, ana.systematic_band(drift_records, abs(scale))
 
     n_boot = config.analysis["n_bootstrap"]
-    ana.export_results(out_dir, estimates, list(dists.values()), draws, config.seed, n_boot, config.target_theta)
+    summary = ana.export_results(out_dir, list(dists.values()), draws, config.seed, n_boot, config.target_theta)
     for axis in AXIS_KEY:
-        est = estimates[axis]
+        res = summary["results"][axis]
         _say(
             quiet,
-            f"{axis}: weak value = {est.mean:.3f} +/- {est.stat_sigma:.3f} (stat), "
-            f"+/- {est.sys_band:.3f} (sys), n = {est.n_samples}",
+            f"{axis}: weak value = {res['weak_value_mean']:.3f} +/- {res['stat_sigma']:.3f} (stat), "
+            f"+/- {res['sys_band']:.3f} (sys), n = {res['n_samples']}",
         )
     _say(quiet, f"wrote {out_dir / 'summary.json'}")
     return EXIT_OK

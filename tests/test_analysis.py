@@ -351,7 +351,7 @@ def test_bootstrap_dropped_draw_keeps_later_draw_idx(tmp_path, monkeypatch):
     assert np.array_equal(dist.draw_idx, np.flatnonzero(keep))
     assert np.array_equal(dist.centers, full.centers[keep])
 
-    ana.export_results(tmp_path, {}, [dist], {}, seed=4, n_bootstrap=300)
+    ana.export_results(tmp_path, [dist], {}, seed=4, n_bootstrap=300, target_theta=0.0)
     rows = (tmp_path / "centers.csv").read_text().strip().splitlines()[1:]
     written = [int(r.split(",")[2]) for r in rows]
     assert written == list(range(17)) + list(range(18, 300))
@@ -393,16 +393,11 @@ def test_weak_value_zero_and_unit_anchors():
     rng = np.random.default_rng(0)
     ref0 = make_dist(rng.normal(0.0, 3.0, 1000), theta=45.0)
     ref1 = make_dist(ref0.centers + 49.7, theta=90.0)
-    zero = ana.weak_value_estimate(ana.weak_value_draws(make_dist(ref0.centers), ref0, ref1)[1])
-    unit = ana.weak_value_estimate(ana.weak_value_draws(make_dist(ref1.centers), ref0, ref1)[1])
-    assert abs(zero.mean) < 1e-12
-    assert abs(unit.mean - 1.0) < 1e-12
-    assert zero.stat_sigma == 0.0
-
-
-def test_weak_value_estimate_refuses_a_negative_error():
-    with pytest.raises(ValueError, match=">= 0"):
-        ana.WeakValueEstimate(0.5, stat_sigma=-1.0, sys_band=0.0, n_samples=10)
+    zero = ana.weak_value_draws(make_dist(ref0.centers), ref0, ref1)[1]
+    unit = ana.weak_value_draws(make_dist(ref1.centers), ref0, ref1)[1]
+    assert abs(np.mean(zero)) < 1e-12
+    assert abs(np.mean(unit) - 1.0) < 1e-12
+    assert np.std(zero) == 0.0
 
 
 @given(st.floats(-500, 500))
@@ -425,9 +420,9 @@ def test_weak_value_reported_shift_and_scale():
     target = make_dist(x0 + 53.468)
     ref0 = make_dist(x0, theta=45.0)
     ref1 = make_dist(x0 + 60.08, theta=90.0)
-    est = ana.weak_value_estimate(ana.weak_value_draws(target, ref0, ref1)[1])
-    assert abs(est.mean - 53.468 / 60.08) < 1e-9
-    assert abs(est.mean - 0.890) < 1e-3
+    mean = np.mean(ana.weak_value_draws(target, ref0, ref1)[1])
+    assert abs(mean - 53.468 / 60.08) < 1e-9
+    assert abs(mean - 0.890) < 1e-3
 
 
 def test_weak_value_zero_scale_raises():
@@ -480,7 +475,10 @@ def test_weak_values_pair_on_draw_idx(tmp_path, monkeypatch):
     assert np.array_equal(idx, np.flatnonzero(keep))
     assert np.array_equal(draws, (x - x0) / scale)
 
-    ana.export_results(tmp_path, {}, [target, ref0, ref1], {"x": (idx, draws)}, seed=4, n_bootstrap=300)
+    summary = ana.export_results(
+        tmp_path, [target, ref0, ref1], {"x": (idx, draws, 0.0)}, seed=4, n_bootstrap=300, target_theta=0.0
+    )
+    assert summary["results"]["x"]["n_samples"] == 299
     rows = (tmp_path / "weak_values.csv").read_text().strip().splitlines()[1:]
     assert [int(r.split(",")[1]) for r in rows] == list(range(17)) + list(range(18, 300))
     with pytest.raises(ValueError):  # pairing needs each distribution's draws in order
@@ -549,8 +547,7 @@ def test_stat_sigma_shrinks_with_rate():
             cfg = det.ScanConfig(mean_rate=rate, repeats=repeats, theta=theta)
             rec = det.simulate_scan(paper_state(theta), cfg, "x", det.DriftModel(), seed=60)
             dists[theta] = ana.bootstrap_centers(rec, n_bootstrap=1200, seed=61)
-        est = ana.weak_value_estimate(ana.weak_value_draws(dists[0.0], dists[45.0], dists[90.0])[1])
-        sigmas.append(est.stat_sigma)
+        sigmas.append(np.std(ana.weak_value_draws(dists[0.0], dists[45.0], dists[90.0])[1]))
     assert sigmas[0] > sigmas[1] > sigmas[2]
     # quadrupled rate should halve sigma, allow a generous window
     assert 1.4 < sigmas[0] / sigmas[1] < 2.9
@@ -635,7 +632,7 @@ def test_systematic_band_refuses_records_from_two_grids():
 
 
 def test_export_empty_summary_is_valid(tmp_path):
-    summary = ana.export_results(tmp_path, {}, [], {}, seed=1, n_bootstrap=0)
+    summary = ana.export_results(tmp_path, [], {}, seed=1, n_bootstrap=0, target_theta=0.0)
     loaded = ana.load_summary(tmp_path / "summary.json")
     assert loaded == summary
     assert loaded["results"] == {}
@@ -648,31 +645,33 @@ def test_export_roundtrip_bit_exact(tmp_path):
     ref0 = make_dist(rng.normal(0.0, 3.0, 50), theta=45.0, axis="x")
     ref1 = make_dist(rng.normal(49.0, 3.0, 50), theta=90.0, axis="x")
     idx, draws, _ = ana.weak_value_draws(dist, ref0, ref1)
-    est = ana.weak_value_estimate(draws, sys_band=0.07)
-    summary = ana.export_results(
-        tmp_path, {"x": est}, [dist, ref0, ref1], {"x": (idx, draws)}, seed=9, n_bootstrap=50
-    )
+    weak = {"x": (idx, draws, 0.07), "y": (idx[::2], 1.0 - draws[::2], 0.0)}
+    summary = ana.export_results(tmp_path, [dist, ref0, ref1], weak, seed=9, n_bootstrap=50, target_theta=0.0)
     loaded = ana.load_summary(tmp_path / "summary.json")
-    assert loaded["results"]["x"]["weak_value_mean"] == est.mean  # bit-exact
-    assert loaded["results"]["x"]["stat_sigma"] == est.stat_sigma
+    assert loaded["results"]["x"]["sys_band"] == 0.07
     assert loaded == summary
 
     rows = (tmp_path / "centers.csv").read_text().strip().splitlines()[1:]
     parsed = [float(r.split(",")[3]) for r in rows[: centers.size]]
     assert np.array_equal(np.array(parsed), centers)
 
-    wrows = (tmp_path / "weak_values.csv").read_text().strip().splitlines()[1:]
-    wparsed = np.array([float(r.split(",")[2]) for r in wrows])
-    assert np.array_equal(wparsed, draws)
+    # each axis's summary statistics are those of its weak_values.csv rows, bit for bit
+    wrows = [r.split(",") for r in (tmp_path / "weak_values.csv").read_text().strip().splitlines()[1:]]
+    for axis, (_, values, _) in weak.items():
+        wparsed = np.array([float(v) for a, _, v in wrows if a == axis])
+        assert np.array_equal(wparsed, values)
+        assert loaded["results"][axis]["weak_value_mean"] == np.mean(wparsed)
+        assert loaded["results"][axis]["stat_sigma"] == np.std(wparsed)
+        assert loaded["results"][axis]["n_samples"] == wparsed.size
 
 
 def test_export_in_blocks_writes_the_bytes_of_one_block(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     dists = [make_dist(rng.normal(mu, 3.0, n), theta, "x") for mu, n, theta in ((50, 50, 0.0), (0, 49, 45.0), (49, 50, 90.0))]
-    draws = {"x": (np.arange(50), rng.normal(1.0, 0.1, 50)), "y": (np.arange(49), rng.normal(0.0, 0.1, 49))}
-    ana.export_results(tmp_path / "one", {}, dists, draws, seed=3, n_bootstrap=50)
+    draws = {"x": (np.arange(50), rng.normal(1.0, 0.1, 50), 0.0), "y": (np.arange(49), rng.normal(0.0, 0.1, 49), 0.0)}
+    ana.export_results(tmp_path / "one", dists, draws, seed=3, n_bootstrap=50, target_theta=0.0)
     monkeypatch.setattr(ana, "_EXPORT_ROWS", 7)  # 49 rows fill whole blocks, 50 leave one row over
-    ana.export_results(tmp_path / "blocks", {}, dists, draws, seed=3, n_bootstrap=50)
+    ana.export_results(tmp_path / "blocks", dists, draws, seed=3, n_bootstrap=50, target_theta=0.0)
     for name in ("centers.csv", "weak_values.csv"):
         assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
@@ -724,18 +723,14 @@ def test_export_contains_both_axes(tmp_path):
     rng = np.random.default_rng(6)
     dists = {}
     draws = {}
-    ests = {}
     for axis in ("x", "y"):
         ref0 = make_dist(rng.normal(0, 3, 40), 45.0, axis)
         ref1 = make_dist(rng.normal(49, 3, 40), 90.0, axis)
         tgt = make_dist(rng.normal(49, 3, 40), 0.0, axis)
         idx, values, _ = ana.weak_value_draws(tgt, ref0, ref1)
-        draws[axis] = idx, values
-        ests[axis] = ana.weak_value_estimate(values)
+        draws[axis] = idx, values, 0.0
         dists[axis] = tgt
-    summary = ana.export_results(
-        tmp_path, ests, list(dists.values()), draws, seed=1, n_bootstrap=40
-    )
+    summary = ana.export_results(tmp_path, list(dists.values()), draws, seed=1, n_bootstrap=40, target_theta=0.0)
     assert set(summary["results"]) == {"x", "y"}
 
 
@@ -743,6 +738,15 @@ def test_load_summary_rejects_unknown_schema(tmp_path):
     path = tmp_path / "summary.json"
     path.write_text(json.dumps({"schema_version": 999}))
     with pytest.raises(ValueError):
+        ana.load_summary(path)
+
+
+@pytest.mark.parametrize("text", ["true", "1.0"])
+def test_load_summary_rejects_a_version_that_only_compares_equal(tmp_path, text):
+    # True == 1 and 1.0 == 1 in Python; only the integer 1 is schema version 1
+    path = tmp_path / "summary.json"
+    path.write_text(f'{{"schema_version": {text}}}')
+    with pytest.raises(ValueError, match=f"unsupported results schema version: {text.capitalize()}"):
         ana.load_summary(path)
 
 

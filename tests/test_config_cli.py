@@ -710,6 +710,23 @@ def test_cli_simulate_then_analyze(tmp_path):
     assert (out / "weak_values.csv").exists()
 
 
+def test_cli_analyze_reports_the_summary(tmp_path, capsys):
+    # without --quiet, analyze prints one line per axis from summary.json
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["--quiet", "--config", cfg, "--out", str(out), "simulate"]) == 0
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", str(out), "analyze"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads((out / "summary.json").read_text())
+    assert [line for line in lines if "weak value = " in line] == [
+        f"{axis}: weak value = {r['weak_value_mean']:.3f} +/- {r['stat_sigma']:.3f} (stat), "
+        f"+/- {r['sys_band']:.3f} (sys), n = {r['n_samples']}"
+        for axis, r in summary["results"].items()
+    ]
+    assert lines[-1] == f"wrote {out / 'summary.json'}"
+
+
 def test_cli_g2_output(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "g2"])
     assert rc == 0
