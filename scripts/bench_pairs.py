@@ -11,7 +11,8 @@ machine does not always land on the same side. Several workloads may be
 named; each gets its own pairs. The output holds, per workload and side, the
 median, first and third quartile (numpy linear percentiles) and the runs of
 each end-to-end metric, the failed and attempted checks summed over the
-runs, and per metric the number of pairs in which this tree read lower.
+runs, and per metric the number of pairs in which this tree read lower and
+a verdict (``verdict``) against the metric's bound in BENCHMARK.json.
 A run that reports nothing stops the script with exit code 1.
 """
 
@@ -51,6 +52,28 @@ def value(result: dict, name: str) -> float:
     return result["metrics"].get(name, {}).get("value", math.inf)
 
 
+def verdict(parent: list, change: list, bound: float) -> str:
+    """The claim verdict of one lower-is-better metric from its paired runs.
+
+    ``gain``: the change reads lower in at least 9 of 10 pairs (ties count
+    for neither side) and the medians differ by more than the parent's
+    interquartile range. ``regression``: the change's median exceeds the
+    parent's by more than ``bound`` of it. ``unresolved``: the parent's
+    interquartile range exceeds ``bound`` of its median and not every change
+    run reads lower than every parent run. ``no change`` otherwise.
+    """
+    q1, median, q3 = np.percentile(parent, [25, 50, 75])
+    change_median = np.median(change)
+    lower = sum(c < p for p, c in zip(parent, change))
+    if lower >= 0.9 * len(parent) and median - change_median > q3 - q1:
+        return "gain"
+    if change_median > (1 + bound) * median:
+        return "regression"
+    if q3 - q1 > bound * median and not max(change) < min(parent):
+        return "unresolved"
+    return "no change"
+
+
 def summarize(results: list) -> dict:
     side = {}
     for name in METRICS:
@@ -75,6 +98,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     workloads = {}
     for workload in args.workload:
         results = {side: [] for side in SIDES}
@@ -88,10 +113,11 @@ def main(argv=None) -> int:
             print(f"{workload} pair {pair}: "
                   + "  ".join(f"{side} run_s={value(results[side][-1], 'run_s'):.4f}" for side in SIDES), flush=True)
         entry = {"pairs": args.pairs, **{side: summarize(results[side]) for side in SIDES}}
+        runs = {side: {name: [value(r, name) for r in results[side]] for name in METRICS} for side in SIDES}
         entry["change_lower"] = {
-            name: sum(value(c, name) < value(p, name) for p, c in zip(results["parent"], results["change"]))
-            for name in METRICS
+            name: sum(c < p for p, c in zip(runs["parent"][name], runs["change"][name])) for name in METRICS
         }
+        entry["verdict"] = {name: verdict(runs["parent"][name], runs["change"][name], bounds[name]) for name in METRICS}
         workloads[workload] = entry
 
     report = {

@@ -2,8 +2,10 @@
 
 Pipeline: fit Gaussian profiles (moment-form variable projection, Golub &
 Pereyra 1973: each trial center and width is evaluated once, into the row
-sums its Gauss-Newton step needs, and a closed-form cost small enough to
-lose digits to cancellation is recomputed from the explicit residual),
+sums its Gauss-Newton step needs, except the last step, whose predicted cost
+decrease is below _FTOL of the cost and which is taken without evaluating
+it; a closed-form cost small enough to lose digits to cancellation is
+recomputed from the explicit residual),
 bootstrap the profile centers by drawing one repeat per position (the
 16^61 construction, 10^4 draws by default; the draws are made and fitted
 one chunk at a time, and each fit starts one linearized Gauss-Newton step
@@ -135,19 +137,25 @@ def _lm_gaussian_batch(u, profiles, start=None):
     """Moment-form variable projection (Golub & Pereyra 1973) for a batch of
     profiles A exp(-z^2/2) + b, z = (u - mu) / s: A and b are solved in closed
     form for each (mu, s), and damped Gauss-Newton steps move (mu, s) alone.
-    Each trial (mu, s) is evaluated once, by _evaluate: one exp and the row
+    A trial (mu, s) is evaluated once, by _evaluate: one exp and the row
     sums of e = exp(-z^2/2), e z and e z^2 against each other and the
     centred profile. An accepted trial carries those sums, so the next step
-    recomputes nothing. Rows are fitted in chunks of _CHUNK_ROWS, each on
-    its own arrays, to keep them in cache.
+    recomputes nothing. A step whose predicted cost decrease (A/s) g . delta
+    is in [0, _FTOL cost), with a finite trial its width floor leaves as it
+    is, is the last: it is taken without evaluating the trial, and the row
+    converges. Rows are fitted in chunks of _CHUNK_ROWS, each on its own
+    arrays, to keep them in cache.
 
     ``start`` is None (each row starts from its moments above the row
     minimum: centroid and rms width) or a (mu, s) pair of per-row arrays.
 
     Returns (params (B,4) = (A, mu, |s|, b), residual_norm (B,), converged (B,),
-    n_iter (B,)). Rows without shape information (flat profiles), and rows
-    whose steps find no finite lower cost, come back unconverged; fewer than
-    5 positions raise ValueError.
+    n_iter (B,)). A row that ends on an unevaluated last step returns that
+    step's mu and s, and A, b and the residual norm of its last evaluated
+    point, one step of predicted decrease below _FTOL away. Rows without
+    shape information (flat profiles), and rows whose steps find no finite
+    lower cost, come back unconverged; fewer than 5 positions raise
+    ValueError.
     """
     u = np.asarray(u, dtype=float)
     y = np.atleast_2d(np.asarray(profiles, dtype=float))
@@ -168,7 +176,9 @@ def _lm_gaussian_batch(u, profiles, start=None):
 def _fit_chunk(u, y, start=None):
     """_lm_gaussian_batch on one chunk of rows. Every (rows, n) array an
     iteration writes lives in buffers made once per chunk: a fresh array of
-    that size costs page faults that can take longer than the arithmetic."""
+    that size costs page faults that can take longer than the arithmetic.
+    A row stopped by an unevaluated last step keeps the sums of its last
+    evaluated point, so its A, b and residual norm come from there."""
     n = u.size
     step = float(np.min(np.diff(u)))
     s_floor = 1e-3 * step
@@ -207,13 +217,26 @@ def _fit_chunk(u, y, start=None):
             stepped = ~gsmall
             idx, f, g_mu, g_s, h_mm, h_ss, h_ms, ci = (a[stepped] for a in (idx, f, g_mu, g_s, h_mm, h_ss, h_ms, ci))
             li = lam[idx]
+            n_iter[idx] += 1
             # damped normal equations (H + lam diag H) delta = grad with
             # H = (A/s)^2 G and grad = (A/s) g: delta = (G + lam diag G)^-1 g / (A/s)
             h_mm = h_mm * (1.0 + li)
             h_ss = h_ss * (1.0 + li)
             fdet = f * (h_mm * h_ss - h_ms * h_ms)
-            mu_t = mu[idx] + (h_ss * g_mu - h_ms * g_s) / fdet
-            s_t = s[idx] + (h_mm * g_s - h_ms * g_mu) / fdet
+            d_mu = (h_ss * g_mu - h_ms * g_s) / fdet
+            d_s = (h_mm * g_s - h_ms * g_mu) / fdet
+            mu_t, s_t = mu[idx] + d_mu, s[idx] + d_s
+            # a step whose predicted cost decrease grad . delta is below _FTOL
+            # of the cost would be accepted as the last one: take it without
+            # evaluating the trial, unless the trial is not finite or the
+            # width floor would clip it
+            pred = f * (g_mu * d_mu + g_s * d_s)
+            last = (pred >= 0) & (pred < _FTOL * ci) & np.isfinite(mu_t) & np.isfinite(s_t)
+            last &= np.abs(s_t) >= s_floor
+            taken = idx[last]
+            mu[taken], s[taken] = mu_t[last], s_t[last]
+            converged[taken] = True
+            idx, mu_t, s_t, li, ci = (a[~last] for a in (idx, mu_t, s_t, li, ci))
             s_t = np.copysign(np.maximum(np.abs(s_t), s_floor), s_t)
             rows = yc if idx.size == y.shape[0] else np.take(yc, idx, axis=0, out=yi[: idx.size])
             trial = _evaluate(u, mu_t, s_t, rows, ycn[idx], work)
@@ -228,7 +251,6 @@ def _fit_chunk(u, y, start=None):
             mu[acc], s[acc], state[:, acc] = mu_t[better], s_t[better], trial[:, better]
             lam[idx] = np.where(better, np.maximum(li / 3.0, 1e-12), np.minimum(li * 2.0, 1e12))
             converged[idx] |= done
-            n_iter[idx] += 1
 
         amp, se = state[0], state[1]
         params = np.stack([amp, mu, np.abs(s), ybar - amp * se / n], axis=1)
@@ -297,7 +319,7 @@ def bootstrap_centers(record, n_bootstrap: int = 10_000, seed: int = 0) -> Cente
     (_linearized_start). Draws that fail to converge are dropped; more than
     ``_MAX_DROPPED`` dropped raises NonConvergence. A record with fewer than
     2 repeats raises ValueError: its draws would all be one profile, with a
-    zero spread.
+    zero spread; so does one with fewer than 5 positions, before any fit.
     """
     counts = record.counts
     n_points, repeats = counts.shape
@@ -305,6 +327,8 @@ def bootstrap_centers(record, n_bootstrap: int = 10_000, seed: int = 0) -> Cente
     akey = rngmod.AXIS_KEY[record.axis]
     if repeats < 2:
         raise ValueError(f"the bootstrap needs at least 2 repeats per position, got {repeats}")
+    if n_points < 5:
+        raise ValueError("need at least 5 points")
 
     table = counts.astype(float)
     start = _linearized_start(record.positions, table.mean(axis=1))

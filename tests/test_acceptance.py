@@ -309,14 +309,14 @@ GOLDEN_DIGESTS = {
 }
 FIT_DIGESTS = {
     "avx512": {
-        "centers.csv": "426b34258d343675d3585066dd9074bbf14023b052ac230be58b2ba332413871",
-        "summary.json": "0e9ac478d2507782104e13c45e8b9488eb12850c999428a130aa35903cf8176b",
-        "weak_values.csv": "3266e13e76881a914087d4202fd06a22100daa7216b3f772d0c843f26db0ead7",
+        "centers.csv": "0be75341f85f3b279f3311df3db61003ec4f1143a8c9eab4f992b3e7628de4af",
+        "summary.json": "a38c245897f9a3e5c9ece2905b268166fe1e171dbe5140697f46ef49061cd22e",
+        "weak_values.csv": "30e5b577a1021d7a76595e4cddaec09e1bbb59a9ecf1c48c8a9585413cc0bb5e",
     },
     "libm": {
-        "centers.csv": "0427138337fcb80edbf95aa0aa80e4c47a3d93a8e3d3c602b8dc6fad4356dd92",
-        "summary.json": "0ba7ad0d8c2e4411218b188c6c7778ebdfaa4fe2350e8c893c1982c78587473a",
-        "weak_values.csv": "5a108ba550a28bc2426a16820d9d7a702325b974195539a92e6ee0eae171da61",
+        "centers.csv": "7946c6cd36255a771094751f8c99375cd2ad9f7cf7193ef9e310b0bf8e8d490a",
+        "summary.json": "8a6c9a79636c6b18afe5559a7b8c03ef3cce99d6ef560f3bbe033b90e6aafc0a",
+        "weak_values.csv": "780a39c81f9732ce0516e60a4dd50766b97e735b52c426c9e1ea7aee9b93e38f",
     },
 }
 

@@ -211,6 +211,39 @@ def test_fit_rows_do_not_depend_on_chunking():
         assert (fit.residual_norm, fit.converged, fit.n_iterations) == (resnorm[row], converged[row], n_iter[row])
 
 
+def default_bootstrap_chunk():
+    """The first bootstrap chunk of the default run's theta = 0 x record, and its linearized start."""
+    rec = default_records()[0]
+    profiles = resampled_profiles(rec, ana._CHUNK_ROWS, ExperimentConfig.from_dict({}).seed)
+    return rec.positions, profiles, ana._linearized_start(rec.positions, rec.counts.mean(axis=1))(profiles)
+
+
+def test_fit_takes_its_last_step_unevaluated(monkeypatch):
+    # the step that would only confirm convergence is not evaluated
+    u, profiles, start = default_bootstrap_chunk()
+    evaluated, evaluate = [], ana._evaluate
+
+    def counted(u, mu, *args):
+        evaluated.append(mu.size)
+        return evaluate(u, mu, *args)
+
+    monkeypatch.setattr(ana, "_evaluate", counted)
+    _, _, converged, _ = ana._lm_gaussian_batch(u, profiles, start=start)
+    assert converged.all()
+    assert sum(evaluated) <= 2.8 * len(profiles)
+
+
+def test_fit_returned_rows_are_stationary():
+    # one more evaluated, undamped Gauss-Newton step barely moves a returned center
+    u, profiles, start = default_bootstrap_chunk()
+    params, _, converged, _ = ana._lm_gaussian_batch(u, profiles, start=start)
+    y, (amp, mu, s, _) = profiles[converged], params[converged].T
+    yc = y - y.mean(axis=1)[:, None]
+    _, _, g_mu, g_s, h_mm, h_ss, h_ms, _ = ana._evaluate(u, mu, s, yc, ana._dot(yc, yc), np.empty((4,) + y.shape))
+    d_mu = (h_ss * g_mu - h_ms * g_s) / (amp / s * (h_mm * h_ss - h_ms * h_ms))
+    assert np.abs(d_mu).max() < 2e-5
+
+
 # --------------------------------------------------------------- bootstrap
 
 
@@ -225,6 +258,25 @@ def test_bootstrap_single_repeat_is_unreadable_input(tmp_path, capsys):
     assert main(["--quiet", "--out", str(tmp_path), "analyze"]) == 3
     message = "the bootstrap needs at least 2 repeats per position, got 1"
     assert capsys.readouterr().err == f"unreadable input: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 4])
+def test_bootstrap_needs_five_positions_before_any_fit(monkeypatch, n_points):
+    rec = det.ScanRecord(0.0, "x", GRID[:n_points], np.full((n_points, 3), 10), seed=0)
+
+    def no_fit(*args):
+        raise AssertionError("fitted a record with too few positions")
+
+    monkeypatch.setattr(ana, "_fit_chunk", no_fit)
+    with pytest.raises(ValueError, match="^need at least 5 points$"):
+        ana.bootstrap_centers(rec, n_bootstrap=100, seed=1)
+
+
+def test_one_position_scan_is_unreadable_input(tmp_path, capsys):
+    path = tmp_path / scan_filename(0.0, "x")
+    det.ScanRecord(0.0, "x", GRID[:1], [[10, 12, 9]], seed=0).save_csv(path)
+    assert main(["--quiet", "--out", str(tmp_path), "analyze"]) == 3
+    assert capsys.readouterr().err == f"unreadable input: {path}: need at least 5 points\n"
 
 
 def test_bootstrap_deterministic_under_seed():

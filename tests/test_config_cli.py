@@ -611,14 +611,14 @@ def test_cli_analyze_unopenable_scan_is_unreadable_input(tmp_path, capsys):
 # target is also the zero reference; one set per numpy exp class (``oracles.exp_class``)
 _TARGET_45_DIGESTS = {
     "avx512": {
-        "centers.csv": "60d41056cca26e57b78194485f99f7647c30fe95c97975451935b4bb3a4a8959",
+        "centers.csv": "4b372ef45da9be20daa3d7535346dc68aee5fe72b30c953ed5124e4d3a0b4264",
         "weak_values.csv": "b1fc18d35ac56c8b7480fa0656eaa49faac1f27b1ed8ad639f1ebda6c188a83f",
-        "summary.json": "e226a901c28f9060f73538020500f8e8d2b0143f8d3a1f51d0b24fea0555a1ea",
+        "summary.json": "0b99ac4a9fd2326338000746d5fe8ce8e6683c21816f643b94eb699c3ec2ad8c",
     },
     "libm": {
-        "centers.csv": "d67499083281f84a6d45677fb215eca0117058d710b885e49794e52352a6f217",
+        "centers.csv": "3a410cf817c9efe3f242c661a955aa805ac4cccba43fea027c886853160fde6d",
         "weak_values.csv": "b1fc18d35ac56c8b7480fa0656eaa49faac1f27b1ed8ad639f1ebda6c188a83f",
-        "summary.json": "959ff94fc377b259db402616217b376d1c91ead48944c5a4458573f1c9ec4573",
+        "summary.json": "72bc5896f27c2fdca5ae6bd5dee85d3f5e696c4c25e09d086e31e5987c9c6999",
     },
 }
 

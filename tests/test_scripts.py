@@ -1,11 +1,14 @@
 """The end-to-end scripts and ``python -m mzweak``, run as a user runs them, in a fresh interpreter."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,3 +87,33 @@ def test_bench_pairs_script(tmp_path):
             m = entry[side][name]
             assert len(m["runs"]) == 1 and m["q1"] == m["median"] == m["q3"] == m["runs"][0]
     assert set(entry["change_lower"]) == {"setup_s", "run_s", "peak_rss_mb"}
+    assert set(entry["verdict"]) == {"setup_s", "run_s", "peak_rss_mb"}
+    assert set(entry["verdict"].values()) <= {"gain", "regression", "unresolved", "no change"}
+
+
+def bench_pairs_module():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # median 1.0, IQR 0.035
+
+
+@pytest.mark.parametrize("change, bound, expected", [
+    ([v - 0.1 for v in PARENT], 0.25, "gain"),
+    # lower in 8 of 10 pairs only
+    ([v - 0.1 for v in PARENT[:8]] + [v + 0.01 for v in PARENT[8:]], 0.25, "no change"),
+    # lower in every pair, but by less than the parent's IQR
+    ([v - 0.01 for v in PARENT], 0.25, "no change"),
+    # a tie counts for neither side
+    ([v - 0.1 for v in PARENT[:9]] + PARENT[9:], 0.25, "gain"),
+    ([v * 1.3 for v in PARENT], 0.25, "regression"),
+    ([v * 1.2 for v in PARENT], 0.25, "no change"),
+    # the parent's spread is wider than the bound: only a clean split resolves it
+    ([v + 0.01 for v in PARENT], 0.02, "unresolved"),
+    ([0.966] * 10, 0.02, "no change"),
+])
+def test_bench_pairs_verdict(change, bound, expected):
+    assert bench_pairs_module().verdict(PARENT, change, bound) == expected
