@@ -323,8 +323,6 @@ def bootstrap_centers(record, n_bootstrap: int = 10_000, seed: int = 0) -> Cente
     """
     counts = record.counts
     n_points, repeats = counts.shape
-    tkey = rngmod.theta_key(record.theta)
-    akey = rngmod.AXIS_KEY[record.axis]
     if repeats < 2:
         raise ValueError(f"the bootstrap needs at least 2 repeats per position, got {repeats}")
     if n_points < 5:
@@ -334,7 +332,7 @@ def bootstrap_centers(record, n_bootstrap: int = 10_000, seed: int = 0) -> Cente
     start = _linearized_start(record.positions, table.mean(axis=1))
     # draw-major: the first k draws are the same for any n_bootstrap >= k,
     # and drawing them chunk by chunk continues one stream
-    gen = rngmod.stream(seed, rngmod.BOOTSTRAP, tkey, akey)
+    gen = rngmod.stream(seed, rngmod.BOOTSTRAP, *rngmod.theta_key(record.theta), rngmod.AXIS_KEY[record.axis])
     rows = np.arange(n_points)
     centers = np.empty(n_bootstrap)
     converged = np.empty(n_bootstrap, dtype=bool)

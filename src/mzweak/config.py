@@ -26,7 +26,7 @@ from pathlib import Path
 from .detection import DriftModel, ScanConfig, SourceModel
 from .errors import ConfigError
 from .pointer import DEFAULT_SIGMA_UM
-from .rng import AXIS_KEY, theta_key
+from .rng import AXIS_KEY
 
 # Drift-walk steps calibrated so the default pipeline reproduces systematic
 # bands of about +/-0.070 (x) and +/-0.095 (y) in weak-value units over the
@@ -80,7 +80,8 @@ _MINIMUM = {"g_x": 0.0, "g_y": 0.0, "sigma": MIN_SIGMA_UM, "seed": 0,
 # Most bootstrap draws: analyze keeps O(n_bootstrap) numbers per record
 # (README: time and memory at this bound)
 MAX_BOOTSTRAP = 1_000_000
-_MAXIMUM = {"analysis.n_bootstrap": MAX_BOOTSTRAP}
+# Upper bounds: the bootstrap draws, and the seed, which a scan file's seed line reads back as int64
+_MAXIMUM = {"analysis.n_bootstrap": MAX_BOOTSTRAP, "seed": 2**63 - 1}
 # Most count cells in one record: repeats (or drift profiles) x n_points.
 # simulate and analyze hold a few arrays of this size; the rate model's
 # window integrals hold one block of windows at a time (README: time and
@@ -112,11 +113,9 @@ def _check_number(value, key, *, minimum=None, maximum=None, integer=False):
 
 
 def _check_angle(value, key):
-    """A finite angle that has a stream key (``rng.theta_key``); -0.0 enters
-    as 0.0, so one angle has one scan file name."""
-    theta = _check_number(value, key) + 0.0
-    _build(lambda: theta_key(theta), "", theta=key)
-    return theta
+    """A finite angle; -0.0 enters as 0.0, so one angle has one scan file
+    name and one set of streams."""
+    return _check_number(value, key) + 0.0
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -253,7 +252,9 @@ class ExperimentConfig:
             if key == "blocked_arm":
                 _require(value in (None, "A", "B"), key, f"expected null, 'A' or 'B', got {value!r}")
             else:
-                value = _check_number(value, key, minimum=_MINIMUM.get(key), integer=isinstance(DEFAULTS[key], int))
+                value = _check_number(
+                    value, key, minimum=_MINIMUM.get(key), maximum=_MAXIMUM.get(key), integer=isinstance(DEFAULTS[key], int)
+                )
             top[key] = value
         output_dir = raw.get("output_dir", DEFAULTS["output_dir"])
         if not isinstance(output_dir, str):

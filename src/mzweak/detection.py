@@ -106,8 +106,9 @@ class ScanRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        # a record has the stream keys of its scan, so save_csv writes what load_csv reads back
-        rngmod.theta_key(self.theta)
+        # a finite angle, so save_csv writes what load_csv reads back
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
         if self.axis not in rngmod.AXIS_KEY:
             raise ValueError(f"axis must be one of {', '.join(rngmod.AXIS_KEY)}, got {self.axis!r}")
         # copies, so that freezing them leaves the caller's arrays writable
@@ -172,8 +173,7 @@ class ScanRecord:
 
         Any damage raises ValueError naming the file, and the line for a
         malformed row: a short or long row, a non-numeric or non-finite
-        field, mixed theta/axis, an angle without a stream key
-        (``rng.theta_key``), an uneven grid, a missing or duplicate cell.
+        field, mixed theta/axis, an uneven grid, a missing or duplicate cell.
 
         One rule admits a file to the bulk read (theta and axis from the
         first row, one ``np.loadtxt`` call over the numeric columns): the
@@ -381,7 +381,7 @@ def _draw_record(state, axis, config, drift, repeats, seed, walk_path, count_pat
 
 def simulate_scan(state: BranchState, config: ScanConfig, axis: str, drift: DriftModel, seed: int) -> ScanRecord:
     """Poisson scan record, one drift offset per repeat, one stream drawn repeat-major."""
-    keys = (rngmod.theta_key(config.theta), rngmod.AXIS_KEY[axis])
+    keys = (*rngmod.theta_key(config.theta), rngmod.AXIS_KEY[axis])
     walk_path, count_path = (rngmod.SCAN_DRIFT, *keys), (rngmod.SCAN_COUNTS, *keys)
     return _draw_record(state, axis, config, drift, config.repeats, seed, walk_path, count_path)
 

@@ -178,7 +178,7 @@ def post_state(theta_deg: float) -> SystemState:
     # S(theta)|H> = (cos 2t, sin 2t), the first column of the Jones matrix
     # S(theta); "+ 0.0" turns t = -0.0 into +0.0, whose sine is +0.0 as in
     # the product S(theta) @ |H>
-    t = np.deg2rad(2.0 * float(theta_deg)) + 0.0
+    t = 2.0 * np.deg2rad(float(theta_deg)) + 0.0
     c, s = _R * np.cos(t), _R * np.sin(t)
     return SystemState(np.array([c, s, c, s], dtype=complex))
 

@@ -10,13 +10,16 @@ The generator is Philox (counter-based); derivation uses SeedSequence spawn
 keys, which is the documented numpy mechanism for non-overlapping streams.
 
 Stream namespace (first path component):
-    SCAN_COUNTS  (.., theta_key, axis_key)
-    SCAN_DRIFT   (.., theta_key, axis_key)
+    SCAN_COUNTS  (.., theta_hi, theta_lo, axis_key)
+    SCAN_DRIFT   (.., theta_hi, theta_lo, axis_key)
     DRIFT_RUN    (.., axis_key)
     DRIFT_WALK   (.., axis_key)
     G2           (..)
-    BOOTSTRAP    (.., theta_key, axis_key)
+    BOOTSTRAP    (.., theta_hi, theta_lo, axis_key)
     ABL_MC       (.., free)
+
+(theta_hi, theta_lo) = theta_key(theta), the two 32-bit words of the angle's
+float64 bits, so two distinct angles never name one stream.
 """
 
 from __future__ import annotations
@@ -34,28 +37,13 @@ ABL_MC = 7
 AXIS_KEY = {"x": 0, "y": 1}
 
 
-# Largest |millidegrees| of an angle: its rounded count then fits a signed
-# 32-bit integer, so no two keys alias modulo 2**32.
-_MAX_MILLIDEGREES = 2**31 - 0.5
-
-
-def theta_key(theta_deg: float) -> int:
-    """Encode an angle as an unsigned 32-bit key (millidegree resolution).
-
-    Raises ValueError for an angle whose rounded millidegree count would not
-    fit a signed 32-bit integer (or is not a number)."""
-    theta = float(theta_deg)
-    milli = theta * 1000.0
-    if not abs(milli) < _MAX_MILLIDEGREES:
-        raise ValueError(
-            f"theta must be in (-{_MAX_MILLIDEGREES / 1000}, {_MAX_MILLIDEGREES / 1000}) degrees, "
-            f"so its millidegree count fits the signed 32-bit stream key, got {theta!r}"
-        )
-    return int(round(milli)) & 0xFFFFFFFF
+def theta_key(theta_deg: float) -> tuple[int, int]:
+    """The (high, low) 32-bit words of the angle's float64 bits; -0.0 is 0.0."""
+    return divmod(int(np.float64(float(theta_deg) + 0.0).view(np.uint64)), 2**32)
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator on the substream named by ``path`` under ``seed``."""
-    key = tuple(int(p) & 0xFFFFFFFF for p in path)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+    """Philox generator on the substream named by ``path`` under ``seed``;
+    each path word is an unsigned 32-bit integer."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=path)
     return np.random.Generator(np.random.Philox(ss))

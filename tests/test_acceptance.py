@@ -298,25 +298,25 @@ def test_criterion_10_byte_determinism(tmp_path):
 # of np.exp, so FIT_DIGESTS holds one set per class (``oracles.exp_class``).
 GOLDEN_DIGESTS = {
     "g2.json": "ebc188ba052cc8fe773160a3514d36334b346f7905b7d3102fafec33140cac66",
-    "scan_theta0_x.csv": "17c3c1e65495993a2074f0daa5dddf81a445075b4f45c4b537ede7124cca698b",
-    "scan_theta0_y.csv": "266356962c2203addb1b1afd0d3d2bf880d38aa348754901be1930a1edd8eb3c",
-    "scan_theta45_x.csv": "996ae213a05b95fbad717b85f249d1001454e85eb8be933a5e75d22d2fcb7436",
-    "scan_theta45_y.csv": "8ba0c8b327c16d602b31d01708d276d3ebda1babec25fee8ca8af76070b7bf93",
-    "scan_theta90_x.csv": "f55543fe3f88fb7c206eb6afa76166b4f4d319e4610819c6106840bc17d0babe",
-    "scan_theta90_y.csv": "a8c7d5fc0ca22746be93a31e7838373f399489fa9c24430c22d5c0cbaade89eb",
+    "scan_theta0_x.csv": "15bf1eefd605736a17a5642014d717b6344c64f5422c970743cddb93c6648cdf",
+    "scan_theta0_y.csv": "8b89560f51ea4282a4e4953f0b7c50fde94f106fcfdef7211e1c97bc80d52647",
+    "scan_theta45_x.csv": "5d0b76815b666ea3939f658bb64516ab120a4ce0e96cf87074c48689ea8ebab5",
+    "scan_theta45_y.csv": "65bf25f016f494a9707368d393782da520c532d21169bdeae4dda265a2893e47",
+    "scan_theta90_x.csv": "85b07132f4134c47cae92fbf072520f174699b712dcfb200ce691f69d4b24e6e",
+    "scan_theta90_y.csv": "09bc5f273ce4072e4e26ff7302cd3c9ae89e2c01b13c3b02490c7689f46b13b4",
     "sweep_g.csv": "24787fc338148b9238f77ab9f6a962f2ba25cc82a5a725f51d3d0aa2cecd0c69",
     "weakvalues.json": "dc617348c9db2d5dfb3fb80117f3e9c3e0f1ea283b2956500a1c7534b37ddacb",
 }
 FIT_DIGESTS = {
     "avx512": {
-        "centers.csv": "0be75341f85f3b279f3311df3db61003ec4f1143a8c9eab4f992b3e7628de4af",
-        "summary.json": "a38c245897f9a3e5c9ece2905b268166fe1e171dbe5140697f46ef49061cd22e",
-        "weak_values.csv": "30e5b577a1021d7a76595e4cddaec09e1bbb59a9ecf1c48c8a9585413cc0bb5e",
+        "centers.csv": "cd8433a5e5302cb96a2b9c16ce11eb818aec4d1e063a23bf78bf70c03da76839",
+        "summary.json": "6e86f2b691681bde84aff28a338e355904118f7efd6f0273fc1e43bb0e24290d",
+        "weak_values.csv": "434572ec685ca1dc96380567dbd78fd704f6cc9593a9748c5b53d18c22c9ff54",
     },
     "libm": {
-        "centers.csv": "7946c6cd36255a771094751f8c99375cd2ad9f7cf7193ef9e310b0bf8e8d490a",
-        "summary.json": "8a6c9a79636c6b18afe5559a7b8c03ef3cce99d6ef560f3bbe033b90e6aafc0a",
-        "weak_values.csv": "780a39c81f9732ce0516e60a4dd50766b97e735b52c426c9e1ea7aee9b93e38f",
+        "centers.csv": "4e6e4d3ca3f0d63ad2355fc3b6e519d7d26f04ad5f8c925eed15d955cf3dbac7",
+        "summary.json": "c63d30bcfe96175ad009f11921fae0f33bc038e299138609a45f35baeef05030",
+        "weak_values.csv": "3ba304473f1404cba9da12e530a0f8977f4e1623852131bc187698b35876127b",
     },
 }
 

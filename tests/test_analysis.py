@@ -331,7 +331,7 @@ def record_fits(monkeypatch):
 
 def resampled_profiles(record, n_bootstrap, seed):
     """The bootstrap profiles of ``record``, drawn in one call from a fresh stream."""
-    gen = rngmod.stream(seed, rngmod.BOOTSTRAP, rngmod.theta_key(record.theta), rngmod.AXIS_KEY[record.axis])
+    gen = rngmod.stream(seed, rngmod.BOOTSTRAP, *rngmod.theta_key(record.theta), rngmod.AXIS_KEY[record.axis])
     draws = gen.integers(0, record.repeats, size=(n_bootstrap, record.positions.size))
     return record.counts[np.arange(record.positions.size), draws].astype(float)
 

@@ -471,6 +471,33 @@ def test_cli_negative_zero_angle_is_zero(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [scan_filename(0.0, ax) for ax in ("x", "y")]
 
 
+def test_cli_nearby_angles_draw_their_own_counts(tmp_path):
+    # 45.0004 and 45 deg round to one millidegree; each angle still draws
+    # its counts from streams of its own
+    from mzweak.detection import ScanRecord
+
+    thetas = [45.0004, 45.0, 90.0]
+    cfg = write_config(tmp_path, dict(SMALL_CONFIG, theta_list=thetas, target_theta=thetas[0]))
+    out = tmp_path / "run"
+    for command in ("simulate", "analyze"):
+        assert main(["--quiet", "--config", cfg, "--out", str(out), command]) == 0
+    for axis in ("x", "y"):
+        near, at = (ScanRecord.load_csv(out / scan_filename(theta, axis)).counts for theta in thetas[:2])
+        assert not np.array_equal(near[:, : at.shape[1]], at), axis
+
+
+def test_cli_runs_at_the_largest_seed_and_a_huge_angle(tmp_path):
+    # a seed line of 2**63 - 1 reads back as int64; 2 * 1e308 deg would overflow
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    for command in ("simulate", "analyze"):
+        assert main(["--quiet", "--config", cfg, "--out", str(tmp_path / "seed"), "--seed", str(2**63 - 1), command]) == 0
+    for command in ("weakvalue", "simulate"):
+        assert main(["--quiet", "--config", cfg, "--out", str(tmp_path / "theta"), "--theta", "1e308", command]) == 0
+    assert sorted(p.name for p in (tmp_path / "theta").iterdir()) == [
+        scan_filename(1e308, "x"), scan_filename(1e308, "y"), "weakvalues.json"
+    ]
+
+
 def test_cli_simulate_zero_rate_all_zero(tmp_path):
     doc = dict(SMALL)
     doc["scan"] = dict(SMALL["scan"], mean_rate=0.0)
@@ -611,14 +638,14 @@ def test_cli_analyze_unopenable_scan_is_unreadable_input(tmp_path, capsys):
 # target is also the zero reference; one set per numpy exp class (``oracles.exp_class``)
 _TARGET_45_DIGESTS = {
     "avx512": {
-        "centers.csv": "4b372ef45da9be20daa3d7535346dc68aee5fe72b30c953ed5124e4d3a0b4264",
+        "centers.csv": "b3459bb321ef353a3a13361086d1e54e54f7704517f2e46bed34b77f9aa6a1af",
         "weak_values.csv": "b1fc18d35ac56c8b7480fa0656eaa49faac1f27b1ed8ad639f1ebda6c188a83f",
-        "summary.json": "0b99ac4a9fd2326338000746d5fe8ce8e6683c21816f643b94eb699c3ec2ad8c",
+        "summary.json": "a8a2ba99a8b63d4ff547a2dbff89b67964b39be5862ae55c79823924e35b1586",
     },
     "libm": {
-        "centers.csv": "3a410cf817c9efe3f242c661a955aa805ac4cccba43fea027c886853160fde6d",
+        "centers.csv": "b8490915ecfc9abcb8b23792887056c854ee33d6b3d5b12a10ca4e7c6768c1b8",
         "weak_values.csv": "b1fc18d35ac56c8b7480fa0656eaa49faac1f27b1ed8ad639f1ebda6c188a83f",
-        "summary.json": "72bc5896f27c2fdca5ae6bd5dee85d3f5e696c4c25e09d086e31e5987c9c6999",
+        "summary.json": "1216c96102745f4228fd764df599140e005ea1e8cbe26ff4a1587f5e52d8fc2d",
     },
 }
 
@@ -867,7 +894,6 @@ def test_cli_sweep_keeps_no_config_per_point(tmp_path):
         ("sigma", "0", "10", "sigma"),
         ("sigma", "1e-200", "1e-199", "sigma"),
         ("g", "1", "1e200", "g_x"),
-        ("theta", "0", "1e306", "target_theta"),
     ],
 )
 def test_cli_sweep_values_pass_the_config_checks(tmp_path, capsys, parameter, start, stop, key):
@@ -907,9 +933,10 @@ def test_cli_bad_config_exit_code(tmp_path):
         ({"scan": {"step": 1e307}}, [], "scan.step"),
         ({"scan": {"mean_rate": 1e19}}, [], "scan.mean_rate"),
         ({"source": {"n_windows": 1e20}}, [], "source.n_windows"),
-        (None, ["--theta", "1e306"], "theta_list"),
-        ({"theta_list": [0.0, 2147483.6475]}, [], "theta_list"),
-        ({"target_theta": -1e306}, [], "target_theta"),
+        # a seed past int64, which a scan file's seed line could not read back
+        (None, ["--seed", "9223372036854775808"], "seed"),
+        ({"seed": 1e22}, [], "seed"),
+        ({"seed": 2**63}, [], "seed"),
         ({"drift": {"step_sigma_x": 1e308}}, [], "drift.step_sigma_x"),
         # lengths whose squares would overflow
         ({"drift": {"initial_offset": 1e308}, "scan": {"start": -1e308, "step": 1e304}}, [], "scan.start"),

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import subprocess
+import struct
 import sys
 import time
 import tracemalloc
@@ -169,11 +170,11 @@ def test_scan_rates_equal_per_repeat_expected_rate(drift):
     # the rates and the counts equal those of one call per repeat, bit for bit
     cfg = det.ScanConfig(mean_rate=1500.0, repeats=12, theta=10.0)
     state = paper_state(10.0)
-    tkey, akey = rngmod.theta_key(10.0), rngmod.AXIS_KEY["y"]
-    offsets = drift.offsets(12, stream(8, rngmod.SCAN_DRIFT, tkey, akey))
+    keys = (*rngmod.theta_key(10.0), rngmod.AXIS_KEY["y"])
+    offsets = drift.offsets(12, stream(8, rngmod.SCAN_DRIFT, *keys))
     rates = np.stack([det.expected_rate(state, "y", cfg.positions - off, cfg) for off in offsets])
     assert det._drifted_rates(state, "y", cfg, offsets).tobytes() == rates.tobytes()
-    counts = stream(8, rngmod.SCAN_COUNTS, tkey, akey).poisson(rates)
+    counts = stream(8, rngmod.SCAN_COUNTS, *keys).poisson(rates)
     rec = det.simulate_scan(state, cfg, "y", drift, seed=8)
     assert rec.counts.tobytes() == counts.T.tobytes()
 
@@ -353,6 +354,7 @@ _REJECTED_SPELLINGS = [
     ("0.0,x,1500.0,2\n", r"scan.csv, line 185: expected 5 fields, got 4"),
     ("0.0,x,1500.0,2,9223372036854775808\n", r"scan.csv: counts column does not fit int64"),
     ("0.0,x,nan,2,17\n", r"scan.csv, line 185: position_um 'nan' is not a finite float"),
+    ("inf,x,1500.0,2,17\n", r"scan.csv, line 185: theta_deg 'inf' is not a finite float"),
 ]
 
 
@@ -488,13 +490,6 @@ def test_scan_csv_mixed_theta_or_axis_rejected(tmp_path, column, value):
         det.ScanRecord.load_csv(path)
 
 
-def test_scan_csv_angle_without_stream_key_rejected(tmp_path):
-    path, lines = _saved_scan_lines(tmp_path)
-    path.write_text("".join(lines[:2] + [line.replace("0.0,x,", "1e306,x,", 1) for line in lines[2:]]))
-    with pytest.raises(ValueError, match="scan.csv: theta must be in"):
-        det.ScanRecord.load_csv(path)
-
-
 def _swap_blocks_10_and_11(blocks):
     blocks[10], blocks[11] = blocks[11], blocks[10]
 
@@ -519,11 +514,13 @@ def test_scan_csv_bad_grid_rejected(tmp_path, edit):
         det.ScanRecord.load_csv(path)
 
 
-@pytest.mark.parametrize("theta,axis", [(0.0, "x,y"), (0.0, "x\n"), (0.0, '"x'), (0.0, "z"), (1e7, "x")])
+@pytest.mark.parametrize(
+    "theta,axis", [(0.0, "x,y"), (0.0, "x\n"), (0.0, '"x'), (0.0, "z"), (np.nan, "x"), (np.inf, "x"), (-np.inf, "x")]
+)
 def test_scan_record_needs_the_stream_keys_of_a_scan(theta, axis):
     # at construction, not at load: such a record once saved a file its own
-    # load_csv refused ("x,y", "x\n", '"x', 1e7), or loaded one the bootstrap could not key ("z")
-    with pytest.raises(ValueError, match="^axis must be one of x, y, got " if theta == 0.0 else "^theta must be in"):
+    # load_csv refused ("x,y", "x\n", '"x', a non-finite angle), or loaded one the bootstrap could not key ("z")
+    with pytest.raises(ValueError, match="^axis must be one of x, y, got " if theta == 0.0 else "^theta must be finite"):
         det.ScanRecord(theta, axis, [0.0, 1.0, 2.0, 3.0, 4.0], np.ones((5, 2), dtype=int))
 
 
@@ -611,16 +608,15 @@ def test_scan_config_validation():
             det.ScanConfig(**grid)
 
 
-def test_theta_key_is_a_signed_32_bit_millidegree_count():
-    limit = 2147483.647  # (2**31 - 1) millidegrees
-    assert rngmod.theta_key(45.0) == 45_000
-    assert rngmod.theta_key(-0.001) == 2**32 - 1
-    assert rngmod.theta_key(limit) == 2**31 - 1
-    assert rngmod.theta_key(-limit) == 2**31 + 1
-    # 2147483.6475 would round to 2**31 and alias -2**31
-    for bad in (2147483.6475, -2147483.6475, 1e306, np.inf, np.nan):
-        with pytest.raises(ValueError, match="theta must be in"):
-            rngmod.theta_key(bad)
+def test_theta_key_is_the_two_words_of_the_angles_float_bits():
+    # adjacent floats have their own keys; -0.0 is 0.0, as one scan file name
+    assert rngmod.theta_key(45.0) == (0x40468000, 0)
+    assert rngmod.theta_key(10.0) != rngmod.theta_key(np.nextafter(10.0, 11.0))
+    assert rngmod.theta_key(-0.0) == rngmod.theta_key(0.0) == (0, 0)
+    for theta in (-1e308, -45.0, 5e-324, 45.0004, 1e308):
+        hi, lo = rngmod.theta_key(theta)
+        assert 0 <= hi < 2**32 and 0 <= lo < 2**32
+        assert struct.unpack("<d", struct.pack("<Q", hi << 32 | lo)) == (theta,)
 
 
 def test_scan_default_grid_spans_3mm_centered():

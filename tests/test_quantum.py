@@ -71,6 +71,17 @@ def test_post_state_45_by_direct_jones_application():
     assert np.allclose(np.asarray(qm.post_state(45.0)), [0, 1 / RT2, 0, 1 / RT2], atol=1e-12)
 
 
+def test_post_state_doubles_the_angle_in_radians():
+    # doubling after the radian conversion gives the states of deg2rad(2 * theta)
+    # bit for bit on this grid, and stays finite at 1e308 deg, where 2 * theta overflows
+    grid = np.concatenate([np.linspace(-1e6, 1e6, 10_007), np.linspace(-360.0, 360.0, 7_201), [-0.0, 22.5, 67.5]])
+    t = np.deg2rad(2.0 * grid) + 0.0
+    c, s = np.cos(t) * (1.0 / RT2), np.sin(t) * (1.0 / RT2)
+    states = np.array([np.asarray(qm.post_state(theta)) for theta in grid])
+    assert states.tobytes() == np.stack([c, s, c, s], axis=1).astype(complex).tobytes()
+    assert np.all(np.isfinite(np.asarray(qm.post_state(1e308))))
+
+
 def test_pre_state_is_one_immutable_instance():
     psi = qm.pre_state()
     assert qm.pre_state() is psi
